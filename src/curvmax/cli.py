@@ -386,8 +386,8 @@ _TARGETS = {
 def transform(target, chart, input, out):
     """Convert CSV rows of (E, B, D, H) components between representations.
 
-    Input columns: E_1..E_3, B_1..B_3, D_1..D_3, H_1..H_3 (covariant E, H;
-    contravariant B, D was not assumed -- components are taken as given).
+    Input columns: E_1..E_3, B_1..B_3, D_1..D_3, H_1..H_3, read as covariant
+    E and H and contravariant B and D; no index is raised or lowered.
     The nonholonomic target expects three leading coordinate columns.
     """
     func, ncols, header = _TARGETS[target]

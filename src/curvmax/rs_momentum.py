@@ -326,7 +326,10 @@ def dump_spectrum(stream, kvecs, components):
     stream.write("k1,k2,k3,component,re,im\n")
     for name, values in components.items():
         values = np.asarray(values)
-        for idx in np.ndindex(values.shape):
-            v = values[idx]
-            stream.write(f"{kk[0][idx]:.12g},{kk[1][idx]:.12g},{kk[2][idx]:.12g},"
-                         f"{name},{v.real:.12g},{v.imag:.12g}\n")
+        if values.shape != kk[0].shape:
+            raise RSError(f"component {name!r} has shape {values.shape}; "
+                          f"the wavevectors give {kk[0].shape}")
+        table = np.column_stack([k.ravel() for k in kk]
+                                + [values.real.ravel(), values.imag.ravel()])
+        line = "%.12g,%.12g,%.12g," + str(name).replace("%", "%%") + ",%.12g,%.12g\n"
+        stream.write(line * len(table) % tuple(table.ravel().tolist()))

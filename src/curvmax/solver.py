@@ -17,6 +17,15 @@ discrete divergence (plain backward differences of the densitized
 components) commutes with the plain-difference curls, div b telescopes to
 zero exactly and charge continuity holds to machine precision.
 
+The metric enters the update only through those closures, so the chart
+acts as a fixed medium (Ward & Pendry 1996).  The coefficients
+g_ii / (sqrt(g) eps) at edge sites and g_ii / (sqrt(g) mu) at face sites
+are computed once per GridSpec, together with the time step, and a step
+only multiplies by them.  Every geometry array keeps the broadcast shape
+of the coordinates it depends on -- (1, 1, 1) on the Cartesian chart,
+(N1, 1, 1) on the cylindrical one, (N1, N2, 1) on the spherical one --
+and is read-only, because all callers share it.
+
 Time stepping is leapfrog (b half step, d full step, b half step) with a
 metric-weighted CFL limit dt = cfl * min over cells of
 (sum_i g^{ii} / h_i^2)^{-1/2} / c.
@@ -35,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chart import builtin_chart, metric_from_chart
+from .diffops import CYCLIC
 from .symexpr import lambdify
 
 __all__ = [
@@ -46,6 +56,7 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"CVMX"
 _DTYPE_CODE_F64 = 1
+_CSV_ROWS_PER_WRITE = 4096
 
 
 class SolverError(Exception):
@@ -96,8 +107,8 @@ class GridSpec:
 class GridField:
     """Field state: covariant e on edges, densitized d, b as described above.
 
-    ``b`` is staggered half a time step ahead of ``d`` (leapfrog); ``t`` is
-    the time of ``d``/``e``, ``nstep`` counts accepted steps.
+    ``step`` ends with the second half step of ``b``, so ``e``, ``d`` and
+    ``b`` are all at time ``t``; ``nstep`` counts accepted steps.
     """
 
     e: np.ndarray       # (3, N1, N2, N3) covariant E_i at edge-i sites
@@ -122,6 +133,24 @@ def _site_axes(spec, half):
     return out
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """Read-only metric arrays of one GridSpec, each at its broadcast shape."""
+
+    g_edge: tuple           # g_ii at edge-i sites
+    sqrtg_edge: tuple       # sqrt(g) at edge-i sites
+    sqrtg_face: tuple       # sqrt(g) at face-i sites
+    sqrtg_node: np.ndarray  # sqrt(g) at nodes, where the divergence of d lives
+    e_coef: tuple           # g_ii / (sqrt(g) eps) at edge-i sites: E_i = e_coef[i] d_i
+    h_coef: tuple           # g_ii / (sqrt(g) mu) at face-i sites: H_i = h_coef[i] b_i
+    dt: float
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=8)
 def _geometry(spec):
     chart = builtin_chart(spec.chart)
@@ -131,95 +160,116 @@ def _geometry(spec):
     coords = list(chart.coords)
 
     def sample(expr, half):
-        f = lambdify(expr)
-        axes = _site_axes(spec, half)
-        grids = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(f(dict(zip(coords, grids))), dtype=float)
-        if vals.shape != tuple(spec.shape):
-            vals = np.broadcast_to(vals, tuple(spec.shape)).copy()
-        return vals
+        grids = np.meshgrid(*_site_axes(spec, half), indexing="ij", sparse=True)
+        return np.array(lambdify(expr)(dict(zip(coords, grids))), dtype=float, ndmin=3)
 
     edge_half = [tuple(a == i for a in range(3)) for i in range(3)]
     face_half = [tuple(a != i for a in range(3)) for i in range(3)]
-    geo = {
-        "g_edge": [sample(m.g_lo[i][i], edge_half[i]) for i in range(3)],
-        "sqrtg_edge": [sample(m.sqrt_abs_g, edge_half[i]) for i in range(3)],
-        "g_face": [sample(m.g_lo[i][i], face_half[i]) for i in range(3)],
-        "sqrtg_face": [sample(m.sqrt_abs_g, face_half[i]) for i in range(3)],
-        "g_center": [sample(m.g_lo[i][i], (True, True, True)) for i in range(3)],
-    }
-    for key in ("sqrtg_edge", "sqrtg_face"):
-        for arr in geo[key]:
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise SolverError("grid extents touch a chart singularity")
-    return geo
+    g_edge = [sample(m.g_lo[i][i], edge_half[i]) for i in range(3)]
+    g_face = [sample(m.g_lo[i][i], face_half[i]) for i in range(3)]
+    g_center = [sample(m.g_lo[i][i], (True, True, True)) for i in range(3)]
+    sqrtg_edge = [sample(m.sqrt_abs_g, edge_half[i]) for i in range(3)]
+    sqrtg_face = [sample(m.sqrt_abs_g, face_half[i]) for i in range(3)]
+    sqrtg_node = sample(m.sqrt_abs_g, (False, False, False))
+    for arr in (*sqrtg_edge, *sqrtg_face, sqrtg_node):
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise SolverError("grid extents touch a chart singularity")
+    h = spec.spacing
+    speed2 = sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))
+    return _Geometry(
+        g_edge=tuple(_read_only(a) for a in g_edge),
+        sqrtg_edge=tuple(_read_only(a) for a in sqrtg_edge),
+        sqrtg_face=tuple(_read_only(a) for a in sqrtg_face),
+        sqrtg_node=_read_only(sqrtg_node),
+        e_coef=tuple(_read_only(g_edge[i] / (sqrtg_edge[i] * spec.epsilon))
+                     for i in range(3)),
+        h_coef=tuple(_read_only(g_face[i] / (sqrtg_face[i] * spec.mu))
+                     for i in range(3)),
+        dt=spec.cfl / (spec.c * math.sqrt(float(np.max(speed2)))),
+    )
 
 
 def time_step(spec):
     """Metric-weighted CFL time step for the spec."""
-    geo = _geometry(spec)
-    h = spec.spacing
-    speed2 = sum((1.0 / geo["g_center"][i]) / h[i] ** 2 for i in range(3))
-    return spec.cfl / (spec.c * math.sqrt(float(np.max(speed2))))
+    return _geometry(spec).dt
 
 
 # ---------------------------------------------------------------------------
 # Difference operators
 # ---------------------------------------------------------------------------
 
-def _diff_forward(w, axis, spec):
-    out = np.roll(w, -1, axis=axis)
-    if spec.bc[axis] == "pec":
-        idx = [slice(None)] * 3
-        idx[axis] = -1
-        out[tuple(idx)] = 0.0
-    return (out - w) / spec.spacing[axis]
+def _plane(axis, index):
+    idx = [slice(None)] * 3
+    idx[axis] = index
+    return tuple(idx)
 
 
-def _diff_backward(w, axis, spec):
-    out = np.roll(w, 1, axis=axis)
-    if spec.bc[axis] == "pec":
-        idx = [slice(None)] * 3
-        idx[axis] = 0
-        out[tuple(idx)] = 0.0
-    return (w - out) / spec.spacing[axis]
+_HEAD, _TAIL = slice(None, -1), slice(1, None)
 
 
-_CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+def _diff_forward(w, axis, spec, out):
+    """out = (w[i+1] - w[i]) / h along ``axis``; past the last plane w wraps
+    around (periodic) or is zero (PEC)."""
+    np.subtract(w[_plane(axis, _TAIL)], w[_plane(axis, _HEAD)],
+                out=out[_plane(axis, _HEAD)])
+    beyond = w[_plane(axis, 0)] if spec.bc[axis] == "periodic" else 0.0
+    np.subtract(beyond, w[_plane(axis, -1)], out=out[_plane(axis, -1)])
+    out /= spec.spacing[axis]
+    return out
 
 
-def _curl_forward(w, spec):
-    """Edge field -> face circulation (used for E)."""
-    return np.stack([_diff_forward(w[k], j, spec) - _diff_forward(w[j], k, spec)
-                     for _, j, k in _CYC])
+def _diff_backward(w, axis, spec, out):
+    """out = (w[i] - w[i-1]) / h along ``axis``; before the first plane w
+    wraps around (periodic) or is zero (PEC)."""
+    np.subtract(w[_plane(axis, _TAIL)], w[_plane(axis, _HEAD)],
+                out=out[_plane(axis, _TAIL)])
+    before = w[_plane(axis, -1)] if spec.bc[axis] == "periodic" else 0.0
+    np.subtract(w[_plane(axis, 0)], before, out=out[_plane(axis, 0)])
+    out /= spec.spacing[axis]
+    return out
 
 
-def _curl_backward(w, spec):
-    """Face field -> edge circulation (used for H)."""
-    return np.stack([_diff_backward(w[k], j, spec) - _diff_backward(w[j], k, spec)
-                     for _, j, k in _CYC])
+def _curl(w, diff, spec, out):
+    """Circulation of w into out: component i is diff(w_k, j) - diff(w_j, k).
+
+    With ``_diff_forward`` it maps edge fields to faces (used for E), with
+    ``_diff_backward`` faces to edges (used for H).
+    """
+    tmp = np.empty(spec.shape)
+    for i, j, k in CYCLIC:
+        diff(w[k], j, spec, out[i])
+        out[i] -= diff(w[j], k, spec, tmp)
+    return out
 
 
-def _e_from_d(d, spec, geo):
-    return np.stack([geo["g_edge"][i] * d[i]
-                     / (geo["sqrtg_edge"][i] * spec.epsilon) for i in range(3)])
+def _divergence(w, diff, spec, out, tmp):
+    """sum_i diff(w_i, i) into out."""
+    diff(w[0], 0, spec, out)
+    for i in (1, 2):
+        out += diff(w[i], i, spec, tmp)
+    return out
 
 
-def _h_from_b(b, spec, geo):
-    return np.stack([geo["g_face"][i] * b[i]
-                     / (geo["sqrtg_face"][i] * spec.mu) for i in range(3)])
+def _closure(w, coef, out):
+    """Pointwise constitutive closure: out_i = coef[i] w_i."""
+    for i in range(3):
+        np.multiply(w[i], coef[i], out=out[i])
+    return out
 
 
 def _apply_pec(e, spec):
     for a in range(3):
         if spec.bc[a] != "pec":
             continue
-        idx = [slice(None)] * 3
-        idx[a] = 0
         for i in range(3):
             if i != a:  # tangential components on the wall plane
-                e[(i, *idx)] = 0.0
+                e[(i, *_plane(a, 0))] = 0.0
     return e
+
+
+def _max_abs(x):
+    # abs() clears the sign of a maximum that is -0.0; nan propagates.
+    return abs(float(max(x.max(), -x.min())))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +329,10 @@ def init_grid(spec, initial="zero"):
     geo = _geometry(spec)
     e_field, b_field = _INITIAL_CONDITIONS[initial](spec)
     e = _apply_pec(e_field(0.0), spec)
-    d = np.stack([geo["sqrtg_edge"][i] * spec.epsilon * e[i] / geo["g_edge"][i]
+    b0 = b_field(0.0)
+    d = np.stack([geo.sqrtg_edge[i] * spec.epsilon * e[i] / geo.g_edge[i]
                   for i in range(3)])
-    b = np.stack([geo["sqrtg_face"][i] * b_field(0.0)[i] for i in range(3)])
+    b = np.stack([geo.sqrtg_face[i] * b0[i] for i in range(3)])
     return GridField(e=e, d=d, b=b, t=0.0)
 
 
@@ -298,16 +349,23 @@ def step(state, spec, j_func=None):
     geo = _geometry(spec)
     dt = time_step(spec)
     c = spec.c
+    shape = (3, *spec.shape)
 
-    b = state.b - 0.5 * c * dt * _curl_forward(state.e, spec)
-    h = _h_from_b(b, spec, geo)
-    d = state.d + c * dt * _curl_backward(h, spec)
+    b = _curl(state.e, _diff_forward, spec, np.empty(shape))
+    b *= 0.5 * c * dt
+    np.subtract(state.b, b, out=b)
+    h = _closure(b, geo.h_coef, np.empty(shape))
+    d = _curl(h, _diff_backward, spec, np.empty(shape))
+    d *= c * dt
+    np.add(state.d, d, out=d)
     if j_func is not None:
         j = np.asarray(j_func(state.t + 0.5 * dt))
-        d = d - 4.0 * math.pi * dt * np.stack(
-            [geo["sqrtg_edge"][i] * j[i] for i in range(3)])
-    e = _apply_pec(_e_from_d(d, spec, geo), spec)
-    b = b - 0.5 * c * dt * _curl_forward(e, spec)
+        for i in range(3):
+            d[i] -= 4.0 * math.pi * dt * (geo.sqrtg_edge[i] * j[i])
+    e = _apply_pec(_closure(d, geo.e_coef, np.empty(shape)), spec)
+    kick = _curl(e, _diff_forward, spec, h)  # h is spent; reuse its memory
+    kick *= 0.5 * c * dt
+    b -= kick
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
         raise InstabilityError(state.nstep + 1)
     return GridField(e=e, d=d, b=b, t=state.t + dt, nstep=state.nstep + 1)
@@ -336,33 +394,35 @@ def diagnostics(state, spec, rho=None):
     """
     geo = _geometry(spec)
     dv = float(np.prod(spec.spacing))
-    h = _h_from_b(state.b, spec, geo)
-    energy = dv / (8.0 * math.pi) * float(
-        np.sum(state.e * state.d) + np.sum(h * state.b))
+    prod = np.multiply(state.e, state.d)
+    ed = np.sum(prod)
+    hb = _closure(state.b, geo.h_coef, prod)
+    hb *= state.b
+    energy = dv / (8.0 * math.pi) * float(ed + np.sum(hb))
 
     # b is driven by forward-difference curls, d by backward ones; the
     # matching divergence direction is what makes each defect telescope.
-    div_b = sum(_diff_forward(state.b[i], i, spec) for i in range(3))
-    div_d = sum(_diff_backward(state.d[i], i, spec) for i in range(3))
+    acc, tmp = np.empty(spec.shape), np.empty(spec.shape)
+    div_b = _max_abs(_divergence(state.b, _diff_forward, spec, acc, tmp))
+    div_d = _divergence(state.d, _diff_backward, spec, acc, tmp)
     if rho is not None:
-        div_d = div_d - 4.0 * math.pi * np.asarray(rho) * geo["sqrtg_edge"][0]
+        div_d -= 4.0 * math.pi * np.asarray(rho) * geo.sqrtg_node
     return {
         "energy": energy,
-        "div_D_minus_4pi_rho": float(np.max(np.abs(div_d))),
-        "div_B": float(np.max(np.abs(div_b))),
-        "max_abs": float(max(np.max(np.abs(state.e)), np.max(np.abs(state.b)),
-                             np.max(np.abs(state.d)))),
+        "div_D_minus_4pi_rho": _max_abs(div_d),
+        "div_B": div_b,
+        "max_abs": max(_max_abs(state.e), _max_abs(state.b), _max_abs(state.d)),
     }
 
 
 def _all_components(state, spec):
     geo = _geometry(spec)
-    h = _h_from_b(state.b, spec, geo)
+    h = _closure(state.b, geo.h_coef, np.empty((3, *spec.shape)))
     comps = {}
     for i in range(3):
         comps[f"E_{i + 1}"] = state.e[i]
-        comps[f"D_{i + 1}"] = state.d[i] / geo["sqrtg_edge"][i]
-        comps[f"B_{i + 1}"] = state.b[i] / geo["sqrtg_face"][i]
+        comps[f"D_{i + 1}"] = state.d[i] / geo.sqrtg_edge[i]
+        comps[f"B_{i + 1}"] = state.b[i] / geo.sqrtg_face[i]
         comps[f"H_{i + 1}"] = h[i]
     return comps
 
@@ -371,13 +431,14 @@ def write_snapshot_csv(stream, state, spec):
     """Cell-indexed CSV snapshot: coordinates plus all 12 components."""
     comps = _all_components(state, spec)
     names = sorted(comps)
-    axes = _site_axes(spec, (True, True, True))
+    coords = np.meshgrid(*_site_axes(spec, (True, True, True)), indexing="ij")
+    table = np.column_stack([x.ravel() for x in coords]
+                            + [comps[n].ravel() for n in names])
     stream.write("x1,x2,x3," + ",".join(names) + "\n")
-    for idx in np.ndindex(tuple(spec.shape)):
-        coords = [axes[a][idx[a]] for a in range(3)]
-        row = [f"{c:.12g}" for c in coords]
-        row += [f"{comps[n][idx]:.12g}" for n in names]
-        stream.write(",".join(row) + "\n")
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    for lo in range(0, len(table), _CSV_ROWS_PER_WRITE):
+        rows = table[lo:lo + _CSV_ROWS_PER_WRITE]
+        stream.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def write_snapshot_binary(stream, state, spec):

@@ -193,6 +193,39 @@ def test_spectrum_dump_format():
     assert len(lines) == 1 + 8
 
 
+def _ref_dump_spectrum(stream, kvecs, components):
+    kk = np.meshgrid(*kvecs, indexing="ij")
+    stream.write("k1,k2,k3,component,re,im\n")
+    for name, values in components.items():
+        values = np.asarray(values)
+        for idx in np.ndindex(values.shape):
+            v = values[idx]
+            stream.write(f"{kk[0][idx]:.12g},{kk[1][idx]:.12g},{kk[2][idx]:.12g},"
+                         f"{name},{v.real:.12g},{v.imag:.12g}\n")
+
+
+def test_spectrum_dump_matches_row_by_row_writer():
+    rng = np.random.default_rng(5)
+    kv = rs.wavevectors((4, 3, 2), (0.1, 0.2, 0.3))
+    spec = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2)) * 1e-17
+    spec[0, 0, 0] = complex(-0.0, -0.0)
+    spec[1, 1, 1] = complex(2.0, 0.0)
+    real = rng.normal(size=(4, 3, 2))
+    real[3, 2, 1] = -0.0
+    comps = {"E1": spec, "100%": real}
+    got, want = io.StringIO(), io.StringIO()
+    rs.dump_spectrum(got, kv, comps)
+    _ref_dump_spectrum(want, kv, comps)
+    assert ",-0,-0\n" in got.getvalue()
+    assert got.getvalue() == want.getvalue()
+
+
+def test_spectrum_dump_rejects_mismatched_shape():
+    kv = rs.wavevectors((2, 2, 2), (1.0, 1.0, 1.0))
+    with pytest.raises(rs.RSError):
+        rs.dump_spectrum(io.StringIO(), kv, {"E1": np.zeros((2, 2, 1), complex)})
+
+
 def test_fft_rejects_bad_input():
     with pytest.raises(rs.RSError):
         rs.fft_forward(np.zeros((4, 4, 4)), (0.1, 0.1))

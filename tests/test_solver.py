@@ -1,5 +1,6 @@
 """Staggered-grid time stepper: conservation, accuracy, and output formats."""
 
+import dataclasses
 import io
 import math
 import struct
@@ -8,6 +9,9 @@ import numpy as np
 import pytest
 
 from curvmax import solver as sv
+from curvmax.chart import builtin_chart, metric_from_chart
+from curvmax.diffops import CYCLIC
+from curvmax.symexpr import lambdify
 
 
 def _cart_spec(n, cfl=0.5, length=1.0):
@@ -142,3 +146,178 @@ def test_diagnostics_csv_format():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "step,t,energy,div_D_minus_4pi_rho,div_B,max_abs"
     assert len(lines) == 2
+
+
+def test_instability_from_nan_in_b_reports_step_index():
+    spec = _cart_spec(8)
+    state = sv.run(sv.init_grid(spec, "plane_wave"), spec, 5)
+    bad = np.array(state.b)
+    bad[2, 3, 1, 4] = np.nan
+    with pytest.raises(sv.InstabilityError) as exc:
+        sv.step(dataclasses.replace(state, b=bad), spec)
+    assert exc.value.step_index == 6
+
+
+def test_charge_term_is_sampled_at_nodes():
+    # The backward divergence of d lives at nodes; the largest node radius
+    # of r in (0.5, 1.5) on 16 cells is 0.5 + 15/16.
+    spec = sv.GridSpec("cylindrical",
+                       ((0.5, 1.5), (0.0, 2 * math.pi), (0.0, 1.0)),
+                       (16, 16, 16), bc=("pec", "periodic", "pec"))
+    state = sv.init_grid(spec, "zero")
+    diag = sv.diagnostics(state, spec, rho=np.ones(spec.shape))
+    assert diag["div_D_minus_4pi_rho"] == pytest.approx(4 * math.pi * 1.4375, abs=1e-12)
+
+
+def _geometry_arrays(geo):
+    for f in dataclasses.fields(geo):
+        value = getattr(geo, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, np.ndarray):
+                yield v
+
+
+@pytest.mark.parametrize("chart, extents, shape", [
+    ("cartesian", ((0, 1),) * 3, (1, 1, 1)),
+    ("cylindrical", ((0.5, 1.5), (0.0, 2 * math.pi), (0.0, 1.0)), (6, 1, 1)),
+    ("spherical", ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)), (6, 5, 1)),
+])
+def test_geometry_arrays_are_read_only_and_broadcast_shaped(chart, extents, shape):
+    spec = sv.GridSpec(chart, extents, (6, 5, 4))
+    geo = sv._geometry(spec)
+    arrays = list(_geometry_arrays(geo))
+    assert len(arrays) == 16
+    assert geo.sqrtg_node.shape == shape
+    for arr in arrays:
+        assert np.broadcast_shapes(arr.shape, shape) == shape
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Reference stepper: the np.roll + np.stack formulation on full-size metric
+# arrays, kept as the oracle for the solver's sliced hot path.
+# ---------------------------------------------------------------------------
+
+def _ref_geometry(spec):
+    chart = builtin_chart(spec.chart)
+    m = metric_from_chart(chart)
+
+    def sample(expr, half):
+        axes = [lo + (0.5 * h if hf else 0.0) + h * np.arange(n)
+                for (lo, _), h, n, hf in zip(spec.extents, spec.spacing, spec.shape, half)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(lambdify(expr)(dict(zip(chart.coords, grids))), dtype=float)
+        return np.broadcast_to(vals, spec.shape)
+
+    edge = [tuple(a == i for a in range(3)) for i in range(3)]
+    face = [tuple(a != i for a in range(3)) for i in range(3)]
+    geo = {
+        "g_edge": [sample(m.g_lo[i][i], edge[i]) for i in range(3)],
+        "sqrtg_edge": [sample(m.sqrt_abs_g, edge[i]) for i in range(3)],
+        "g_face": [sample(m.g_lo[i][i], face[i]) for i in range(3)],
+        "sqrtg_face": [sample(m.sqrt_abs_g, face[i]) for i in range(3)],
+    }
+    g_center = [sample(m.g_lo[i][i], (True, True, True)) for i in range(3)]
+    speed2 = sum((1.0 / g_center[i]) / spec.spacing[i] ** 2 for i in range(3))
+    geo["dt"] = spec.cfl / (spec.c * math.sqrt(float(np.max(speed2))))
+    return geo
+
+
+def _ref_diff(w, axis, spec, shift):
+    out = np.roll(w, shift, axis=axis)
+    if spec.bc[axis] == "pec":
+        idx = [slice(None)] * 3
+        idx[axis] = -1 if shift == -1 else 0
+        out[tuple(idx)] = 0.0
+    return ((out - w) if shift == -1 else (w - out)) / spec.spacing[axis]
+
+
+def _ref_curl(w, spec, shift):
+    return np.stack([_ref_diff(w[k], j, spec, shift) - _ref_diff(w[j], k, spec, shift)
+                     for _, j, k in CYCLIC])
+
+
+def _ref_step(state, spec, geo):
+    dt, c = geo["dt"], spec.c
+    b = state.b - 0.5 * c * dt * _ref_curl(state.e, spec, -1)
+    h = np.stack([geo["g_face"][i] * b[i] / (geo["sqrtg_face"][i] * spec.mu)
+                  for i in range(3)])
+    d = state.d + c * dt * _ref_curl(h, spec, 1)
+    e = np.stack([geo["g_edge"][i] * d[i] / (geo["sqrtg_edge"][i] * spec.epsilon)
+                  for i in range(3)])
+    for a in range(3):
+        if spec.bc[a] == "pec":
+            for i in range(3):
+                if i != a:
+                    idx = [slice(None)] * 3
+                    idx[a] = 0
+                    e[(i, *idx)] = 0.0
+    b = b - 0.5 * c * dt * _ref_curl(e, spec, -1)
+    return sv.GridField(e=e, d=d, b=b, t=state.t + dt, nstep=state.nstep + 1)
+
+
+_TRAJECTORY_CASES = {
+    "cartesian": (sv.GridSpec("cartesian", ((-0.3, 0.7), (0.1, 1.2), (0.0, 0.9)),
+                              (16, 12, 10)), "plane_wave"),
+    "cylindrical": (sv.GridSpec("cylindrical",
+                                ((0.5, 1.5), (0.0, 2 * math.pi), (0.0, 1.0)),
+                                (12, 16, 8), bc=("pec", "periodic", "pec")),
+                    "azimuthal_mode"),
+    "spherical": (sv.GridSpec("spherical",
+                              ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)),
+                              (16, 16, 16), bc=("pec", "pec", "periodic")),
+                  "azimuthal_mode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAJECTORY_CASES))
+def test_step_matches_reference_stepper_for_20_steps(case):
+    spec, initial = _TRAJECTORY_CASES[case]
+    geo = _ref_geometry(spec)
+    assert sv.time_step(spec) == geo["dt"]
+    got = ref = sv.init_grid(spec, initial)
+    for _ in range(20):
+        ref = _ref_step(ref, spec, geo)
+        prev = got
+        copies = [a.copy() for a in (prev.e, prev.d, prev.b)]
+        got = sv.step(prev, spec)
+        # the input state is never written to
+        assert all(np.array_equal(a, c) for a, c in zip((prev.e, prev.d, prev.b), copies))
+    assert got.t == ref.t and got.nstep == ref.nstep == 20
+    for name in ("e", "d", "b"):
+        a, r = getattr(got, name), getattr(ref, name)
+        if case == "cartesian":
+            assert np.array_equal(a, r), name
+        else:
+            assert np.max(np.abs(a - r)) <= 1e-12 * np.max(np.abs(r)), name
+
+
+def _ref_write_snapshot_csv(stream, state, spec):
+    comps = sv._all_components(state, spec)
+    names = sorted(comps)
+    axes = sv._site_axes(spec, (True, True, True))
+    stream.write("x1,x2,x3," + ",".join(names) + "\n")
+    for idx in np.ndindex(tuple(spec.shape)):
+        row = [f"{axes[a][idx[a]]:.12g}" for a in range(3)]
+        row += [f"{comps[n][idx]:.12g}" for n in names]
+        stream.write(",".join(row) + "\n")
+
+
+def test_snapshot_csv_matches_row_by_row_writer():
+    spec = sv.GridSpec("spherical",
+                       ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)),
+                       (5, 4, 3), bc=("pec", "pec", "periodic"))
+    rng = np.random.default_rng(3)
+    fields = [rng.normal(size=(3, 5, 4, 3)) * 10.0 ** rng.integers(-20, 20, size=(3, 5, 4, 3))
+              for _ in range(3)]
+    for f in fields:
+        f[0, 0, 0, 0] = -0.0
+        f[1, 1, 1, 1] = 0.0
+        f[2, 2, 2, 2] = 3.0
+    state = sv.GridField(e=fields[0], d=fields[1], b=fields[2], t=0.0)
+    got, want = io.StringIO(), io.StringIO()
+    sv.write_snapshot_csv(got, state, spec)
+    _ref_write_snapshot_csv(want, state, spec)
+    assert "-0," in got.getvalue()
+    assert got.getvalue() == want.getvalue()
