@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, and error reporting."""
 
 import importlib.resources as ir
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_derive_chart_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "derive", "--chart-file", str(p),
                            "--form", "operators")
     assert code == 0 and "chart shifted" in out
+
+
+DATA = Path(__file__).parent / "data"
+
+PINNED = [("--chart", "cylindrical", form) for form in ("operators", "3vector", "complex")]
+PINNED += [("--chart", "spherical", form) for form in ("operators", "3vector", "complex")]
+PINNED += [("--chart", "cartesian", "4tensor"),
+           ("--chart-file", "parabolic.chart", "operators")]
+
+
+@pytest.mark.parametrize("source, chart, form", PINNED)
+def test_derive_text_matches_pinned_output(capsys, source, chart, form):
+    arg = str(DATA / chart) if source == "--chart-file" else chart
+    code, out, _ = run_cli(capsys, "derive", source, arg, "--form", form)
+    assert code == 0
+    stem = chart.split(".")[0]
+    assert out == (DATA / f"derive_{stem}_{form}.txt").read_text(encoding="utf-8")
 
 
 def test_derive_requires_exactly_one_chart_source(capsys):
