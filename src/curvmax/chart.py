@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import symexpr as sx
-from .symexpr import Expr, diff, equivalent, parse_expr, simplify
+from .symexpr import Expr, diff, parse_expr
 
 __all__ = [
     "Chart", "MetricData", "Jacobian", "ComponentVector", "ChartError",
@@ -233,11 +233,10 @@ def jacobian(chart):
 def _mat_det(m):
     n = len(m)
     if n == 2:
-        return simplify(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-    return simplify(
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _mat_inverse(m, det):
@@ -255,7 +254,7 @@ def _mat_inverse(m, det):
             return minor if (i + j) % 2 == 0 else -minor
         # adjugate = transpose of cofactor matrix
         adj = tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-    return tuple(tuple(simplify(adj[i][j] * inv_det) for j in range(n))
+    return tuple(tuple(adj[i][j] * inv_det for j in range(n))
                  for i in range(n))
 
 
@@ -265,18 +264,18 @@ def metric_from_chart(chart):
     n = chart.dim
     jac = jacobian(chart).matrix
     g_lo = tuple(
-        tuple(simplify(sx.add(*(jac[a][i] * jac[a][j] for a in range(n))))
+        tuple(sx.add(*(jac[a][i] * jac[a][j] for a in range(n)))
               for j in range(n))
         for i in range(n))
     det = _mat_det(g_lo)
     if det == sx.ZERO:
         raise ChartError(f"chart {chart.name!r} has a singular metric")
     g_hi = _mat_inverse(g_lo, det)
-    sqrt_abs_g = simplify(sx.sqrt(det))
+    sqrt_abs_g = sx.sqrt(det)
     diagonal = all(g_lo[i][j] == sx.ZERO for i in range(n) for j in range(n) if i != j)
     lame = None
     if diagonal:
-        lame = tuple(simplify(sx.sqrt(g_lo[i][i])) for i in range(n))
+        lame = tuple(sx.sqrt(g_lo[i][i]) for i in range(n))
     return MetricData(chart, g_lo, g_hi, det, sqrt_abs_g, lame)
 
 
@@ -301,7 +300,7 @@ def convert_basis(v, m, target):
         scale = h if target == "nonholonomic" else tuple(sx.pow_(x, -1) for x in h)
     else:
         scale = tuple(sx.pow_(x, -1) for x in h) if target == "nonholonomic" else h
-    comps = tuple(simplify(scale[i] * v.components[i]) for i in range(len(v)))
+    comps = tuple(scale[i] * v.components[i] for i in range(len(v)))
     return ComponentVector(comps, v.variance, target)
 
 
@@ -313,7 +312,7 @@ def raise_index(v, m):
         raise ChartError("raise_index expects covariant components")
     n = m.dim
     comps = tuple(
-        simplify(sx.add(*(m.g_hi[i][j] * v.components[j] for j in range(n))))
+        sx.add(*(m.g_hi[i][j] * v.components[j] for j in range(n)))
         for i in range(n))
     return ComponentVector(comps, "contravariant", "holonomic")
 
@@ -326,6 +325,6 @@ def lower_index(v, m):
         raise ChartError("lower_index expects contravariant components")
     n = m.dim
     comps = tuple(
-        simplify(sx.add(*(m.g_lo[i][j] * v.components[j] for j in range(n))))
+        sx.add(*(m.g_lo[i][j] * v.components[j] for j in range(n)))
         for i in range(n))
     return ComponentVector(comps, "covariant", "holonomic")

@@ -20,14 +20,12 @@ import click
 
 from . import maxwell4 as m4
 from . import solver as sv
-from .chart import (ChartError, ComponentVector, builtin_chart,
+from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_chart,
                     lame_coefficients, metric_from_chart, parse_chart_file)
 from .checks import run_suite
 from .diffops import curl, div, grad, laplacian
 from .maxwell3 import assemble_residuals, symbolic_fields, symbolic_sources
 from .symexpr import Expr, FieldAtom, SymExprError, free_vars, print_expr, to_latex
-
-_BUILTIN_CHARTS = ("cartesian", "cylindrical", "spherical")
 
 LATEX_PREAMBLE = "\\documentclass{article}\n\\usepackage{amsmath}\n\\begin{document}\n"
 LATEX_POSTAMBLE = "\\end{document}\n"
@@ -49,7 +47,7 @@ def _load_chart(chart, chart_file):
             return builtin_chart(chart)
         except ChartError:
             raise CliError(f"unknown built-in chart {chart!r}; "
-                           f"known: {', '.join(_BUILTIN_CHARTS)}")
+                           f"known: {', '.join(BUILTIN_CHARTS)}")
     try:
         with open(chart_file, encoding="utf-8") as f:
             charts = parse_chart_file(f.read())
@@ -112,7 +110,7 @@ def _derive_operators(chart, m, fmt):
 
 def _derive_3vector(chart, m, fmt):
     res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
-    return [(name, _fmt(e, fmt) + (" = 0" if fmt != "latex" else " = 0"))
+    return [(name, _fmt(e, fmt) + " = 0")
             for name, e in res.named().items()]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import symexpr as sx
 from .chart import ChartError, ComponentVector, convert_basis, lame_coefficients
-from .symexpr import Expr, diff, simplify
+from .symexpr import Expr, diff
 
 __all__ = [
     "AlternatingTensor", "alternating", "grad", "div", "curl", "laplacian",
@@ -57,11 +57,11 @@ class AlternatingTensor:
 
     def lower(self, *idx):
         s = self.epsilon(*idx)
-        return sx.ZERO if s == 0 else simplify(sx.Const(s) * self.prefactor_lower)
+        return sx.ZERO if s == 0 else sx.Const(s) * self.prefactor_lower
 
     def upper(self, *idx):
         s = self.epsilon(*idx)
-        return sx.ZERO if s == 0 else simplify(sx.Const(s) * self.prefactor_upper)
+        return sx.ZERO if s == 0 else sx.Const(s) * self.prefactor_upper
 
 
 def alternating(n, metric=None, det=None, sqrt_abs_det=None):
@@ -80,7 +80,7 @@ def alternating(n, metric=None, det=None, sqrt_abs_det=None):
         if metric is None:
             raise DiffOpsError("n=3 requires a spatial metric")
         s = metric.sqrt_abs_g
-        return AlternatingTensor(3, s, simplify(sx.pow_(s, -1)))
+        return AlternatingTensor(3, s, sx.pow_(s, -1))
     if n == 4:
         if det is None or sqrt_abs_det is None:
             raise DiffOpsError("n=4 requires det and sqrt(-det)")
@@ -88,8 +88,7 @@ def alternating(n, metric=None, det=None, sqrt_abs_det=None):
             if det >= 0:
                 raise DiffOpsError("4-D alternating tensor requires det g < 0")
             return AlternatingTensor(4, -sqrt_abs_det, 1.0 / sqrt_abs_det)
-        return AlternatingTensor(4, simplify(-sqrt_abs_det),
-                                 simplify(sx.pow_(sqrt_abs_det, -1)))
+        return AlternatingTensor(4, -sqrt_abs_det, sx.pow_(sqrt_abs_det, -1))
     raise DiffOpsError("alternating tensor supports n in {3, 4}")
 
 
@@ -116,7 +115,7 @@ def div(v, m):
     inv = sx.pow_(s, -1)
     terms = [inv * diff(s * v.components[i], m.chart.coords[i])
              for i in range(m.dim)]
-    return simplify(sx.add(*terms))
+    return sx.add(*terms)
 
 
 def curl(w, m):
@@ -127,8 +126,7 @@ def curl(w, m):
     inv = sx.pow_(m.sqrt_abs_g, -1)
     coords = m.chart.coords
     comps = tuple(
-        simplify(inv * (diff(w.components[k], coords[j])
-                        - diff(w.components[j], coords[k])))
+        inv * (diff(w.components[k], coords[j]) - diff(w.components[j], coords[k]))
         for (_, j, k) in CYCLIC)
     return ComponentVector(comps, "contravariant", "holonomic")
 
@@ -142,7 +140,7 @@ def laplacian(phi, m):
     for i in range(m.dim):
         flux = sx.add(*(m.g_hi[i][j] * diff(phi, coords[j]) for j in range(m.dim)))
         terms.append(inv * diff(s * flux, coords[i]))
-    return simplify(sx.add(*terms))
+    return sx.add(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,7 @@ def laplacian(phi, m):
 def grad_nh(phi, m):
     """Physical-component gradient: (1/h_i) d_i phi."""
     h = lame_coefficients(m)
-    comps = tuple(simplify(sx.pow_(h[i], -1) * diff(phi, m.chart.coords[i]))
+    comps = tuple(sx.pow_(h[i], -1) * diff(phi, m.chart.coords[i])
                   for i in range(m.dim))
     return ComponentVector(comps, "covariant", "nonholonomic")
 

@@ -53,14 +53,6 @@ def _is_sym(matrix):
     return any(isinstance(x, Expr) for row in matrix for x in row)
 
 
-def _neg(x):
-    return simplify(-x) if isinstance(x, Expr) else -x
-
-
-def _zero():
-    return sx.ZERO
-
-
 # ---------------------------------------------------------------------------
 # Spacetime metric
 # ---------------------------------------------------------------------------
@@ -99,10 +91,10 @@ class Metric4:
                             for e in entries)
             lo = tuple(tuple(entries[a] if a == b else sx.ZERO
                              for b in range(4)) for a in range(4))
-            hi = tuple(tuple(simplify(sx.pow_(entries[a], -1)) if a == b else sx.ZERO
+            hi = tuple(tuple(sx.pow_(entries[a], -1) if a == b else sx.ZERO
                              for b in range(4)) for a in range(4))
-            det = simplify(entries[0] * entries[1] * entries[2] * entries[3])
-            return cls(lo, hi, det, simplify(sx.sqrt(simplify(-det))))
+            det = entries[0] * entries[1] * entries[2] * entries[3]
+            return cls(lo, hi, det, sx.sqrt(-det))
         entries = tuple(float(e) for e in entries)
         det = entries[0] * entries[1] * entries[2] * entries[3]
         if det >= 0:
@@ -171,7 +163,7 @@ class FieldTensor4:
         for a in range(4):
             for b in range(a, 4):
                 s = m[a][b] + m[b][a]
-                bad = (simplify(s) != sx.ZERO) if sym else abs(s) > 1e-12
+                bad = _nonzero(s) if sym else abs(s) > 1e-12
                 if bad:
                     raise Maxwell4Error(
                         f"field tensor must be antisymmetric (entries {a},{b})")
@@ -194,11 +186,11 @@ def assemble_pair(first, second, variance="lower", kind="F"):
     """
     a1, a2, a3 = first
     b1, b2, b3 = second
-    z = _zero() if any(isinstance(x, Expr) for x in (*first, *second)) else 0.0
+    z = sx.ZERO if any(isinstance(x, Expr) for x in (*first, *second)) else 0.0
     m = ((z, a1, a2, a3),
-         (_neg(a1), z, _neg(b3), b2),
-         (_neg(a2), b3, z, _neg(b1)),
-         (_neg(a3), _neg(b2), b1, z))
+         (-a1, z, -b3, b2),
+         (-a2, b3, z, -b1),
+         (-a3, -b2, b1, z))
     return FieldTensor4(m, variance, kind)
 
 
@@ -216,7 +208,7 @@ def read_pair(t):
     """Inverse of assemble_pair: ordered pair (a_i, b^i) of a tensor."""
     m = t.matrix
     return ((m[0][1], m[0][2], m[0][3]),
-            (_neg(m[2][3]), _neg(m[3][1]), _neg(m[1][2])))
+            (-m[2][3], -m[3][1], -m[1][2]))
 
 
 def _contract_two(t, g_mat):
@@ -230,10 +222,9 @@ def _contract_two(t, g_mat):
                      if _nonzero(g_mat[a][c]) and _nonzero(g_mat[b][d])
                      and _nonzero(t.matrix[c][d])]
             if not terms:
-                row.append(_zero() if sym else 0.0)
+                row.append(sx.ZERO if sym else 0.0)
             elif sym:
-                row.append(simplify(sx.add(*[x if isinstance(x, Expr) else sx.Const(x)
-                                             for x in terms])))
+                row.append(sx.add(*terms))
             else:
                 row.append(sum(terms))
         out.append(tuple(row))
@@ -286,15 +277,11 @@ def hodge_dual(t, g):
                     w = weight(a, b, c, d)
                     if not _nonzero(w) or not _nonzero(t.matrix[c][d]):
                         continue
-                    terms.append(w * t.matrix[c][d]
-                                 if isinstance(w, Expr) or isinstance(t.matrix[c][d], Expr)
-                                 else w * t.matrix[c][d])
+                    terms.append(w * t.matrix[c][d])
             if not terms:
-                row.append(_zero() if sym else 0.0)
+                row.append(sx.ZERO if sym else 0.0)
             elif sym:
-                half = sx.Const(1) / sx.Const(2)
-                row.append(simplify(half * sx.add(
-                    *[x if isinstance(x, Expr) else sx.Const(x) for x in terms])))
+                row.append(sx.add(*terms) / 2)
             else:
                 row.append(0.5 * sum(terms))
         out.append(tuple(row))
@@ -474,8 +461,7 @@ def phi_from_EB(E, B):
 
 def gamma_from_DH(D, H):
     """Spinor of the excitation pair (D_i, H^i), same packing as phi."""
-    g = _phi_components(np.asarray(D) - 1j * np.asarray(H))
-    return EMSpinor(g, gamma=None)
+    return EMSpinor(_phi_components(np.asarray(D) - 1j * np.asarray(H)))
 
 
 def reconstruct_F_from_spinor(s):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import CYCLIC
+from .maxwell4 import _fd_matrix
 from .symexpr import lambdify
 
 __all__ = [
@@ -130,12 +131,31 @@ def _metric_callables(m):
     return sqrt_g, g_lo
 
 
-def _fd(func, point, axis, h):
-    xp = np.array(point, dtype=float)
-    xm = np.array(point, dtype=float)
-    xp[axis] += h
-    xm[axis] -= h
-    return (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+def _div_curl_dt(u_func, w_func, m, point, h):
+    """Central-difference operators at (t, x1, x2, x3) on chart metric ``m``.
+
+    Returns (1/sqrt g) d_i(sqrt g u^i), the rotor
+    (1/sqrt g)(d_j w_k - d_k w_j) of w lowered with g_ij (cyclic i, j, k)
+    and d_t w^i, for contravariant ``u_func``/``w_func`` of the 4-point.
+    Metric factors are evaluated pointwise; a zero or non-finite sqrt g at
+    the point raises RSError.
+    """
+    sqrt_g, g_lo = _metric_callables(m)
+    s0 = float(sqrt_g(*point[1:]))
+    if s0 == 0.0 or not np.isfinite(s0):
+        raise RSError("singular metric at the sample point")
+
+    def dens(x):
+        return float(sqrt_g(*x[1:])) * u_func(x)
+
+    def lower(x):
+        g = np.array([[g_lo[i][j](*x[1:]) for j in range(3)] for i in range(3)])
+        return g @ w_func(x)
+
+    div_u = sum(_fd_matrix(dens, point, 1 + i, h)[i] for i in range(3)) / s0
+    jac = np.array([_fd_matrix(lower, point, 1 + a, h) for a in range(3)])
+    curl_w = np.array([(jac[j, k] - jac[k, j]) / s0 for _, j, k in CYCLIC])
+    return div_u, curl_w, _fd_matrix(w_func, point, 0, h)
 
 
 def rs_residual(kl_func, src_func, m, point, c=1.0, h=1e-5):
@@ -147,35 +167,14 @@ def rs_residual(kl_func, src_func, m, point, c=1.0, h=1e-5):
     central differences, metric factors evaluated pointwise on the chart.
     """
     point = np.asarray(point, dtype=float)
-    sqrt_g, g_lo = _metric_callables(m)
-
-    def space(x):
-        return x[1], x[2], x[3]
-
-    s0 = float(sqrt_g(*space(point)))
-    if s0 == 0.0 or not np.isfinite(s0):
-        raise RSError("singular metric at the sample point")
 
     def kl_arrays(x):
         kl = kl_func(x)
         return np.asarray(kl.K, complex), np.asarray(kl.L, complex)
 
-    def dens_sum(x):
-        K, L = kl_arrays(x)
-        return float(sqrt_g(*space(x))) * (K + L)
-
-    div_sum = sum(_fd(dens_sum, point, 1 + i, h)[i] for i in range(3)) / s0
-
-    def diff_lower(x):
-        K, L = kl_arrays(x)
-        w = K - L
-        g = np.array([[g_lo[i][j](*space(x)) for j in range(3)] for i in range(3)])
-        return g @ w
-
-    jac = np.array([_fd(diff_lower, point, 1 + a, h) for a in range(3)])
-    curl_w = np.array([(jac[j, k] - jac[k, j]) / s0 for _, j, k in CYCLIC])
-    dt_diff = _fd(lambda x: kl_arrays(x)[0] - kl_arrays(x)[1], point, 0, h)
-
+    div_sum, curl_w, dt_diff = _div_curl_dt(lambda x: np.add(*kl_arrays(x)),
+                                            lambda x: np.subtract(*kl_arrays(x)),
+                                            m, point, h)
     rho, j = src_func(point)
     gauss = div_sum - 4.0 * math.pi * complex(rho)
     curl = (-1j / c) * dt_diff + curl_w - 1j * (4.0 * math.pi / c) * np.asarray(j, complex)
@@ -193,29 +192,12 @@ def isotropic_residual(eb_func, src_func, medium, m, point, c=1.0, h=1e-5):
     """
     se, sm = math.sqrt(medium.epsilon), math.sqrt(medium.mu)
     point = np.asarray(point, dtype=float)
-    sqrt_g, g_lo = _metric_callables(m)
-
-    def space(x):
-        return x[1], x[2], x[3]
-
-    s0 = float(sqrt_g(*space(point)))
 
     def f_up(x):
         E, B = eb_func(x)
         return se * np.asarray(E, complex) + 1j * np.asarray(B, complex) / sm
 
-    def f_dens(x):
-        return float(sqrt_g(*space(x))) * f_up(x)
-
-    def f_lower(x):
-        g = np.array([[g_lo[i][j](*space(x)) for j in range(3)] for i in range(3)])
-        return g @ f_up(x)
-
-    div_f = sum(_fd(f_dens, point, 1 + i, h)[i] for i in range(3)) / s0
-    jac = np.array([_fd(f_lower, point, 1 + a, h) for a in range(3)])
-    curl_f = np.array([(jac[j, k] - jac[k, j]) / s0 for _, j, k in CYCLIC])
-    dt_f = _fd(f_up, point, 0, h)
-
+    div_f, curl_f, dt_f = _div_curl_dt(f_up, f_up, m, point, h)
     rho, j = src_func(point)
     gauss = div_f - (4.0 * math.pi / se) * complex(rho)
     curl = (curl_f - 1j * (4.0 * math.pi * sm / c) * np.asarray(j, complex)

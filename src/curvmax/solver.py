@@ -411,7 +411,9 @@ def diagnostics(state, spec, rho=None):
         "energy": energy,
         "div_D_minus_4pi_rho": _max_abs(div_d),
         "div_B": div_b,
-        "max_abs": max(_max_abs(state.e), _max_abs(state.b), _max_abs(state.d)),
+        # np.max, unlike the builtin, propagates a nan from any field
+        "max_abs": float(np.max([_max_abs(state.e), _max_abs(state.b),
+                                 _max_abs(state.d)])),
     }
 
 

@@ -1,11 +1,16 @@
 """Minimal symbolic-expression core.
 
 Immutable expression trees over named real variables with exact rational
-constants.  Supports parsing, differentiation, canonical simplification,
-scalar and vectorized numeric evaluation, and seeded random equivalence
-testing.  All coordinate variables are assumed to range over the open
-domains declared by their charts; simplification of sqrt uses positivity
-of its argument on those domains (sqrt(x^2) -> x).
+constants.  Supports parsing, differentiation, scalar and vectorized
+numeric evaluation, and seeded random equivalence testing.
+
+Trees are canonical when built: the builders (add, mul, pow_, func, ...)
+fold rationals, collect like terms and factors, order children
+deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
+substitute build only through them.  ``simplify`` is needed only for trees
+assembled by hand with the node constructors.  All coordinate variables
+are assumed to range over the open domains declared by their charts; the
+sqrt builder uses positivity of its argument there (sqrt(x^2) -> x).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Var", "FieldAtom", "Add", "Mul", "Pow", "Neg", "Div",
-    "Func", "FUNCTIONS", "ZERO", "ONE",
+    "Expr", "Const", "Var", "FieldAtom", "Add", "Mul", "Pow", "Func",
+    "FUNCTIONS", "ZERO", "ONE",
     "const", "var", "add", "mul", "neg", "sub", "div", "pow_", "func",
     "sin", "cos", "tan", "sqrt", "exp", "log", "arctan", "arccos",
     "parse_expr", "print_expr", "to_latex", "diff", "simplify",
@@ -87,6 +92,9 @@ class Expr:
             return NotImplemented
         return self._parts() == other._parts()
 
+    def __setattr__(self, *a):
+        raise AttributeError("Expr is immutable")
+
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
@@ -138,9 +146,6 @@ class Const(Expr):
     def __init__(self, value):
         object.__setattr__(self, "value", value if isinstance(value, Fraction) else Fraction(value))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
     def _parts(self):
         return (self.value,)
 
@@ -150,9 +155,6 @@ class Var(Expr):
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
 
     def _parts(self):
         return (self.name,)
@@ -170,9 +172,6 @@ class FieldAtom(Expr):
         object.__setattr__(self, "args", tuple(args))
         object.__setattr__(self, "derivs", tuple(sorted(derivs)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
     def _parts(self):
         return (self.base, self.args, self.derivs)
 
@@ -189,9 +188,6 @@ class Add(Expr):
     def __init__(self, *terms):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
     def _parts(self):
         return self.terms
 
@@ -201,9 +197,6 @@ class Mul(Expr):
 
     def __init__(self, *factors):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
 
     def _parts(self):
         return self.factors
@@ -220,42 +213,8 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
     def _parts(self):
         return (self.base, self.exponent)
-
-
-class Neg(Expr):
-    """Parser-level unary minus; simplifies to Mul(-1, x)."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
-    def _parts(self):
-        return (self.arg,)
-
-
-class Div(Expr):
-    """Parser-level quotient; simplifies to Mul(a, Pow(b, -1))."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
-
-    def _parts(self):
-        return (self.num, self.den)
 
 
 class Func(Expr):
@@ -266,9 +225,6 @@ class Func(Expr):
             raise ValueError(f"unknown function {fname!r}")
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr is immutable")
 
     def _parts(self):
         return (self.fname, self.arg)
@@ -292,9 +248,6 @@ def _wrap(x):
 # Canonical ordering
 # ---------------------------------------------------------------------------
 
-_RANK = {Const: 0, Var: 1, FieldAtom: 2, Func: 3, Pow: 4, Mul: 5, Add: 6}
-
-
 def _key(e):
     t = type(e)
     if t is Const:
@@ -309,11 +262,7 @@ def _key(e):
         return (4, _key(e.base), e.exponent)
     if t is Mul:
         return (5, len(e.factors), tuple(_key(f) for f in e.factors))
-    if t is Add:
-        return (6, len(e.terms), tuple(_key(x) for x in e.terms))
-    if t is Neg:
-        return (7, _key(e.arg))
-    return (8, _key(e.num), _key(e.den))
+    return (6, len(e.terms), tuple(_key(x) for x in e.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +530,8 @@ def arccos(x):
 # ---------------------------------------------------------------------------
 
 def simplify(e):
-    """Canonical form: rational folding, like-term/factor collection,
-    deterministic ordering, sin^2+cos^2 -> 1.  Idempotent."""
+    """Canonical form of a tree built by hand with the node constructors:
+    the same tree the builders give.  Identity on canonical trees."""
     e = _wrap(e)
     t = type(e)
     if t in (Const, Var, FieldAtom):
@@ -593,10 +542,6 @@ def simplify(e):
         return mul(*(simplify(x) for x in e.factors))
     if t is Pow:
         return pow_(simplify(e.base), e.exponent)
-    if t is Neg:
-        return neg(simplify(e.arg))
-    if t is Div:
-        return div(simplify(e.num), simplify(e.den))
     if t is Func:
         return func(e.fname, simplify(e.arg))
     raise TypeError(f"unknown node {t!r}")
@@ -608,10 +553,10 @@ def simplify(e):
 
 def diff(e, v):
     """Partial derivative of ``e`` with respect to variable name ``v``,
-    simplified.  Derivative with respect to an absent variable is 0."""
+    canonical.  Derivative with respect to an absent variable is 0."""
     if isinstance(v, Var):
         v = v.name
-    return simplify(_diff(_wrap(e), v))
+    return _diff(_wrap(e), v)
 
 
 def _diff(e, v):
@@ -634,11 +579,6 @@ def _diff(e, v):
         return add(*parts)
     if t is Pow:
         return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, v))
-    if t is Neg:
-        return neg(_diff(e.arg, v))
-    if t is Div:
-        return div(sub(mul(_diff(e.num, v), e.den), mul(e.num, _diff(e.den, v))),
-                   pow_(e.den, 2))
     if t is Func:
         u = e.arg
         du = _diff(u, v)
@@ -686,10 +626,6 @@ def free_vars(e):
             stack.extend(x.factors)
         elif t is Pow:
             stack.append(x.base)
-        elif t is Neg:
-            stack.append(x.arg)
-        elif t is Div:
-            stack.extend((x.num, x.den))
         elif t is Func:
             stack.append(x.arg)
     return out
@@ -698,7 +634,7 @@ def free_vars(e):
 def substitute(e, mapping):
     """Replace variables and field atoms by name with expressions.
 
-    Values may be Expr or numbers; the result is simplified.
+    Values may be Expr or numbers; the result is canonical.
     """
     mapping = {k: _wrap(v) for k, v in mapping.items()}
 
@@ -714,15 +650,11 @@ def substitute(e, mapping):
             return mul(*(visit(u) for u in x.factors))
         if t is Pow:
             return pow_(visit(x.base), x.exponent)
-        if t is Neg:
-            return neg(visit(x.arg))
-        if t is Div:
-            return div(visit(x.num), visit(x.den))
         if t is Func:
             return func(x.fname, visit(x.arg))
         raise TypeError(f"unknown node {t!r}")
 
-    return simplify(visit(_wrap(e)))
+    return visit(_wrap(e))
 
 
 _MATH_FUNCS = {
@@ -760,13 +692,6 @@ def eval_expr(e, binding):
         if b == 0.0 and e.exponent < 0:
             raise EvalDomainError("division by zero", e)
         return b ** e.exponent
-    if t is Neg:
-        return -eval_expr(e.arg, binding)
-    if t is Div:
-        den = eval_expr(e.den, binding)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", e)
-        return eval_expr(e.num, binding) / den
     if t is Func:
         u = eval_expr(e.arg, binding)
         f = e.fname
@@ -831,16 +756,6 @@ def lambdify(e):
                     return np.float_power(fb(b), n)
             return _ipow
         return lambda b: fb(b) ** n
-    if t is Neg:
-        f = lambdify(e.arg)
-        return lambda b: -f(b)
-    if t is Div:
-        fn, fd = lambdify(e.num), lambdify(e.den)
-
-        def _div(b):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.true_divide(fn(b), fd(b))
-        return _div
     if t is Func:
         f = lambdify(e.arg)
         g = _NP_FUNCS[e.fname]
@@ -860,8 +775,9 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     """True iff ``a`` and ``b`` agree at ``n`` seeded pseudo-random points.
 
     ``domains`` maps variable names to (lo, hi) sampling intervals; unlisted
-    variables use DEFAULT_DOMAIN.  Points where either side fails to
-    evaluate are skipped; more than 50% failures raises IllConditionedError.
+    variables use DEFAULT_DOMAIN.  Points where both sides fail to
+    evaluate are skipped, and more than 50% of them raises
+    IllConditionedError; a point where only one side fails gives False.
     """
     a, b = _wrap(a), _wrap(b)
     names = sorted(free_vars(a) | free_vars(b))
@@ -877,12 +793,14 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     fa, fb = lambdify(a), lambdify(b)
     va = np.broadcast_to(np.asarray(fa(binding), dtype=float), (n,))
     vb = np.broadcast_to(np.asarray(fb(binding), dtype=float), (n,))
-    finite = np.isfinite(va) & np.isfinite(vb)
-    if np.count_nonzero(~finite) > n // 2:
+    fin_a, fin_b = np.isfinite(va), np.isfinite(vb)
+    if np.count_nonzero(~fin_a & ~fin_b) > n // 2:
         raise IllConditionedError(
             "ill-conditioned comparison: sampling repeatedly hits singular points")
+    if np.any(fin_a != fin_b):
+        return False
     scale = np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
-    return bool(np.all(np.abs(va - vb)[finite] <= rtol * scale[finite]))
+    return bool(np.all(np.abs(va - vb)[fin_a] <= rtol * scale[fin_a]))
 
 
 # ---------------------------------------------------------------------------
@@ -984,24 +902,24 @@ class _Parser:
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.next()[0]
             rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Add(e, Neg(rhs))
+            e = add(e, rhs) if op == "+" else sub(e, rhs)
         return e
 
     def term(self):
         e = self.factor()
         while self.toks.peek()[0] in ("*", "/"):
-            op = self.toks.next()[0]
+            op = self.toks.next()
             rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            e = mul(e, rhs) if op[0] == "*" else _fold(div, e, rhs, op)
         return e
 
     def factor(self):
         if self.toks.peek()[0] == "-":
             self.toks.next()
-            return Neg(self.factor())
+            return neg(self.factor())
         e = self.base()
         if self.toks.peek()[0] == "^":
-            self.toks.next()
+            op = self.toks.next()
             sign = 1
             if self.toks.peek()[0] == "-":
                 self.toks.next()
@@ -1009,7 +927,7 @@ class _Parser:
             tok = self.toks.next()
             if tok[0] != "num" or "." in tok[1]:
                 raise ParseError("exponent must be an integer", tok[2], tok[3])
-            e = Pow(e, sign * int(tok[1]))
+            e = _fold(pow_, e, sign * int(tok[1]), op)
         return e
 
     def base(self):
@@ -1032,13 +950,23 @@ class _Parser:
                 closing = self.toks.next()
                 if closing[0] != ")":
                     raise ParseError("expected ')'", closing[2], closing[3])
-                return Func(lit, arg)
+                return func(lit, arg)
             return Var(lit)
         raise ParseError(f"unexpected {lit or kind!r}", line, col)
 
 
+def _fold(build, a, b, op):
+    """Apply a builder at operator token ``op``; constant folding turns a
+    zero divisor into a ParseError at that operator."""
+    try:
+        return build(a, b)
+    except ZeroDivisionError:
+        raise ParseError("division by zero", op[2], op[3]) from None
+
+
 def parse_expr(text):
-    """Parse per the module grammar; round-trips through print_expr."""
+    """Parse per the module grammar into a canonical tree; round-trips
+    through print_expr."""
     return _Parser(text).parse()
 
 
@@ -1054,13 +982,13 @@ def _print_const(v):
 
 def _paren_for_mul(x):
     s = print_expr(x)
-    if isinstance(x, (Add, Neg, Div)) or (isinstance(x, Const) and (x.value < 0 or x.value.denominator != 1)):
+    if isinstance(x, Add) or (isinstance(x, Const) and (x.value < 0 or x.value.denominator != 1)):
         return f"({s})"
     return s
 
 
 def print_expr(e):
-    """Plain-text form that reparses to the same tree (after simplify)."""
+    """Plain-text form that reparses to the same tree."""
     e = _wrap(e)
     t = type(e)
     if t is Const:
@@ -1076,17 +1004,6 @@ def print_expr(e):
         if not isinstance(e.base, (Var, FieldAtom, Func)):
             b = f"({b})"
         return f"{b}^{e.exponent}"
-    if t is Neg:
-        s = print_expr(e.arg)
-        if isinstance(e.arg, (Add, Neg)):
-            s = f"({s})"
-        return f"-{s}"
-    if t is Div:
-        num = _paren_for_mul(e.num)
-        den = print_expr(e.den)
-        if not isinstance(e.den, (Var, FieldAtom, Func, Pow)) or isinstance(e.den, Pow):
-            den = f"({den})"
-        return f"{num}/{den}"
     if t is Mul:
         factors = list(e.factors)
         sign = ""
@@ -1163,10 +1080,6 @@ def to_latex(e):
         if not isinstance(e.base, (Var, FieldAtom)):
             b = rf"\left({b}\right)"
         return rf"{b}^{{{e.exponent}}}"
-    if t is Neg:
-        return "-" + to_latex(e.arg)
-    if t is Div:
-        return rf"\frac{{{to_latex(e.num)}}}{{{to_latex(e.den)}}}"
     if t is Mul:
         num, den = [], []
         coeff = Fraction(1)

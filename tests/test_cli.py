@@ -96,6 +96,16 @@ def test_derive_text_matches_pinned_output(capsys, source, chart, form):
     assert out == (DATA / f"derive_{stem}_{form}.txt").read_text(encoding="utf-8")
 
 
+def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
+    p = tmp_path / "chart.ini"
+    p.write_text("[chart]\nname = bad\ncoords = u, v, w\n"
+                 "embedding = u/0, v, w\n")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid chart file: ")
+    assert "division by zero" in err and err.count("\n") == 1
+
+
 def test_derive_requires_exactly_one_chart_source(capsys):
     code, _, err = run_cli(capsys, "derive")
     assert code == 2 and err.startswith("error:")

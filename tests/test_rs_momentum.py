@@ -107,6 +107,13 @@ def test_isotropic_unit_medium_equals_vacuum_form():
     assert abs(g1 - g2) < 1e-8 and np.max(np.abs(c1 - c2)) < 1e-8
 
 
+def test_isotropic_residual_rejects_singular_metric_point():
+    m = metric_from_chart(builtin_chart("cylindrical"))
+    with pytest.raises(rs.RSError):
+        rs.isotropic_residual(lambda x: (np.ones(3), np.zeros(3)), _no_source,
+                              rs.MediumParams(1.0, 1.0), m, [0.0, 0.0, 0.3, 0.2])
+
+
 def test_fft_roundtrip_and_parseval():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(16, 16, 16))

@@ -158,6 +158,16 @@ def test_instability_from_nan_in_b_reports_step_index():
     assert exc.value.step_index == 6
 
 
+@pytest.mark.parametrize("field", ["b", "d"])
+def test_diagnostics_max_abs_reports_nan_in_any_field(field):
+    spec = _cart_spec(4)
+    state = sv.init_grid(spec, "plane_wave")
+    bad = np.array(getattr(state, field))
+    bad[0, 1, 1, 1] = np.nan
+    diag = sv.diagnostics(dataclasses.replace(state, **{field: bad}), spec)
+    assert math.isnan(diag["max_abs"])
+
+
 def test_charge_term_is_sampled_at_nodes():
     # The backward divergence of d lives at nodes; the largest node radius
     # of r in (0.5, 1.5) on 16 cells is 0.5 + 15/16.

@@ -57,6 +57,7 @@ def test_simplify_idempotent(e):
 def test_parse_print_roundtrip(e):
     s = simplify(e)
     assert simplify(parse_expr(print_expr(s))) == s
+    assert parse_expr(print_expr(s)) == s
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,6 +108,35 @@ def test_unbound_variable_raises():
 def test_parse_error_reports_position():
     with pytest.raises(sx.ParseError):
         parse_expr("sin(x")
+
+
+@pytest.mark.parametrize("text, col", [("x/(y - y)", 2), ("1 + 0^-2", 6),
+                                       ("(x - x)^-1", 8)])
+def test_zero_divisor_is_parse_error_at_operator(text, col):
+    with pytest.raises(sx.ParseError) as exc:
+        parse_expr(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_parse_builds_canonical_trees():
+    assert parse_expr("x - x") == sx.ZERO
+    assert parse_expr("-(x/2)^2 + x^2/4") == sx.ZERO
+    assert parse_expr("2^-1*y") == parse_expr("y/2")
+
+
+def test_equivalent_rejects_one_sided_singular_points():
+    lhs = simplify(parse_expr("sqrt(x-1)^2 - x + 2"))
+    assert not equivalent(lhs, 1, {"x": (0.6, 2.0)})
+    assert equivalent(lhs, 1, {"x": (1.1, 2.0)})
+
+
+def test_equivalent_skips_points_singular_on_both_sides():
+    a = parse_expr("sqrt(x-1)^3")
+    b = parse_expr("(x - 1)*sqrt(x-1)")
+    assert a != b
+    assert equivalent(a, b, {"x": (0.6, 2.0)})
+    with pytest.raises(sx.IllConditionedError):
+        equivalent(a, b, {"x": (0.0, 1.5)})
 
 
 def test_unknown_function_rejected():
