@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import symexpr as sx
-from .symexpr import Expr, diff, parse_expr
+from .symexpr import Expr, diff, parse_expr, print_expr
 
 __all__ = [
     "Chart", "MetricData", "Jacobian", "ComponentVector", "ChartError",
@@ -260,7 +262,10 @@ def _mat_inverse(m, det):
 
 def metric_from_chart(chart):
     """MetricData with g_lo = J^T J, exact inverse, sqrt|g| and Lame
-    coefficients when the metric is diagonal."""
+    coefficients when the metric is diagonal.
+
+    Raises ChartError when the metric is singular, or when sqrt|g| or a
+    Lame coefficient is not positive and finite on the chart's domain."""
     n = chart.dim
     jac = jacobian(chart).matrix
     g_lo = tuple(
@@ -274,9 +279,34 @@ def metric_from_chart(chart):
     sqrt_abs_g = sx.sqrt(det)
     diagonal = all(g_lo[i][j] == sx.ZERO for i in range(n) for j in range(n) if i != j)
     lame = None
+    checked = [("sqrt|g|", sqrt_abs_g)]
     if diagonal:
         lame = tuple(sx.sqrt(g_lo[i][i]) for i in range(n))
+        checked += [(f"Lame coefficient h_{c}", h) for c, h in zip(chart.coords, lame)]
+    _require_positive(chart, checked)
     return MetricData(chart, g_lo, g_hi, det, sqrt_abs_g, lame)
+
+
+_SAMPLE_FRACTIONS = np.array([0.1, 0.5, 0.9])
+
+
+def _require_positive(chart, quantities):
+    """Raise ChartError unless each (label, expr) is finite and positive on
+    a 3^n grid of interior points of the chart's domains.
+
+    The sqrt builder assumes a positive argument (sqrt(u^2) -> u), which a
+    domain with u < 0 breaks; a square root must come out positive."""
+    doms = chart.domains()
+    axes = np.meshgrid(*(lo + (hi - lo) * _SAMPLE_FRACTIONS
+                         for lo, hi in (doms[c] for c in chart.coords)),
+                       indexing="ij", sparse=True)
+    binding = dict(zip(chart.coords, axes))
+    for label, e in quantities:
+        with np.errstate(all="ignore"):
+            v = np.asarray(sx.lambdify(e)(binding), dtype=float)
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ChartError(f"chart {chart.name!r}: {label} = {print_expr(e)} "
+                             "is not positive and finite on its domain")
 
 
 def lame_coefficients(m):

@@ -190,7 +190,7 @@ def derive(chart, chart_file, form, fmt):
     ch = _load_chart(chart, chart_file)
     try:
         m = metric_from_chart(ch)
-    except SymExprError as exc:
+    except (ChartError, SymExprError) as exc:
         raise CliError(f"cannot derive metric: {exc}")
     lines = _FORMS[form](ch, m, fmt)
     if fmt != "latex":

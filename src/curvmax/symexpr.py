@@ -10,12 +10,19 @@ deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
 substitute build only through them.  ``simplify`` is needed only for trees
 assembled by hand with the node constructors.  All coordinate variables
 are assumed to range over the open domains declared by their charts; the
-sqrt builder uses positivity of its argument there (sqrt(x^2) -> x).
+sqrt builder uses positivity of its argument there (sqrt(x^2) -> x), and
+``chart.metric_from_chart`` checks that assumption on each chart's domain.
+
+Each node computes its hash and its sort key once, on first use, and keeps
+them.  Builders may return an input node unchanged (``add`` keeps every
+term that no other term merged with), so trees share subtrees.  That
+sharing, and the cached hash and key, are why nodes must stay immutable.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from fractions import Fraction
 
@@ -81,9 +88,10 @@ class IllConditionedError(SymExprError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.  ``_hash`` and
+    ``_skey`` (the sort key) are computed on first use and kept."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_skey")
 
     def __eq__(self, other):
         if self is other:
@@ -241,6 +249,8 @@ def _wrap(x):
         return Const(x)
     if isinstance(x, float):
         return Const(Fraction(x))
+    if isinstance(x, numbers.Integral):  # numpy integer scalars
+        return Const(int(x))
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
@@ -249,6 +259,15 @@ def _wrap(x):
 # ---------------------------------------------------------------------------
 
 def _key(e):
+    """Sort key of a node; built once per node and kept in ``_skey``."""
+    k = getattr(e, "_skey", None)
+    if k is None:
+        k = _make_key(e)
+        object.__setattr__(e, "_skey", k)
+    return k
+
+
+def _make_key(e):
     t = type(e)
     if t is Const:
         return (0, e.value.numerator, e.value.denominator)
@@ -352,8 +371,9 @@ def _term_build(coeff, mono):
 def _pythagoras(terms):
     """Collapse X*sin(u)^2 + X*cos(u)^2 -> X inside a combined term map.
 
-    ``terms`` maps mono-key -> [coeff, mono]; mutated in place until no
-    rule fires.  Each application lowers total degree, so this terminates.
+    ``terms`` maps mono-key -> [coeff, mono, node] as in ``add``; mutated
+    in place until no rule fires, and a term it changes loses its node.
+    Each application lowers total degree, so this terminates.
     """
     changed = True
     while changed:
@@ -361,7 +381,7 @@ def _pythagoras(terms):
         for k in list(terms.keys()):
             if k not in terms:
                 continue
-            coeff, mono = terms[k]
+            coeff, mono, _ = terms[k]
             for b, n in mono.items():
                 if not (isinstance(b, Func) and b.fname == "sin" and n >= 2):
                     continue
@@ -382,10 +402,11 @@ def _pythagoras(terms):
                     rk = _mono_key(reduced)
                     if rk in terms:
                         terms[rk][0] += coeff
+                        terms[rk][2] = None
                         if terms[rk][0] == 0:
                             del terms[rk]
                     else:
-                        terms[rk] = [coeff, reduced]
+                        terms[rk] = [coeff, reduced, None]
                     changed = True
                     break
             if changed:
@@ -393,6 +414,9 @@ def _pythagoras(terms):
 
 
 def add(*terms):
+    # combined maps mono-key -> [coeff, mono, node]; node is the input term
+    # while no other term has merged with it, else None (rebuild).  A
+    # canonical term rebuilt from its split is equal to itself.
     combined = {}
 
     def absorb(t):
@@ -404,17 +428,20 @@ def add(*terms):
         if coeff == 0:
             return
         k = _mono_key(mono)
-        if k in combined:
-            combined[k][0] += coeff
-            if combined[k][0] == 0:
+        entry = combined.get(k)
+        if entry is not None:
+            entry[0] += coeff
+            entry[2] = None
+            if entry[0] == 0:
                 del combined[k]
         else:
-            combined[k] = [coeff, mono]
+            combined[k] = [coeff, mono, t]
 
     for t in terms:
         absorb(_wrap(t))
     _pythagoras(combined)
-    parts = [_term_build(c, m) for c, m in combined.values()]
+    parts = [node if node is not None else _term_build(c, m)
+             for c, m, node in combined.values()]
     parts = [p for p in parts if p != ZERO]
     parts.sort(key=_key)
     if not parts:
@@ -572,10 +599,12 @@ def _diff(e, v):
     if t is Add:
         return add(*(_diff(x, v) for x in e.terms))
     if t is Mul:
+        # product rule; a factor with zero derivative adds no term
         parts = []
         for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(_diff(f, v), *rest))
+            df = _diff(f, v)
+            if df != ZERO:
+                parts.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
         return add(*parts)
     if t is Pow:
         return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, v))

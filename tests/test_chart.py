@@ -1,5 +1,7 @@
 """Charts, metrics, and component-basis conversions."""
 
+import re
+
 import pytest
 
 from curvmax import symexpr as sx
@@ -96,6 +98,27 @@ def test_chart_file_errors():
     with pytest.raises(ChartError):
         parse_chart_file("[chart]\nname = x\ncoords = a, b, c\n"
                          "embedding = a, b, q\n")
+
+
+@pytest.mark.parametrize("domain, label", [
+    ("u:(-2.0,-0.1)", "sqrt|g| = u"),
+    ("u:(-1.0,1.0)", "sqrt|g| = u"),
+])
+def test_square_root_of_metric_must_be_positive_on_domain(domain, label):
+    """sqrt(u^2) simplifies to u, which is wrong where u <= 0."""
+    (ch,) = parse_chart_file("[chart]\nname = halfparab\ncoords = u, v, z\n"
+                             f"embedding = u^2/2, v, z\ndomain = {domain}\n")
+    with pytest.raises(ChartError, match=re.escape(label)):
+        metric_from_chart(ch)
+
+
+def test_lame_coefficient_must_be_positive_on_domain():
+    # sqrt|g| = u*v is positive here, but h_u = u is not
+    (ch,) = parse_chart_file("[chart]\nname = halfparab2\ncoords = u, v, z\n"
+                             "embedding = u^2/2, v^2/2, z\n"
+                             "domain = u:(-2.0,-0.1), v:(-2.0,-0.1)\n")
+    with pytest.raises(ChartError, match="Lame coefficient h_u = u"):
+        metric_from_chart(ch)
 
 
 def test_unknown_builtin_chart():

@@ -106,6 +106,21 @@ def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
     assert "division by zero" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("embedding, domain, message", [
+    ("u, u, z", "", "singular metric"),
+    ("u^2/2, v, z", "domain = u:(-2.0,-0.1)\n", "sqrt|g| = u is not positive"),
+])
+def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
+                                                        embedding, domain, message):
+    p = tmp_path / "chart.ini"
+    p.write_text(f"[chart]\nname = bad\ncoords = u, v, z\nembedding = {embedding}\n"
+                 + domain)
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot derive metric: ")
+    assert message in err and err.count("\n") == 1
+
+
 def test_derive_requires_exactly_one_chart_source(capsys):
     code, _, err = run_cli(capsys, "derive")
     assert code == 2 and err.startswith("error:")

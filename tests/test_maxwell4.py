@@ -26,6 +26,12 @@ def test_symbolic_assembly_matches_printed_matrix():
     assert a == E and tuple(sx.simplify(x) for x in b) == B
 
 
+def test_numpy_integer_components_assemble_and_dualize():
+    a = sx.Var("a")
+    got = m4.hodge_dual(m4.assemble_F_lower((a, 0, 0), np.array([1, 2, 3])), GM)
+    assert got == m4.hodge_dual(m4.assemble_F_lower((a, 0, 0), (1, 2, 3)), GM)
+
+
 def test_minkowski_dual_matches_printed_matrix():
     """*F^{ab} carries the pair (-B_i, -E^i) in the standard packing."""
     E = np.array([0.3, -1.2, 0.7])

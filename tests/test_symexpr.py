@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvmax import symexpr as sx
-from curvmax.symexpr import (Const, FieldAtom, Var, diff, equivalent, eval_expr,
-                             free_vars, lambdify, parse_expr, print_expr,
-                             simplify, substitute, to_latex)
+from curvmax.symexpr import (Add, Const, FieldAtom, Func, Mul, Pow, Var, diff,
+                             equivalent, eval_expr, free_vars, lambdify,
+                             parse_expr, print_expr, simplify, substitute,
+                             to_latex)
 
 VARS = ("x", "y")
 
@@ -161,3 +163,149 @@ def test_substitute_composes():
 def test_latex_emitter_basics():
     assert "\\sin" in to_latex(parse_expr("sin(theta)"))
     assert "\\frac" in to_latex(parse_expr("x/y")) or "^{-1}" in to_latex(parse_expr("x/y"))
+
+
+def test_numpy_integers_wrap_as_constants():
+    x = Var("x")
+    assert x * np.int64(2) == x * 2
+    assert np.int32(3) - x == 3 - x
+
+
+# ---------------------------------------------------------------------------
+# What the builders' shortcuts rely on: the cached sort key, the split/build
+# round trip of a canonical term, ``add`` keeping untouched terms and the
+# product rule skipping zero factors all give the trees the plain
+# algorithms give.
+# ---------------------------------------------------------------------------
+
+def _power(a, n):
+    # a canonical non-constant tree is never zero, so 1/a is safe
+    return a if n < 0 and isinstance(a, Const) else sx.pow_(a, n)
+
+
+def builder_exprs(depth=3):
+    """Builder-made trees over x, y and a field atom, with powers, sqrt and
+    sin/cos pairs so that like terms merge and sin^2 + cos^2 collapses."""
+    if depth == 0:
+        return st.one_of(leaf(), st.just(FieldAtom("f", ("x", "y"))))
+    sub = builder_exprs(depth - 1)
+    return st.one_of(
+        sub,
+        st.lists(sub, min_size=2, max_size=3).map(lambda ts: sx.add(*ts)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda fs: sx.mul(*fs)),
+        st.tuples(sub, st.sampled_from([-2, -1, 2, 3])).map(lambda an: _power(*an)),
+        sub.map(sx.sin), sub.map(sx.cos), sub.map(sx.sqrt),
+        sub.map(lambda a: sx.pow_(sx.sin(a), 2)),
+        sub.map(lambda a: sx.pow_(sx.cos(a), 2)),
+    )
+
+
+def _plain_key(e):
+    """The sort key recomputed from scratch, without any cache."""
+    t = type(e)
+    if t is Const:
+        return (0, e.value.numerator, e.value.denominator)
+    if t is Var:
+        return (1, e.name)
+    if t is FieldAtom:
+        return (2, e.base, e.derivs)
+    if t is Func:
+        return (3, e.fname, _plain_key(e.arg))
+    if t is Pow:
+        return (4, _plain_key(e.base), e.exponent)
+    if t is Mul:
+        return (5, len(e.factors), tuple(_plain_key(f) for f in e.factors))
+    return (6, len(e.terms), tuple(_plain_key(x) for x in e.terms))
+
+
+def _rebuilding_add(*terms):
+    """``add`` as it was before it kept untouched terms: every term is
+    split and rebuilt."""
+    combined = {}
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Add):
+            stack.extend(reversed(t.terms))
+            continue
+        coeff, mono = sx._term_split(t)
+        if coeff == 0:
+            continue
+        k = sx._mono_key(mono)
+        if k in combined:
+            combined[k][0] += coeff
+            if combined[k][0] == 0:
+                del combined[k]
+        else:
+            combined[k] = [coeff, mono, None]
+    sx._pythagoras(combined)
+    parts = [sx._term_build(c, m) for c, m, _ in combined.values()]
+    parts = sorted((p for p in parts if p != sx.ZERO), key=_plain_key)
+    if not parts:
+        return sx.ZERO
+    return parts[0] if len(parts) == 1 else Add(*parts)
+
+
+def _zero_product_diff(e, v):
+    """``diff`` with the product rule building mul(0, ...) for factors
+    whose derivative is zero."""
+    t = type(e)
+    if t is Const:
+        return sx.ZERO
+    if t is Var:
+        return sx.ONE if e.name == v else sx.ZERO
+    if t is FieldAtom:
+        return FieldAtom(e.base, e.args, e.derivs + (v,)) if v in e.args else sx.ZERO
+    if t is Add:
+        return sx.add(*(_zero_product_diff(x, v) for x in e.terms))
+    if t is Mul:
+        return sx.add(*(sx.mul(_zero_product_diff(f, v), *e.factors[:i], *e.factors[i + 1:])
+                        for i, f in enumerate(e.factors)))
+    if t is Pow:
+        return sx.mul(Const(e.exponent), sx.pow_(e.base, e.exponent - 1),
+                      _zero_product_diff(e.base, v))
+    u = e.arg
+    du = _zero_product_diff(u, v)
+    outer = {
+        "sin": lambda: sx.cos(u),
+        "cos": lambda: sx.neg(sx.sin(u)),
+        "sqrt": lambda: sx.div(sx.ONE, sx.mul(Const(2), sx.sqrt(u))),
+    }[e.fname]()
+    return sx.mul(outer, du)
+
+
+def _terms(e):
+    return e.terms if isinstance(e, Add) else (e,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(builder_exprs())
+def test_cached_sort_key_equals_plain_key(e):
+    assert sx._key(e) == _plain_key(e)
+    assert sx._key(e) == _plain_key(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(builder_exprs())
+def test_canonical_term_survives_split_and_build(e):
+    for t in _terms(e):
+        if t != sx.ZERO:
+            assert sx._term_build(*sx._term_split(t)) == t
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(builder_exprs(), min_size=1, max_size=4))
+@example([parse_expr("x"), parse_expr("x*sin(y)^2"), parse_expr("x*cos(y)^2")])
+def test_add_equals_rebuilding_add(terms):
+    got = sx.add(*terms)
+    want = _rebuilding_add(*terms)
+    assert got == want
+    assert print_expr(got) == print_expr(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(builder_exprs(), st.sampled_from(VARS))
+def test_diff_equals_zero_product_rule(e, v):
+    got = diff(e, v)
+    assert got == _zero_product_diff(e, v)
+    assert print_expr(got) == print_expr(_zero_product_diff(e, v))
