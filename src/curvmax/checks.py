@@ -55,7 +55,7 @@ def _golden(seed):
     return out
 
 
-def _metric_literals(seed):
+def _metric_literals(seed, metrics):
     out = []
     cases = {
         "cylindrical": (("1", "r^2", "1"), "r", ("1", "r", "1")),
@@ -63,7 +63,7 @@ def _metric_literals(seed):
                       ("1", "r", "r*sin(theta)")),
     }
     for chart_name, (diag, sqrtg, lame) in cases.items():
-        m = metric_from_chart(builtin_chart(chart_name))
+        m = metrics[chart_name]
         ok = all(m.g_lo[i][i] == parse_expr(diag[i]) for i in range(3))
         ok &= all(m.g_lo[i][j] == sx.ZERO for i in range(3) for j in range(3) if i != j)
         ok &= m.sqrt_abs_g == parse_expr(sqrtg)
@@ -73,19 +73,19 @@ def _metric_literals(seed):
     return out
 
 
-def _paper_suite(seed):
-    return _golden(seed) + _metric_literals(seed)
+def _paper_suite(seed, metrics):
+    return _golden(seed) + _metric_literals(seed, metrics)
 
 
 # ---------------------------------------------------------------------------
 # Properties suite
 # ---------------------------------------------------------------------------
 
-def _vector_calculus_identities(seed):
+def _vector_calculus_identities(seed, metrics):
     out = []
     for chart_name in ("cartesian", "cylindrical", "spherical"):
-        chart = builtin_chart(chart_name)
-        m = metric_from_chart(chart)
+        m = metrics[chart_name]
+        chart = m.chart
         phi = parse_expr({"cartesian": "x*sin(y)*z",
                           "cylindrical": "r^2*sin(phi)*z",
                           "spherical": "r*sin(theta)*cos(phi)"}[chart_name])
@@ -103,11 +103,11 @@ def _vector_calculus_identities(seed):
     return out
 
 
-def _nonholonomic_consistency(seed):
+def _nonholonomic_consistency(seed, metrics):
     out = []
     for chart_name in ("cylindrical", "spherical"):
-        chart = builtin_chart(chart_name)
-        m = metric_from_chart(chart)
+        m = metrics[chart_name]
+        chart = m.chart
         phi = Var(chart.coords[0]) * Var(chart.coords[1]) * Var(chart.coords[2])
         via_nh = grad_nh(phi, m)
         via_conv = convert_basis(grad(phi, chart), m, "nonholonomic")
@@ -186,8 +186,9 @@ def _solver_conservation(seed):
                         diag["div_B"] <= 1e-12, f"div B {diag['div_B']:.2e}")]
 
 
-def _properties_suite(seed):
-    return (_vector_calculus_identities(seed) + _nonholonomic_consistency(seed)
+def _properties_suite(seed, metrics):
+    return (_vector_calculus_identities(seed, metrics)
+            + _nonholonomic_consistency(seed, metrics)
             + _four_tensor(seed) + _spinor(seed) + _complex_momentum(seed)
             + _solver_conservation(seed))
 
@@ -198,10 +199,19 @@ SUITES = {
 }
 
 
+class _RunMetrics(dict):
+    """Built-in chart name -> its metric, built on first use within one run."""
+
+    def __missing__(self, chart_name):
+        m = self[chart_name] = metric_from_chart(builtin_chart(chart_name))
+        return m
+
+
 def run_suite(name, seed=None):
     """Results for a named suite ('paper', 'properties', or 'all')."""
+    metrics = _RunMetrics()
     if name == "all":
-        return _paper_suite(seed) + _properties_suite(seed)
+        return _paper_suite(seed, metrics) + _properties_suite(seed, metrics)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose paper, properties, all")
-    return SUITES[name](seed)
+    return SUITES[name](seed, metrics)

@@ -324,11 +324,9 @@ def _row_floats(cells, n, lineno):
 
 
 def _t_pairs4(vals, _):
-    E, B, D, H = vals[0:3], vals[3:6], vals[6:9], vals[9:12]
-    f = m4.assemble_F_lower(E, B).matrix
-    g = m4.assemble_G_lower(D, H).matrix
-    pick = lambda t: (t[0][1], t[0][2], t[0][3], -t[2][3], -t[3][1], -t[1][2])
-    return list(pick(f)) + list(pick(g))
+    f = m4.assemble_F_lower(vals[0:3], vals[3:6])
+    g = m4.assemble_G_lower(vals[6:9], vals[9:12])
+    return [x for t in (f, g) for pair in m4.read_pair(t) for x in pair]
 
 
 def _t_complex(vals, _):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import symexpr as sx
 from .chart import ComponentVector, builtin_chart, metric_from_chart
-from .diffops import CYCLIC, DiffOpsError, curl, div
+from .diffops import DiffOpsError, curl, div
 from .symexpr import (Expr, FieldAtom, Var, diff, equivalent, eval_expr,
                       parse_expr, substitute)
 
@@ -104,21 +104,12 @@ def assemble_residuals(fields, src, m):
     gauss_D   = (1/sqrt g) d_i(sqrt g D^i) - 4pi rho
     gauss_B   = (1/sqrt g) d_i(sqrt g B^i)
     """
-    inv_sqrt_g = sx.pow_(m.sqrt_abs_g, -1)
     inv_c = sx.pow_(src.c, -1)
-    coords = m.chart.coords
     four_pi = 4 * Var("pi")
-
-    def rot(w, i, j, k):
-        return inv_sqrt_g * (diff(w[k], coords[j]) - diff(w[j], coords[k]))
-
-    faraday = tuple(
-        rot(fields.E, i, j, k) + inv_c * diff(fields.B[i], "t")
-        for (i, j, k) in CYCLIC)
-    ampere = tuple(
-        rot(fields.H, i, j, k) - inv_c * diff(fields.D[i], "t")
-        - four_pi * inv_c * src.j[i]
-        for (i, j, k) in CYCLIC)
+    rot_E, rot_H = curl(fields.E, m), curl(fields.H, m)
+    faraday = tuple(rot_E[i] + inv_c * diff(fields.B[i], "t") for i in range(3))
+    ampere = tuple(rot_H[i] - inv_c * diff(fields.D[i], "t")
+                   - four_pi * inv_c * src.j[i] for i in range(3))
     gauss_D = div(fields.D, m) - four_pi * src.rho
     gauss_B = div(fields.B, m)
     return MaxwellResiduals3(faraday, ampere, gauss_D, gauss_B)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from . import symexpr as sx
-from .diffops import alternating
 from .symexpr import Expr, eval_expr, simplify
 
 __all__ = [
@@ -86,24 +86,16 @@ class Metric4:
         """Metric diag(entries); entries are 4 Exprs or numbers."""
         if len(entries) != 4:
             raise Maxwell4Error("diagonal metric needs 4 entries")
-        if any(isinstance(e, Expr) for e in entries):
-            entries = tuple(simplify(e) if isinstance(e, Expr) else sx.Const(e)
-                            for e in entries)
-            lo = tuple(tuple(entries[a] if a == b else sx.ZERO
-                             for b in range(4)) for a in range(4))
-            hi = tuple(tuple(sx.pow_(entries[a], -1) if a == b else sx.ZERO
-                             for b in range(4)) for a in range(4))
-            det = entries[0] * entries[1] * entries[2] * entries[3]
-            return cls(lo, hi, det, sx.sqrt(-det))
-        entries = tuple(float(e) for e in entries)
+        if not any(isinstance(e, Expr) for e in entries):
+            return cls.numeric(np.diag(entries))
+        entries = tuple(simplify(e) if isinstance(e, Expr) else sx.Const(e)
+                        for e in entries)
+        lo = tuple(tuple(entries[a] if a == b else sx.ZERO
+                         for b in range(4)) for a in range(4))
+        hi = tuple(tuple(sx.pow_(entries[a], -1) if a == b else sx.ZERO
+                         for b in range(4)) for a in range(4))
         det = entries[0] * entries[1] * entries[2] * entries[3]
-        if det >= 0:
-            raise Maxwell4Error("spacetime metric must have det < 0")
-        lo = tuple(tuple(entries[a] if a == b else 0.0 for b in range(4))
-                   for a in range(4))
-        hi = tuple(tuple(1.0 / entries[a] if a == b else 0.0 for b in range(4))
-                   for a in range(4))
-        return cls(lo, hi, det, math.sqrt(-det))
+        return cls(lo, hi, det, sx.sqrt(-det))
 
     @classmethod
     def from_spatial(cls, m3):
@@ -211,30 +203,32 @@ def read_pair(t):
             (-m[2][3], -m[3][1], -m[1][2]))
 
 
-def _contract_two(t, g_mat):
-    sym = _is_sym(t.matrix) or _is_sym(g_mat)
-    out = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            terms = [g_mat[a][c] * g_mat[b][d] * t.matrix[c][d]
-                     for c in range(4) for d in range(4)
-                     if _nonzero(g_mat[a][c]) and _nonzero(g_mat[b][d])
-                     and _nonzero(t.matrix[c][d])]
-            if not terms:
-                row.append(sx.ZERO if sym else 0.0)
-            elif sym:
-                row.append(sx.add(*terms))
-            else:
-                row.append(sum(terms))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _nonzero(x):
     if isinstance(x, Expr):
         return x != sx.ZERO
     return x != 0
+
+
+def _sum_products(pairs, sym):
+    """Sum of w * x over the (w, x) pairs with nonzero x, in pair order.
+
+    Symbolic entries are summed by one ``sx.add``, numeric ones left to
+    right, so either kind is built from the same products in the same order.
+    """
+    terms = [w * x for w, x in pairs if _nonzero(x)]
+    if not terms:
+        return sx.ZERO if sym else 0.0
+    return sx.add(*terms) if sym else sum(terms)
+
+
+def _contract_two(t, g_mat):
+    m = t.matrix
+    sym = _is_sym(m) or _is_sym(g_mat)
+    return tuple(tuple(
+        _sum_products([(g_mat[a][c] * g_mat[b][d], m[c][d])
+                       for c in range(4) for d in range(4)
+                       if _nonzero(g_mat[a][c]) and _nonzero(g_mat[b][d])], sym)
+        for b in range(4)) for a in range(4))
 
 
 def raise4(t, g):
@@ -251,42 +245,38 @@ def lower4(t, g):
     return FieldTensor4(_contract_two(t, g.g_lo), "lower", t.kind)
 
 
+#: The 24 nonzero entries (a, b, c, d, [abcd]) of the 4-D permutation symbol,
+#: in lexicographic order of (a, b, c, d).
+_PERMUTATIONS4 = tuple(
+    (*p, (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)))
+    for p in permutations(range(4)))
+
+
 def hodge_dual(t, g):
     """Half-contraction with the 4-D alternating tensor.
 
     A lower tensor yields *T^{ab} = (1/2) e^{abcd} T_{cd} (upper), an upper
     tensor yields *T_{ab} = (1/2) e_{abcd} T^{cd} (lower).
-    """
-    alt = alternating(4, det=g.det, sqrt_abs_det=g.sqrt_minus_g)
-    sym = t.is_symbolic or isinstance(g.sqrt_minus_g, Expr)
-    if sym:
-        weight = alt.upper if t.variance == "lower" else alt.lower
-    else:
-        pref = (alt.prefactor_upper if t.variance == "lower"
-                else alt.prefactor_lower)
 
-        def weight(*idx):
-            return alt.epsilon(*idx) * pref
-    out = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            terms = []
-            for c in range(4):
-                for d in range(4):
-                    w = weight(a, b, c, d)
-                    if not _nonzero(w) or not _nonzero(t.matrix[c][d]):
-                        continue
-                    terms.append(w * t.matrix[c][d])
-            if not terms:
-                row.append(sx.ZERO if sym else 0.0)
-            elif sym:
-                row.append(sx.add(*terms) / 2)
-            else:
-                row.append(0.5 * sum(terms))
-        out.append(tuple(row))
+    The alternating tensor is anchored by epsilon_0123 = -1 (the convention
+    under which the Hodge duals of the field tensors reproduce the reference
+    component matrices).  With [0123] = +1 this folds a minus sign into the
+    lower prefactor: e^{abcd} = [abcd] / sqrt(-g) and
+    e_{abcd} = -sqrt(-g) [abcd].
+    """
+    sym = t.is_symbolic or g.is_symbolic
+    s = g.sqrt_minus_g
+    if t.variance == "lower":
+        pref = sx.pow_(s, -1) if isinstance(s, Expr) else 1.0 / s
+    else:
+        pref = -s
+    weight = {sign: (sx.Const(sign) if sym else sign) * pref for sign in (1, -1)}
+    pairs = [[[] for _ in range(4)] for _ in range(4)]
+    for a, b, c, d, sign in _PERMUTATIONS4:
+        pairs[a][b].append((weight[sign], t.matrix[c][d]))
+    out = tuple(tuple(_sum_products(p, sym) / 2 for p in row) for row in pairs)
     new_variance = "upper" if t.variance == "lower" else "lower"
-    return FieldTensor4(tuple(out), new_variance, _DUAL_KIND[t.kind])
+    return FieldTensor4(out, new_variance, _DUAL_KIND[t.kind])
 
 
 # ---------------------------------------------------------------------------

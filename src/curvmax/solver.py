@@ -91,12 +91,14 @@ class GridSpec:
             raise SolverError("need at least 2 cells per axis")
         if any(hi <= lo for lo, hi in self.extents):
             raise SolverError("each extent needs min < max")
+        if not all(0.0 < h < math.inf for h in self.spacing):
+            raise SolverError("extents must be finite with finite, positive spacing")
         if not 0.0 < self.cfl <= 1.0:
             raise SolverError("CFL number must lie in (0, 1]")
         if any(b not in ("periodic", "pec") for b in self.bc):
             raise SolverError("boundary conditions are 'periodic' or 'pec'")
-        if self.epsilon <= 0 or self.mu <= 0:
-            raise SolverError("medium parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (self.epsilon, self.mu, self.c)):
+            raise SolverError("epsilon, mu and c must be finite and positive")
 
     @property
     def spacing(self):

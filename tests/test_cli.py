@@ -85,15 +85,20 @@ PINNED = [("--chart", "cylindrical", form) for form in ("operators", "3vector", 
 PINNED += [("--chart", "spherical", form) for form in ("operators", "3vector", "complex")]
 PINNED += [("--chart", "cartesian", "4tensor"),
            ("--chart-file", "parabolic.chart", "operators")]
+PINNED = [pytest.param(*case, "text", id="-".join(case)) for case in PINNED]
+PINNED += [pytest.param("--chart", "cartesian", "4tensor", "latex",
+                        id="--chart-cartesian-4tensor-latex")]
 
 
-@pytest.mark.parametrize("source, chart, form", PINNED)
-def test_derive_text_matches_pinned_output(capsys, source, chart, form):
+@pytest.mark.parametrize("source, chart, form, fmt", PINNED)
+def test_derive_text_matches_pinned_output(capsys, source, chart, form, fmt):
     arg = str(DATA / chart) if source == "--chart-file" else chart
-    code, out, _ = run_cli(capsys, "derive", source, arg, "--form", form)
+    code, out, _ = run_cli(capsys, "derive", source, arg, "--form", form,
+                           "--format", fmt)
     assert code == 0
     stem = chart.split(".")[0]
-    assert out == (DATA / f"derive_{stem}_{form}.txt").read_text(encoding="utf-8")
+    suffix = ".tex" if fmt == "latex" else ".txt"
+    assert out == (DATA / f"derive_{stem}_{form}{suffix}").read_text(encoding="utf-8")
 
 
 def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
@@ -203,6 +208,27 @@ def test_simulate_singular_extent_is_usage_error(capsys, tmp_path):
                            "--grid", "4x4x4", "--steps", "1",
                            "--out", str(tmp_path / "x"))
     assert code == 2 and err.startswith("error:")
+
+
+def test_simulate_extent_sets_the_snapshot_coordinates(capsys, tmp_path):
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
+                         "--extent", "1:0:2", "--extent", "3:-1:1",
+                         "--out", str(out_dir))
+    assert code == 0
+    rows = np.loadtxt(out_dir / "snapshot_000001.csv", delimiter=",", skiprows=1)
+    assert sorted(set(rows[:, 0])) == [0.25, 0.75, 1.25, 1.75]
+    assert sorted(set(rows[:, 1])) == [0.125, 0.375, 0.625, 0.875]
+    assert sorted(set(rows[:, 2])) == [-0.75, -0.25, 0.25, 0.75]
+
+
+def test_simulate_infinite_extent_is_one_error_line(capsys, tmp_path):
+    out_dir = tmp_path / "sim"
+    code, out, err = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
+                             "--extent", "1:0:inf", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -187,3 +187,132 @@ def test_antisymmetry_validation():
 def test_symbolic_metric_requires_diagonal():
     with pytest.raises(m4.Maxwell4Error):
         m4.Metric4.numeric(np.diag([1.0, 1.0, 1.0, 1.0]))  # det > 0
+
+
+# ---------------------------------------------------------------------------
+# Contractions against a nested-loop oracle over all 256 index tuples
+# ---------------------------------------------------------------------------
+
+def _oracle_nonzero(x):
+    return x != sx.ZERO if isinstance(x, sx.Expr) else x != 0
+
+
+def _oracle_parity(idx):
+    if len(set(idx)) != len(idx):
+        return 0
+    sign = 1
+    for i in range(len(idx)):
+        for j in range(i + 1, len(idx)):
+            if idx[i] > idx[j]:
+                sign = -sign
+    return sign
+
+
+def _oracle_contract_two(t, g_mat):
+    sym = m4._is_sym(t.matrix) or m4._is_sym(g_mat)
+    out = []
+    for a in range(4):
+        row = []
+        for b in range(4):
+            terms = [g_mat[a][c] * g_mat[b][d] * t.matrix[c][d]
+                     for c in range(4) for d in range(4)
+                     if _oracle_nonzero(g_mat[a][c]) and _oracle_nonzero(g_mat[b][d])
+                     and _oracle_nonzero(t.matrix[c][d])]
+            if not terms:
+                row.append(sx.ZERO if sym else 0.0)
+            else:
+                row.append(sx.add(*terms) if sym else sum(terms))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _oracle_hodge(t, g):
+    """(1/2) e T with e_{abcd} = -sqrt(-g)[abcd], e^{abcd} = [abcd]/sqrt(-g)."""
+    s = g.sqrt_minus_g
+    upper = 1.0 / s if isinstance(g.det, (int, float)) else sx.pow_(s, -1)
+    pref = upper if t.variance == "lower" else -s
+    sym = t.is_symbolic or isinstance(s, sx.Expr)
+    out = []
+    for a in range(4):
+        row = []
+        for b in range(4):
+            terms = []
+            for c in range(4):
+                for d in range(4):
+                    e = _oracle_parity((a, b, c, d))
+                    w = (sx.ZERO if e == 0 else sx.Const(e) * pref) if sym else e * pref
+                    if _oracle_nonzero(w) and _oracle_nonzero(t.matrix[c][d]):
+                        terms.append(w * t.matrix[c][d])
+            if not terms:
+                row.append(sx.ZERO if sym else 0.0)
+            else:
+                row.append(sx.add(*terms) / 2 if sym else 0.5 * sum(terms))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _hex(matrix):
+    return [[float(x).hex() for x in row] for row in matrix]
+
+
+def _numeric_metrics():
+    rng = np.random.default_rng(5)
+    r = float(rng.uniform(0.3, 2.5))
+    p = rng.normal(scale=0.2, size=(4, 4))
+    dense = m4.Metric4.numeric(np.diag([1.0, -1.0, -1.0, -1.0]) + p + p.T)
+    assert dense.det < 0 and dense.g_lo[0][1] != 0.0
+    return [GM, m4.Metric4.numeric(np.diag([1.0, -1.0, -r * r, -1.0])), dense]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_numeric_contractions_bitwise_equal_nested_loop_oracle(which):
+    g = _numeric_metrics()[which]
+    rng = np.random.default_rng(11 + which)
+    for _ in range(20):
+        a = rng.normal(size=(4, 4))
+        # antisymmetric up to rounding noise, so that no mirrored pair of
+        # terms cancels or doubles exactly
+        a = tuple(map(tuple, a - a.T + 1e-14 * rng.normal(size=(4, 4))))
+        lo = m4.FieldTensor4(a, "lower", "F")
+        up = m4.FieldTensor4(a, "upper", "G")
+        assert _hex(m4.hodge_dual(lo, g).matrix) == _hex(_oracle_hodge(lo, g))
+        assert _hex(m4.hodge_dual(up, g).matrix) == _hex(_oracle_hodge(up, g))
+        assert _hex(m4.raise4(lo, g).matrix) == _hex(_oracle_contract_two(lo, g.g_hi))
+        assert _hex(m4.lower4(up, g).matrix) == _hex(_oracle_contract_two(up, g.g_lo))
+
+
+def _symbolic_pair(variance):
+    E = tuple(sx.Var(f"E_{i}") for i in (1, 2, 3))
+    B = tuple(sx.Var(f"B_{i}") for i in (1, 2, 3))
+    return m4.assemble_pair(E, B, variance, "F")
+
+
+def test_symbolic_contractions_structurally_equal_nested_loop_oracle():
+    g4 = m4.Metric4.from_spatial(metric_from_chart(builtin_chart("spherical")))
+    lo, up = _symbolic_pair("lower"), _symbolic_pair("upper")
+    assert m4.hodge_dual(lo, g4).matrix == _oracle_hodge(lo, g4)
+    assert m4.hodge_dual(up, g4).matrix == _oracle_hodge(up, g4)
+    assert m4.raise4(lo, g4).matrix == _oracle_contract_two(lo, g4.g_hi)
+    assert m4.lower4(up, g4).matrix == _oracle_contract_two(up, g4.g_lo)
+    # symbolic tensor with float entries on a numeric metric
+    g = _numeric_metrics()[1]
+    mixed = m4.assemble_F_lower((sx.Var("a"), 0.3, 0), (1.7, 2, -0.1))
+    assert m4.hodge_dual(mixed, g).matrix == _oracle_hodge(mixed, g)
+    assert m4.raise4(mixed, g).matrix == _oracle_contract_two(mixed, g.g_hi)
+
+
+def test_symbolic_raise_and_lower_match_numeric_at_a_point():
+    g4 = m4.Metric4.from_spatial(metric_from_chart(builtin_chart("spherical")))
+    point = {"r": 1.3, "theta": 0.7, "phi": 0.4}
+    gn = g4.evaluate(point)
+    rng = np.random.default_rng(3)
+    E, B = rng.normal(size=3), rng.normal(size=3)
+    binding = dict(point)
+    binding.update({f"E_{i + 1}": E[i] for i in range(3)})
+    binding.update({f"B_{i + 1}": B[i] for i in range(3)})
+    for variance, move in (("lower", m4.raise4), ("upper", m4.lower4)):
+        sym = move(_symbolic_pair(variance), g4)
+        assert sym.is_symbolic
+        got = np.array([[sx.eval_expr(x, binding) for x in row] for row in sym.matrix])
+        want = move(m4.assemble_pair(E, B, variance, "F"), gn).as_array()
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)

@@ -107,6 +107,16 @@ def test_gridspec_validation():
         sv.GridSpec("cartesian", ((0, 1),) * 3, (8, 8))
     with pytest.raises(sv.SolverError):
         sv.GridSpec("cartesian", ((1, 0), (0, 1), (0, 1)), (8, 8, 8))
+    unit = ((0, 1),) * 3
+    bad_extents = [((0, math.inf), (0, 1), (0, 1)), ((math.nan, 1), (0, 1), (0, 1)),
+                   ((-math.inf, 0), (0, 1), (0, 1)), ((0, 1), (0, 1), (-1e308, 1e308))]
+    for extents in bad_extents:
+        with pytest.raises(sv.SolverError, match="finite"):
+            sv.GridSpec("cartesian", extents, (8, 8, 8))
+    for name in ("epsilon", "mu", "c"):
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(sv.SolverError, match="finite and positive"):
+                sv.GridSpec("cartesian", unit, (8, 8, 8), **{name: value})
 
 
 def test_snapshot_csv_format():
