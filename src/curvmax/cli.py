@@ -244,6 +244,16 @@ def _parse_extents(entries):
     return tuple(extents)
 
 
+def _parse_bc(text):
+    kinds = tuple(text.split(","))
+    if len(kinds) == 1:
+        kinds *= 3
+    if len(kinds) != 3 or any(k not in ("periodic", "pec") for k in kinds):
+        raise CliError(f"--bc must be periodic or pec, or three of them separated "
+                       f"by commas, got {text!r}")
+    return kinds
+
+
 @cli.command()
 @click.option("--chart", default="cartesian", show_default=True)
 @click.option("--grid", required=True, help="Grid shape N1xN2xN3.")
@@ -258,7 +268,7 @@ def _parse_extents(entries):
 @click.option("--initial", default="plane_wave", show_default=True,
               type=click.Choice(("zero", "plane_wave", "azimuthal_mode")))
 @click.option("--bc", default="periodic", show_default=True,
-              type=click.Choice(("periodic", "pec")))
+              help="periodic or pec on every axis, or one per axis as pec,periodic,pec.")
 @click.option("--snapshot-format", default="csv", show_default=True,
               type=click.Choice(("csv", "binary")))
 def simulate(chart, grid, extent, cfl, steps, dump_every, out, initial, bc,
@@ -270,8 +280,9 @@ def simulate(chart, grid, extent, cfl, steps, dump_every, out, initial, bc,
         raise CliError("--dump-every must be non-negative")
     shape = _parse_grid(grid)
     extents = _parse_extents(extent)
+    bcs = _parse_bc(bc)
     try:
-        spec = sv.GridSpec(chart, extents, shape, cfl=cfl, bc=(bc,) * 3)
+        spec = sv.GridSpec(chart, extents, shape, cfl=cfl, bc=bcs)
         state = sv.init_grid(spec, initial)
     except (sv.SolverError, ChartError, SymExprError) as exc:
         raise CliError(str(exc))

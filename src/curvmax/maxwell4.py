@@ -152,10 +152,12 @@ class FieldTensor4:
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise Maxwell4Error("field tensor must be 4x4")
         sym = _is_sym(m)
+        # rounding noise of a numeric tensor grows with its entries
+        tol = None if sym else 1e-12 * max(1.0, *(abs(x) for row in m for x in row))
         for a in range(4):
             for b in range(a, 4):
                 s = m[a][b] + m[b][a]
-                bad = _nonzero(s) if sym else abs(s) > 1e-12
+                bad = _nonzero(s) if sym else abs(s) > tol
                 if bad:
                     raise Maxwell4Error(
                         f"field tensor must be antisymmetric (entries {a},{b})")

@@ -188,6 +188,15 @@ def test_simulate_writes_outputs(capsys, tmp_path):
     assert len(diag) == 1 + 11  # initial state + 10 steps
 
 
+def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", "--chart", "cartesian",
+                         "--grid", "8x8x8", "--steps", "20", "--out", str(out_dir))
+    assert code == 0
+    want = (DATA / "simulate_cartesian_8_diagnostics.csv").read_bytes()
+    assert (out_dir / "diagnostics.csv").read_bytes() == want
+
+
 def test_simulate_binary_snapshot(capsys, tmp_path):
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--grid", "8x8x8", "--steps", "2",
@@ -195,6 +204,42 @@ def test_simulate_binary_snapshot(capsys, tmp_path):
     assert code == 0
     raw = (out_dir / "snapshot_000002.cvmx").read_bytes()
     assert raw[:4] == b"CVMX"
+
+
+def _snapshot_e(path, shape):
+    raw = np.frombuffer(path.read_bytes(), dtype="<f8", offset=64)
+    comps = raw.reshape(12, *shape)  # sorted names: B_1..3, D_1..3, E_1..3, H_1..3
+    return comps[6:9]
+
+
+def test_simulate_bc_per_axis(capsys, tmp_path):
+    from curvmax import solver as sv
+    extents = ((0.5, 1.5), (0.0, 6.283185307179586), (0.0, 1.0))
+    got = {}
+    for bc in ("pec,periodic,pec", "pec"):
+        out_dir = tmp_path / bc.replace(",", "-")
+        code, _, _ = run_cli(capsys, "simulate", "--chart", "cylindrical",
+                             "--grid", "8x8x4", "--steps", "3",
+                             "--extent", "1:0.5:1.5", "--extent", "2:0:6.283185307179586",
+                             "--initial", "azimuthal_mode", "--bc", bc,
+                             "--snapshot-format", "binary", "--out", str(out_dir))
+        assert code == 0
+        got[bc] = _snapshot_e(out_dir / "snapshot_000003.cvmx", (8, 8, 4))
+    spec = sv.GridSpec("cylindrical", extents, (8, 8, 4), bc=("pec", "periodic", "pec"))
+    want = sv.run(sv.init_grid(spec, "azimuthal_mode"), spec, 3).e
+    assert np.array_equal(got["pec,periodic,pec"], want)
+    assert not np.array_equal(got["pec"], want)
+
+
+@pytest.mark.parametrize("bc", ["pec,periodic", "pec,periodic,pec,pec", "wall",
+                                "pec,,pec", "PEC"])
+def test_simulate_bad_bc_is_one_error_line(capsys, tmp_path, bc):
+    out_dir = tmp_path / "sim"
+    code, out, err = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
+                             "--bc", bc, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --bc") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_simulate_bad_grid_is_usage_error(capsys, tmp_path):

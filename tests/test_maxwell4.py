@@ -184,6 +184,26 @@ def test_antisymmetry_validation():
         m4.FieldTensor4(tuple(map(tuple, np.eye(4))), "lower", "F")
 
 
+def test_antisymmetry_tolerance_scales_with_the_entries():
+    # Raising a large tensor on a dense metric leaves rounding noise far
+    # above 1e-12 in F^{ab} + F^{ba}; a real asymmetry is still rejected.
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        p = rng.normal(scale=0.2, size=(4, 4))
+        g = np.diag([1.0, -1.0, -1.0, -1.0]) + p + p.T
+        if np.linalg.det(g) >= 0:
+            continue
+        g = m4.Metric4.numeric(g)
+        a = 1e4 * rng.normal(size=(4, 4))
+        up = m4.raise4(m4.FieldTensor4(tuple(map(tuple, a - a.T)), "lower", "F"), g)
+        assert up.variance == "upper"
+    a = 1e4 * rng.normal(size=(4, 4))
+    a = a - a.T
+    a[0, 1] += 1e-6 * np.max(np.abs(a))
+    with pytest.raises(m4.Maxwell4Error, match="antisymmetric"):
+        m4.FieldTensor4(tuple(map(tuple, a)), "lower", "F")
+
+
 def test_symbolic_metric_requires_diagonal():
     with pytest.raises(m4.Maxwell4Error):
         m4.Metric4.numeric(np.diag([1.0, 1.0, 1.0, 1.0]))  # det > 0
