@@ -1,7 +1,7 @@
 """Holonomic coordinate charts and their metric data.
 
-A chart is an embedding of n curvilinear coordinates (n in {2, 3}) into
-Euclidean space.  The metric is always derived from that embedding as
+A chart is an embedding of three curvilinear coordinates into Euclidean
+space.  The metric is always derived from that embedding as
 g = J^T J, so the cylindrical/spherical reference results are
 self-verifying.  The nonholonomic (physical) reference basis is
 orthonormal: g_{i'i'} = 1.
@@ -9,6 +9,7 @@ orthonormal: g_{i'i'} = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,8 @@ class Chart:
 
     def __post_init__(self):
         n = len(self.coords)
-        if n not in (2, 3):
-            raise ChartError(f"chart dimension must be 2 or 3, got {n}")
+        if n != 3:
+            raise ChartError(f"chart dimension must be 3, got {n}")
         if len(self.embedding) != n:
             raise ChartError("embedding arity must match coordinate count")
         allowed = set(self.coords)
@@ -48,6 +49,12 @@ class Chart:
             extra = sx.free_vars(e) - allowed
             if extra:
                 raise ChartError(f"embedding uses non-coordinate variables {sorted(extra)}")
+        for c, (lo, hi) in self.domain.items():
+            if c not in allowed:
+                raise ChartError(f"domain given for {c!r}, which is not a coordinate")
+            if not -math.inf < lo < hi < math.inf:
+                raise ChartError(f"domain of {c!r} must be finite with min < max, "
+                                 f"got ({lo}, {hi})")
 
     @property
     def dim(self):
@@ -64,10 +71,6 @@ class Jacobian:
 
     matrix: tuple[tuple[Expr, ...], ...]
 
-    @property
-    def dim(self):
-        return len(self.matrix)
-
 
 @dataclass(frozen=True)
 class MetricData:
@@ -83,10 +86,6 @@ class MetricData:
     @property
     def dim(self):
         return len(self.g_lo)
-
-    @property
-    def is_orthogonal(self):
-        return self.lame is not None
 
     def domains(self):
         return self.chart.domains()
@@ -195,10 +194,13 @@ def parse_chart_file(text):
             for part in _split_top(sec["domain"]):
                 cname, _, rng = part.partition(":")
                 rng = rng.strip()
-                if not (rng.startswith("(") and rng.endswith(")")):
-                    raise ChartError(f"bad domain spec {part!r}")
-                lo, hi = rng[1:-1].split(",")
-                domain[cname.strip()] = (float(lo), float(hi))
+                try:
+                    if not (rng.startswith("(") and rng.endswith(")")):
+                        raise ValueError
+                    lo, hi = map(float, rng[1:-1].split(","))
+                except ValueError:
+                    raise ChartError(f"bad domain spec {part!r}") from None
+                domain[cname.strip()] = (lo, hi)
         charts.append(Chart(sec["name"], coords, embedding, domain))
     return charts
 
@@ -233,31 +235,23 @@ def jacobian(chart):
 
 
 def _mat_det(m):
-    n = len(m)
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _mat_inverse(m, det):
-    """Adjugate / det; exact symbolic inversion for n <= 3."""
-    n = len(m)
+    """Adjugate / det; exact symbolic inversion of a 3x3 matrix."""
     inv_det = sx.pow_(det, -1)
-    if n == 2:
-        adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-    else:
-        def cof(i, j):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                     - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
-            return minor if (i + j) % 2 == 0 else -minor
-        # adjugate = transpose of cofactor matrix
-        adj = tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-    return tuple(tuple(adj[i][j] * inv_det for j in range(n))
-                 for i in range(n))
+
+    def cof(i, j):
+        rows = [r for r in range(3) if r != i]
+        cols = [c for c in range(3) if c != j]
+        minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
+                 - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
+        return minor if (i + j) % 2 == 0 else -minor
+    # adjugate = transpose of cofactor matrix
+    return tuple(tuple(cof(j, i) * inv_det for j in range(3)) for i in range(3))
 
 
 def metric_from_chart(chart):

@@ -17,6 +17,7 @@ import re
 import sys
 
 import click
+import numpy as np
 
 from . import maxwell4 as m4
 from . import solver as sv
@@ -141,7 +142,10 @@ def _derive_4tensor(chart, m, fmt):
     B = tuple(var(f"B_{i+1}") for i in range(3))
     D = tuple(var(f"D_{i+1}") for i in range(3))
     H = tuple(var(f"H_{i+1}") for i in range(3))
-    g4 = m4.Metric4.from_spatial(m)
+    try:
+        g4 = m4.Metric4.from_spatial(m)
+    except m4.Maxwell4Error as exc:
+        raise CliError(f"--form 4tensor is unsupported for chart {chart.name!r}: {exc}")
     f_lo = m4.assemble_F_lower(E, B)
     g_lo = m4.assemble_G_lower(D, H)
     sep = "\n" if fmt != "latex" else ""
@@ -329,9 +333,12 @@ def _row_floats(cells, n, lineno):
         raise CliError(f"line {lineno}: expected {n} comma-separated values, "
                        f"got {len(cells)}")
     try:
-        return [float(x) for x in cells]
+        vals = [float(x) for x in cells]
     except ValueError as exc:
         raise CliError(f"line {lineno}: {exc}")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"line {lineno}: values must be finite")
+    return vals
 
 
 def _t_pairs4(vals, _):
@@ -413,7 +420,10 @@ def transform(target, chart, input, out):
 
         def lame_at(point):
             binding = dict(zip(ch.coords, point))
-            return [hk(binding) for hk in hs]
+            h = [hk(binding) for hk in hs]
+            if not all(x > 0 for x in h):
+                raise ValueError("a Lame coefficient is not positive at this point")
+            return h
 
     out.write(",".join(header) + "\n")
     nrows = 0
@@ -426,9 +436,12 @@ def transform(target, chart, input, out):
             continue  # header row
         vals = _row_floats(cells, ncols, lineno)
         try:
-            converted = func(vals, lame_at)
-        except (SymExprError, ZeroDivisionError) as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                converted = func(vals, lame_at)
+        except (SymExprError, ValueError) as exc:
             raise CliError(f"line {lineno}: {exc}")
+        if not all(map(math.isfinite, converted)):
+            raise CliError(f"line {lineno}: the converted values overflow")
         out.write(",".join(f"{v:.12g}" for v in converted) + "\n")
         nrows += 1
     if nrows == 0:

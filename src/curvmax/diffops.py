@@ -52,8 +52,6 @@ def div(v, m):
 
 def curl(w, m):
     """Contravariant holonomic rotor: (1/sqrt g)(d_j f_k - d_k f_j), cyclic."""
-    if m.dim != 3:
-        raise DiffOpsError("rotor defined only in three dimensions")
     _require(w, "covariant", "holonomic")
     inv = sx.pow_(m.sqrt_abs_g, -1)
     coords = m.chart.coords

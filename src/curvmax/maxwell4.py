@@ -100,8 +100,6 @@ class Metric4:
     @classmethod
     def from_spatial(cls, m3):
         """Lift an orthogonal spatial metric to diag(1, -g_11, -g_22, -g_33)."""
-        if m3.dim != 3:
-            raise Maxwell4Error("spatial metric must be three-dimensional")
         if m3.lame is None:
             raise Maxwell4Error("spacetime lift requires an orthogonal spatial metric")
         return cls.diagonal((sx.ONE,) + tuple(-m3.g_lo[i][i] for i in range(3)))

@@ -103,14 +103,21 @@ class GridSpec:
     c: float = 1.0
 
     def __post_init__(self):
+        # tuples, so that a spec built from lists can key _geometry's cache
+        object.__setattr__(self, "extents", tuple(tuple(e) for e in self.extents))
+        object.__setattr__(self, "shape", tuple(self.shape))
+        object.__setattr__(self, "bc", tuple(self.bc))
         if len(self.extents) != 3 or len(self.shape) != 3 or len(self.bc) != 3:
             raise SolverError("GridSpec needs 3 extents, 3 cell counts, 3 bcs")
         if any(n < 2 for n in self.shape):
             raise SolverError("need at least 2 cells per axis")
         if any(hi <= lo for lo, hi in self.extents):
             raise SolverError("each extent needs min < max")
-        if not all(0.0 < h < math.inf for h in self.spacing):
-            raise SolverError("extents must be finite with finite, positive spacing")
+        h = self.spacing
+        # the geometry forms h_i^2 and the cell volume: neither may overflow or vanish
+        if not all(0.0 < x < math.inf for x in (*h, *(a * a for a in h), math.prod(h))):
+            raise SolverError("extents must be finite, with spacings whose squares and "
+                              "product are finite and nonzero")
         if not 0.0 < self.cfl <= 1.0:
             raise SolverError("CFL number must lie in (0, 1]")
         if any(b not in ("periodic", "pec") for b in self.bc):
@@ -210,6 +217,7 @@ def _read_only(arr):
 
 
 @lru_cache(maxsize=8)
+@np.errstate(all="ignore")  # overflow leaves inf or nan, which the checks reject
 def _geometry(spec):
     chart = builtin_chart(spec.chart)
     m = metric_from_chart(chart)
@@ -229,17 +237,20 @@ def _geometry(spec):
     sqrtg_edge = [sample(m.sqrt_abs_g, edge_half[i]) for i in range(3)]
     sqrtg_face = [sample(m.sqrt_abs_g, face_half[i]) for i in range(3)]
     sqrtg_node = sample(m.sqrt_abs_g, (False, False, False))
-    for arr in (*sqrtg_edge, *sqrtg_face, sqrtg_node):
+    for arr in (*g_edge, *g_face, *g_center, *sqrtg_edge, *sqrtg_face, sqrtg_node):
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise SolverError("grid extents touch a chart singularity")
+            raise SolverError("the metric is not positive and finite on the grid: "
+                              "its extents touch a chart singularity or are too large")
     h = spec.spacing
-    speed2 = sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))
-    dt = spec.cfl / (spec.c * math.sqrt(float(np.max(speed2))))
+    speed2 = float(np.max(sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))))
+    if not 0.0 < speed2 < math.inf:
+        raise SolverError("the grid's metric and spacing give no finite time step")
+    dt = spec.cfl / (spec.c * math.sqrt(speed2))
     cdt, vol = spec.c * dt, h[0] * h[1] * h[2]
     edge = tuple(0.5 * cdt * h[i] for i in range(3))  # e~_i = edge[i] e_i
     flux = tuple(vol / h[i] for i in range(3))        # b~_i = flux[i] b_i, same for d
     h_coef = [g_face[i] / (sqrtg_face[i] * spec.mu) for i in range(3)]
-    return _Geometry(
+    geo = _Geometry(
         g_edge=tuple(_read_only(a) for a in g_edge),
         sqrtg_edge=tuple(_read_only(a) for a in sqrtg_edge),
         sqrtg_face=tuple(_read_only(a) for a in sqrtg_face),
@@ -253,6 +264,11 @@ def _geometry(spec):
         scale=(edge, flux, flux),
         dt=dt,
     )
+    coefs = (*geo.h_coef, *geo.d_to_e, *geo.b_to_h, *geo.j_coef, *edge, *flux)
+    if not all(np.all((0 < c) & (c < math.inf)) for c in coefs):
+        raise SolverError("the grid's closure coefficients are not positive and finite: "
+                          "its extents are too large or too small")
+    return geo
 
 
 def time_step(spec):

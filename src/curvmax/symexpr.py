@@ -7,11 +7,18 @@ numeric evaluation, and seeded random equivalence testing.
 Trees are canonical when built: the builders (add, mul, pow_, func, ...)
 fold rationals, collect like terms and factors, order children
 deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
-substitute build only through them.  ``simplify`` is needed only for trees
-assembled by hand with the node constructors.  All coordinate variables
-are assumed to range over the open domains declared by their charts; the
-sqrt builder uses positivity of its argument there (sqrt(x^2) -> x), and
+substitute build only through them.  ``simplify`` (``substitute`` with no
+bindings) is needed only for trees assembled by hand with the node
+constructors.  All coordinate variables are assumed to range over the open
+domains declared by their charts; the sqrt builder uses positivity of its
+argument there (sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)), and
 ``chart.metric_from_chart`` checks that assumption on each chart's domain.
+A nested root such as sqrt(sqrt(x)) is kept as it is.
+
+Each elementary function is one row of ``_FUNCS`` (numpy ufunc, ``math``
+function, derivative, constant folds, LaTeX name, ``eval_expr`` domain
+check), which ``func``, ``diff``, ``eval_expr``, ``lambdify`` and
+``to_latex`` read; ``FUNCTIONS`` lists its keys.
 
 Each node computes its hash and its sort key once, on first use, and keeps
 them.  Builders may return an input node unchanged (``add`` keeps every
@@ -25,6 +32,7 @@ import math
 import numbers
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +47,6 @@ __all__ = [
     "UnboundVariableError", "EvalDomainError", "IllConditionedError",
     "DEFAULT_DOMAIN", "default_seed",
 ]
-
-FUNCTIONS = ("sin", "cos", "tan", "sqrt", "exp", "log", "arctan", "arccos")
 
 DEFAULT_DOMAIN = (0.1, 2.0)
 
@@ -229,7 +235,7 @@ class Func(Expr):
     __slots__ = ("fname", "arg")
 
     def __init__(self, fname, arg):
-        if fname not in FUNCTIONS:
+        if fname not in _FUNCS:
             raise ValueError(f"unknown function {fname!r}")
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "arg", arg)
@@ -493,21 +499,15 @@ def _sqrt_rational(v):
 
 def func(fname, arg):
     arg = _wrap(arg)
-    if isinstance(arg, Const):
-        v = arg.value
-        folds = {
-            ("sin", 0): ZERO, ("cos", 0): ONE, ("tan", 0): ZERO,
-            ("exp", 0): ONE, ("log", 1): ZERO, ("arctan", 0): ZERO,
-            ("arccos", 1): ZERO,
-        }
-        if (fname, v) in folds:
-            return folds[(fname, v)]
-        if fname == "sqrt" and v >= 0:
-            r = _sqrt_rational(v)
-            if r is not None:
-                return Const(r)
+    row = _FUNCS.get(fname)
+    if row is not None and isinstance(arg, Const) and arg.value in row.folds:
+        return row.folds[arg.value]
     if fname == "sqrt":
         # domain positivity assumed: sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)
+        if isinstance(arg, Const) and arg.value >= 0:
+            r = _sqrt_rational(arg.value)
+            if r is not None:
+                return Const(r)
         if isinstance(arg, Pow):
             b, n = arg.base, arg.exponent
             if n % 2 == 0:
@@ -515,8 +515,6 @@ def func(fname, arg):
             return mul(pow_(b, (n - 1) // 2), Func("sqrt", b))
         if isinstance(arg, Mul):
             return mul(*(func("sqrt", f) for f in arg.factors))
-        if isinstance(arg, Func) and arg.fname == "sqrt":
-            return arg  # leave nested sqrt alone
     return Func(fname, arg)
 
 
@@ -552,26 +550,33 @@ def arccos(x):
     return func("arccos", x)
 
 
-# ---------------------------------------------------------------------------
-# Simplification
-# ---------------------------------------------------------------------------
+class _Fn(NamedTuple):
+    ufunc: object    # lambdify
+    mathf: object    # eval_expr
+    deriv: object    # u -> d f(u)/du, built canonically (diff)
+    folds: dict      # exact constant argument -> value (func)
+    latex: str       # to_latex
+    domain: tuple = None  # (u -> outside the domain, EvalDomainError message)
 
-def simplify(e):
-    """Canonical form of a tree built by hand with the node constructors:
-    the same tree the builders give.  Identity on canonical trees."""
-    e = _wrap(e)
-    t = type(e)
-    if t in (Const, Var, FieldAtom):
-        return e
-    if t is Add:
-        return add(*(simplify(x) for x in e.terms))
-    if t is Mul:
-        return mul(*(simplify(x) for x in e.factors))
-    if t is Pow:
-        return pow_(simplify(e.base), e.exponent)
-    if t is Func:
-        return func(e.fname, simplify(e.arg))
-    raise TypeError(f"unknown node {t!r}")
+
+_FUNCS = {
+    "sin": _Fn(np.sin, math.sin, cos, {0: ZERO}, r"\sin"),
+    "cos": _Fn(np.cos, math.cos, lambda u: neg(sin(u)), {0: ONE}, r"\cos"),
+    "tan": _Fn(np.tan, math.tan, lambda u: pow_(cos(u), -2), {0: ZERO}, r"\tan"),
+    "sqrt": _Fn(np.sqrt, math.sqrt, lambda u: div(ONE, mul(Const(2), sqrt(u))), {},
+                r"\sqrt", (lambda u: u < 0, "sqrt of negative value")),
+    "exp": _Fn(np.exp, math.exp, exp, {0: ONE}, r"\exp"),
+    "log": _Fn(np.log, math.log, lambda u: pow_(u, -1), {1: ZERO},
+               r"\ln", (lambda u: u <= 0, "log of non-positive value")),
+    "arctan": _Fn(np.arctan, math.atan, lambda u: div(ONE, add(ONE, pow_(u, 2))),
+                  {0: ZERO}, r"\arctan"),
+    "arccos": _Fn(np.arccos, math.acos,
+                  lambda u: neg(div(ONE, sqrt(sub(ONE, pow_(u, 2))))), {1: ZERO},
+                  r"\arccos", (lambda u: not -1.0 <= u <= 1.0,
+                               "arccos argument outside [-1, 1]")),
+}
+
+FUNCTIONS = tuple(_FUNCS)
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +618,7 @@ def _diff(e, v):
         du = _diff(u, v)
         if du == ZERO:
             return ZERO
-        f = e.fname
-        if f == "sin":
-            outer = cos(u)
-        elif f == "cos":
-            outer = neg(sin(u))
-        elif f == "tan":
-            outer = pow_(cos(u), -2)
-        elif f == "sqrt":
-            outer = div(ONE, mul(Const(2), sqrt(u)))
-        elif f == "exp":
-            outer = exp(u)
-        elif f == "log":
-            outer = pow_(u, -1)
-        elif f == "arctan":
-            outer = div(ONE, add(ONE, pow_(u, 2)))
-        else:  # arccos
-            outer = neg(div(ONE, sqrt(sub(ONE, pow_(u, 2)))))
-        return mul(outer, du)
+        return mul(_FUNCS[e.fname].deriv(u), du)
     raise TypeError(f"unknown node {t!r}")
 
 
@@ -686,10 +674,10 @@ def substitute(e, mapping):
     return visit(_wrap(e))
 
 
-_MATH_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "arctan": math.atan,
-}
+def simplify(e):
+    """Canonical form of a tree built by hand with the node constructors:
+    the same tree the builders give.  Identity on canonical trees."""
+    return substitute(e, {})
 
 
 def eval_expr(e, binding):
@@ -723,41 +711,29 @@ def eval_expr(e, binding):
         return b ** e.exponent
     if t is Func:
         u = eval_expr(e.arg, binding)
-        f = e.fname
-        if f == "sqrt":
-            if u < 0:
-                raise EvalDomainError("sqrt of negative value", e)
-            return math.sqrt(u)
-        if f == "log":
-            if u <= 0:
-                raise EvalDomainError("log of non-positive value", e)
-            return math.log(u)
-        if f == "arccos":
-            if not -1.0 <= u <= 1.0:
-                raise EvalDomainError("arccos argument outside [-1, 1]", e)
-            return math.acos(u)
+        row = _FUNCS[e.fname]
+        if row.domain is not None and row.domain[0](u):
+            raise EvalDomainError(row.domain[1], e)
         try:
-            return _MATH_FUNCS[f](u)
+            return row.mathf(u)
         except (ValueError, OverflowError) as err:
             raise EvalDomainError(str(err), e) from err
     raise TypeError(f"unknown node {t!r}")
 
 
-_NP_FUNCS = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt,
-    "exp": np.exp, "log": np.log, "arctan": np.arctan, "arccos": np.arccos,
-}
-
-
 def lambdify(e):
     """Compile to a function of a dict of numpy arrays (or scalars).
 
-    Out-of-domain points yield nan/inf rather than raising; callers mask.
+    Out-of-domain points and constants beyond the float range yield
+    nan/inf rather than raising; callers mask.
     """
     e = _wrap(e)
     t = type(e)
     if t is Const:
-        v = float(e.value)
+        try:
+            v = float(e.value)
+        except OverflowError:
+            v = math.inf if e.value > 0 else -math.inf
         return lambda b: v
     if t is Var or t is FieldAtom:
         name = e.name
@@ -787,7 +763,7 @@ def lambdify(e):
         return lambda b: fb(b) ** n
     if t is Func:
         f = lambdify(e.arg)
-        g = _NP_FUNCS[e.fname]
+        g = _FUNCS[e.fname].ufunc
 
         def _func(b):
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -836,6 +812,10 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
 # Parser
 # ---------------------------------------------------------------------------
 
+# ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
@@ -863,11 +843,11 @@ class _Tokenizer:
                 self._advance(1)
                 continue
             line, col = self.line, self.col
-            if ch.isdigit() or (ch == "." and self.pos + 1 < len(text)
-                                and text[self.pos + 1].isdigit()):
+            if ch in _DIGITS or (ch == "." and self.pos + 1 < len(text)
+                                 and text[self.pos + 1] in _DIGITS):
                 j = self.pos
                 seen_dot = False
-                while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                while j < len(text) and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                     if text[j] == ".":
                         seen_dot = True
                     j += 1
@@ -1062,11 +1042,6 @@ _LATEX_NAMES = {
     "omega": r"\omega", "pi": r"\pi",
 }
 
-_LATEX_FUNCS = {
-    "sin": r"\sin", "cos": r"\cos", "tan": r"\tan", "exp": r"\exp",
-    "log": r"\ln", "arctan": r"\arctan", "arccos": r"\arccos",
-}
-
 
 def _latex_name(name):
     if "_" in name:
@@ -1098,14 +1073,14 @@ def to_latex(e):
     if t is Func:
         if e.fname == "sqrt":
             return rf"\sqrt{{{to_latex(e.arg)}}}"
-        return rf"{_LATEX_FUNCS[e.fname]}\left({to_latex(e.arg)}\right)"
+        return rf"{_FUNCS[e.fname].latex}\left({to_latex(e.arg)}\right)"
     if t is Pow:
         if e.exponent < 0:
             return rf"\frac{{1}}{{{to_latex(pow_(e.base, -e.exponent))}}}"
         b = to_latex(e.base)
         if isinstance(e.base, Func) and e.base.fname != "sqrt":
             # \sin^{2}\left(...\right) style
-            return rf"{_LATEX_FUNCS[e.base.fname]}^{{{e.exponent}}}\left({to_latex(e.base.arg)}\right)"
+            return rf"{_FUNCS[e.base.fname].latex}^{{{e.exponent}}}\left({to_latex(e.base.arg)}\right)"
         if not isinstance(e.base, (Var, FieldAtom)):
             b = rf"\left({b}\right)"
         return rf"{b}^{{{e.exponent}}}"

@@ -129,3 +129,12 @@ def test_unknown_builtin_chart():
 def test_chart_dimension_validation():
     with pytest.raises(ChartError):
         Chart("bad", ("a",), (sx.var("a"),))
+
+
+def test_nested_square_root_chart_has_the_right_lame_coefficient():
+    (ch,) = parse_chart_file("[chart]\nname = quartic\ncoords = u, v, z\n"
+                             "embedding = sqrt(sqrt(u)), v, z\n")
+    h_u = metric_from_chart(ch).lame[0]
+    # d(u^(1/4))/du = u^(-3/4)/4
+    assert sx.eval_expr(h_u, {"u": 16.0}) == pytest.approx(16.0 ** -0.75 / 4, rel=1e-15)
+    assert equivalent(h_u, parse_expr("1/(4*sqrt(u)*sqrt(sqrt(u)))"), ch.domains())

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, formats, and error reporting."""
 
 import importlib.resources as ir
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curvmax.cli import main
+from curvmax.symexpr import FUNCTIONS
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +66,14 @@ def test_derive_4tensor_rejected_for_curvilinear_chart(capsys):
     assert err.startswith("error:") and "constant-metric" in err
 
 
+def test_derive_4tensor_rejected_for_non_orthogonal_chart(capsys, tmp_path):
+    p = tmp_path / "chart.ini"
+    p.write_text("[chart]\nname = sheared\ncoords = u, v, z\nembedding = u + v, v, z\n")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p), "--form", "4tensor")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --form 4tensor is unsupported") and err.count("\n") == 1
+
+
 def test_derive_spinor_cartesian(capsys):
     code, out, _ = run_cli(capsys, "derive", "--chart", "cartesian",
                            "--form", "spinor")
@@ -114,6 +125,7 @@ def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
 @pytest.mark.parametrize("embedding, domain, message", [
     ("u, u, z", "", "singular metric"),
     ("u^2/2, v, z", "domain = u:(-2.0,-0.1)\n", "sqrt|g| = u is not positive"),
+    ("2^2000*u, v, z", "", "is not positive and finite"),
 ])
 def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
                                                         embedding, domain, message):
@@ -123,6 +135,28 @@ def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
     code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot derive metric: ")
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coords, embedding, domain, message", [
+    ("u, v, z", "u, v, z", "u:(0.1,abc)", "bad domain spec"),
+    ("u, v, z", "u, v, z", "u:(0.1)", "bad domain spec"),
+    ("u, v, z", "u*\u00b2, v, z", "", "unexpected character"),
+    ("u, v, z", "u, v, z", "u:(0.1,inf)", "finite with min < max"),
+    ("u, v, z", "u, v, z", "u:(nan,1)", "finite with min < max"),
+    ("u, v, z", "u, v, z", "u:(2,0.1)", "finite with min < max"),
+    ("u, v, z", "u, v, z", "q:(0.1,1)", "not a coordinate"),
+    ("x, y", "x, y", "", "dimension must be 3, got 2"),
+], ids=["non-number", "one-bound", "non-ascii-digit", "infinite", "nan",
+        "reversed", "not-a-coordinate", "two-coordinates"])
+def test_derive_chart_file_bad_input_is_one_error_line(capsys, tmp_path, coords,
+                                                       embedding, domain, message):
+    p = tmp_path / "chart.ini"
+    p.write_text(f"[chart]\nname = bad\ncoords = {coords}\nembedding = {embedding}\n"
+                 + (f"domain = {domain}\n" if domain else ""), encoding="utf-8")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid chart file: ")
     assert message in err and err.count("\n") == 1
 
 
@@ -335,8 +369,137 @@ def test_transform_malformed_row_reports_line_number(capsys, tmp_path):
     assert err.startswith("error: line 3")
 
 
+@pytest.mark.parametrize("target, chart, row, message", [
+    ("complex", "cartesian", "nan" + ",0" * 11, "values must be finite"),
+    ("spinor", "cartesian", "0," * 11 + "1e400", "values must be finite"),
+    ("nonholonomic", "spherical", "0,0.5,1" + ",1" * 12, "Lame coefficient is not positive"),
+    ("nonholonomic", "cylindrical", "1e-320,0.5,1" + ",1" * 12, "overflow"),
+])
+def test_transform_non_finite_row_is_one_error_line(capsys, tmp_path, target, chart,
+                                                    row, message):
+    p = tmp_path / "in.csv"
+    p.write_text(row + "\n")
+    code, _, err = run_cli(capsys, "transform", "--target", target, "--chart", chart,
+                           str(p))
+    assert code == 2
+    assert err.startswith("error: line 1: ") and message in err and err.count("\n") == 1
+
+
 def test_transform_empty_input_rejected(capsys, tmp_path):
     p = tmp_path / "in.csv"
     p.write_text("\n")
     code, _, err = run_cli(capsys, "transform", "--target", "complex", str(p))
     assert code == 2 and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: bad input of any kind ends in one error line
+# ---------------------------------------------------------------------------
+
+def _ends_cleanly(code, err):
+    """Exit 0, 1 or 2, and exactly one ``error:`` line whenever it is not 0.
+    A traceback never gets here: ``main`` re-raises it and the test fails."""
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+_FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Each pool is mostly valid pieces with a few malformed ones, so that most
+# examples get past the first check and reach the deeper ones.
+_leaf = st.sampled_from(["u", "v", "z", "u", "v", "u", "1", "2", "0.5", ".5", "3.",
+                         "10^400", "pi", "q", "\u00b2", "@", ""])
+_expr = st.recursive(_leaf, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from("+-*/"), sub).map("".join),
+    st.tuples(st.sampled_from(FUNCTIONS + ("sinh",)), sub).map(lambda t: f"{t[0]}({t[1]})"),
+    st.tuples(sub, st.sampled_from(["2", "-1", "3", "-2", "0", "2", "0.5", ""]))
+    .map(lambda t: f"({t[0]})^{t[1]}"),
+), max_leaves=4)
+_bound = st.sampled_from(["0.1", "0.5", "1", "2", "0.2", "-1", "abc", "inf", "nan", ""])
+_domain_part = st.tuples(st.sampled_from(["u", "v", "z", "u", "q", ""]), _bound, _bound,
+                         st.sampled_from(["({},{})"] * 5 + ["{},{}", "({})", "({},{},1)"]))
+
+
+@st.composite
+def _chart_files(draw):
+    coords = draw(st.sampled_from(["u, v, z"] * 6 + ["u, v", "u, v, z, q", "u, u, z",
+                                                     "u, , z"]))
+    embedding = draw(st.lists(_expr, min_size=3, max_size=3))
+    embedding[0] = draw(st.sampled_from(["u+{}", "u*({})", "{}"])).format(embedding[0])
+    embedding[1:] = draw(st.sampled_from([["v", "z"]] * 3 + [embedding[1:], ["v"]]))
+    domain = ", ".join(f"{name}:" + shape.format(lo, hi)
+                       for name, lo, hi, shape in draw(st.lists(_domain_part, max_size=3)))
+    lines = ["name = fuzz", f"coords = {coords}", f"embedding = {', '.join(embedding)}"]
+    lines += [f"domain = {domain}"] if domain else []
+    lines = draw(st.sampled_from([lines] * 10 + [lines[1:], lines[:2], lines + ["junk"],
+                                                lines + ["[other]"], lines + ["[chart]"]]))
+    return "[chart]\n" + "\n".join(lines) + "\n"
+
+
+@_FUZZ
+@given(_chart_files(), st.sampled_from(["text", "latex"]),
+       st.sampled_from(["operators", "3vector", "complex", "4tensor", "spinor"]))
+def test_fuzz_derive_chart_file(capsys, text, fmt, form):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "fuzz.chart"
+        p.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "derive", "--chart-file", str(p), "--format", fmt,
+                               "--form", form)
+    _ends_cleanly(code, err)
+
+
+_cells = st.sampled_from(["2", "3", "4"] * 4 + ["1", "0", "x"])
+_extent_value = st.sampled_from(["0", "0.5", "1", "2", "3", "0.25", "-1", "inf", "nan",
+                                 "abc", "1e308", "1e150", "1e-200", ""])
+
+
+@_FUZZ
+@given(st.tuples(_cells, _cells, _cells).map("x".join),
+       st.lists(st.one_of(
+           st.sampled_from(["1:0.5:1.5", "2:0.3:2.8", "3:0:6.28"]),
+           st.tuples(st.sampled_from(["1", "2", "3"] * 3 + ["0", "a"]),
+                     _extent_value, _extent_value,
+                     st.sampled_from(["{}:{}:{}"] * 6 + ["{}:{}", "{}:{}:{}:1"]))
+           .map(lambda t: t[3].format(*t[:3]))), max_size=3),
+       st.sampled_from(["pec", "periodic", "pec,periodic,pec", "periodic,pec,periodic",
+                        "pec,pec,periodic", "PEC", "pec,pec", "x", ""]),
+       st.sampled_from(["cartesian", "cylindrical", "spherical"] * 2 + ["toroidal"]),
+       st.sampled_from(["zero", "plane_wave", "azimuthal_mode"]))
+def test_fuzz_simulate_grid_extent_bc(capsys, grid, extents, bc, chart, initial):
+    args = ["simulate", "--chart", chart, "--grid", grid, "--bc", bc,
+            "--initial", initial, "--steps", "1"]
+    for e in extents:
+        args += ["--extent", e]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = run_cli(capsys, *args, "--out", str(Path(tmp) / "sim"))
+    _ends_cleanly(code, err)
+
+
+_csv_number = st.sampled_from(["0", "1", "-2.5", "0.5", "3", "1e300", "1e-300"])
+_csv_bad = st.sampled_from([None] * 4 + ["1e400", "nan", "inf", "abc", "", "E_1"])
+
+
+@_FUZZ
+@given(st.sampled_from(["pairs4", "complex", "spinor", "nonholonomic"]),
+       st.sampled_from(["cartesian", "cylindrical", "spherical"] * 2 + ["toroidal"]),
+       st.booleans(),
+       st.lists(st.tuples(st.lists(_csv_number, min_size=16, max_size=16),
+                          st.sampled_from([0, 0, 0, 0, -1, 1]),
+                          st.integers(0, 15), _csv_bad), min_size=1, max_size=3))
+def test_fuzz_transform_rows(capsys, target, chart, header, rows):
+    # each row has the target's column count plus 0, -1 or 1, and at most
+    # one cell that is not a finite number
+    ncols = 15 if target == "nonholonomic" else 12
+    lines = [HEADER] * header
+    for cells, extra, at, bad in rows:
+        if bad is not None:
+            cells[at] = bad
+        lines.append(",".join(cells[:ncols + extra]))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "in.csv"
+        p.write_text("".join(r + "\n" for r in lines), encoding="utf-8")
+        code, _, err = run_cli(capsys, "transform", "--target", target,
+                               "--chart", chart, str(p))
+    _ends_cleanly(code, err)

@@ -109,7 +109,8 @@ def test_gridspec_validation():
         sv.GridSpec("cartesian", ((1, 0), (0, 1), (0, 1)), (8, 8, 8))
     unit = ((0, 1),) * 3
     bad_extents = [((0, math.inf), (0, 1), (0, 1)), ((math.nan, 1), (0, 1), (0, 1)),
-                   ((-math.inf, 0), (0, 1), (0, 1)), ((0, 1), (0, 1), (-1e308, 1e308))]
+                   ((-math.inf, 0), (0, 1), (0, 1)), ((0, 1), (0, 1), (-1e308, 1e308)),
+                   ((0, 1e308), (0, 1), (0, 1)), ((0, 1e-200), (0, 1), (0, 1))]
     for extents in bad_extents:
         with pytest.raises(sv.SolverError, match="finite"):
             sv.GridSpec("cartesian", extents, (8, 8, 8))
@@ -117,6 +118,29 @@ def test_gridspec_validation():
         for value in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(sv.SolverError, match="finite and positive"):
                 sv.GridSpec("cartesian", unit, (8, 8, 8), **{name: value})
+
+
+@pytest.mark.parametrize("chart, extents, message", [
+    ("spherical", ((0.5, 1e150), (0.3, 2.8), (0, 6.28)), "closure coefficients"),
+    ("spherical", ((1e100, 1e150), (0.3, 2.8), (0, 6.28)), "closure coefficients"),
+    ("cylindrical", ((1e155, 1.000001e155), (0, 6.28), (0, 1)), "metric is not positive and finite"),
+])
+def test_geometry_that_overflows_is_a_solver_error(chart, extents, message):
+    spec = sv.GridSpec(chart, extents, (4, 4, 4), bc=("pec",) * 3)
+    with pytest.raises(sv.SolverError, match=message):
+        sv.init_grid(spec, "zero")
+
+
+def test_gridspec_built_from_lists_equals_the_tuple_built_one():
+    listed = sv.GridSpec("cartesian", [[0, 1]] * 3, [4, 4, 4], bc=["pec"] * 3)
+    tupled = sv.GridSpec("cartesian", ((0, 1),) * 3, (4, 4, 4), bc=("pec",) * 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    for initial in ("zero", "plane_wave"):
+        a = sv.step(sv.init_grid(listed, initial), listed)
+        b = sv.step(sv.init_grid(tupled, initial), tupled)
+        for name in ("e", "d", "b"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.t, a.nstep) == (b.t, b.nstep)
 
 
 def test_snapshot_csv_format():

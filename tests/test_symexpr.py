@@ -1,6 +1,7 @@
 """Expression-tree properties: evaluation, differentiation, simplify, parsing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,3 +310,81 @@ def test_diff_equals_zero_product_rule(e, v):
     got = diff(e, v)
     assert got == _zero_product_diff(e, v)
     assert print_expr(got) == print_expr(_zero_product_diff(e, v))
+
+
+# ---------------------------------------------------------------------------
+# One test per elementary function: every consumer of its row agrees.
+# ---------------------------------------------------------------------------
+
+# Exact folds at constant arguments; a constant not listed stays a Func.
+FOLDS = {
+    "sin": {0: 0}, "cos": {0: 1}, "tan": {0: 0},
+    "sqrt": {0: 0, 1: 1, Fraction(4, 9): Fraction(2, 3)},
+    "exp": {0: 1}, "log": {1: 0}, "arctan": {0: 0}, "arccos": {1: 0},
+}
+
+LATEX = {"sin": r"\sin", "cos": r"\cos", "tan": r"\tan", "exp": r"\exp",
+         "log": r"\ln", "arctan": r"\arctan", "arccos": r"\arccos"}
+
+
+def test_function_tables_cover_every_function():
+    assert sx.FUNCTIONS == ("sin", "cos", "tan", "sqrt", "exp", "log",
+                            "arctan", "arccos")
+    assert set(FOLDS) == set(sx.FUNCTIONS) == set(LATEX) | {"sqrt"}
+
+
+@pytest.mark.parametrize("fname", sx.FUNCTIONS)
+def test_function_row(fname):
+    # u = x/4 + 1/2 lies in [0.525, 0.75] for x in [0.1, 1]: inside every domain
+    e = sx.func(fname, parse_expr("x/4 + 1/2"))
+    de = diff(e, "x")
+    f, df = lambdify(e), lambdify(de)
+    h = 1e-6
+    for x in np.linspace(0.1, 1.0, 7):
+        fd = (eval_expr(e, {"x": x + h}) - eval_expr(e, {"x": x - h})) / (2 * h)
+        assert eval_expr(de, {"x": x}) == pytest.approx(fd, rel=1e-7)
+        assert f({"x": x}) == pytest.approx(eval_expr(e, {"x": x}), rel=1e-14)
+        assert df({"x": x}) == pytest.approx(eval_expr(de, {"x": x}), rel=1e-14)
+    for arg, value in FOLDS[fname].items():
+        assert sx.func(fname, Const(arg)) == Const(value)
+    assert isinstance(sx.func(fname, Const(Fraction(1, 3))), Func)
+    x = parse_expr("x")
+    if fname == "sqrt":
+        assert to_latex(sx.sqrt(x)) == r"\sqrt{x}"
+    else:
+        assert to_latex(sx.func(fname, x)) == LATEX[fname] + r"\left(x\right)"
+        assert to_latex(sx.func(fname, x) ** 2) == LATEX[fname] + r"^{2}\left(x\right)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sqrt(-1)", "sqrt of negative value in sqrt(-1)"),
+    ("log(0)", "log of non-positive value in log(0)"),
+    ("arccos(2)", "arccos argument outside [-1, 1] in arccos(2)"),
+])
+def test_eval_domain_errors_name_the_subexpression(text, message):
+    e = parse_expr(text)
+    assert isinstance(e, Func)
+    with pytest.raises(sx.EvalDomainError) as exc:
+        eval_expr(e, {})
+    assert str(exc.value) == message
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert not np.isfinite(lambdify(e)({}))
+
+
+def test_nested_square_root_is_kept():
+    assert eval_expr(parse_expr("sqrt(sqrt(x))"), {"x": 16}) == 2.0
+    assert eval_expr(parse_expr("sqrt(2*sqrt(x))"), {"x": 16}) == pytest.approx(math.sqrt(8))
+    assert parse_expr("sqrt(sqrt(x))") != parse_expr("sqrt(x)")
+    assert parse_expr("sqrt(sqrt(x)^2)") == parse_expr("sqrt(x)")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0.25*x", Fraction(1, 4) * Var("x")), (".5", Fraction(1, 2)), ("1.", 1),
+    ("2.50", Fraction(5, 2)), ("x^2.", None), ("1.2.3", None),
+])
+def test_decimal_literals(text, value):
+    if value is None:
+        with pytest.raises(sx.ParseError):
+            parse_expr(text)
+    else:
+        assert parse_expr(text) == sx._wrap(value)
