@@ -45,10 +45,10 @@ def _seeded(seed):
 # Paper suite: stored reference equations and closed-form literals
 # ---------------------------------------------------------------------------
 
-def _golden(seed):
+def _golden(seed, metrics):
     out = []
     for chart in ("cylindrical", "spherical"):
-        report = golden_check(chart, seed=seed)
+        report = golden_check(chart, seed=seed, metric=metrics[chart])
         for name, ok in report.results.items():
             note = "sign flag applied" if report.sign_flag.get(name) else ""
             out.append(CheckResult(f"golden {chart} {name}", ok, note))
@@ -74,7 +74,7 @@ def _metric_literals(seed, metrics):
 
 
 def _paper_suite(seed, metrics):
-    return _golden(seed) + _metric_literals(seed, metrics)
+    return _golden(seed, metrics) + _metric_literals(seed, metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,7 @@ def transform(target, chart, input, out):
                 raise ValueError("a Lame coefficient is not positive at this point")
             return h
 
-    out.write(",".join(header) + "\n")
-    nrows = 0
+    rows = []  # every row is converted before any is written: a bad row leaves no output
     for lineno, raw in enumerate(input, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -442,10 +441,11 @@ def transform(target, chart, input, out):
             raise CliError(f"line {lineno}: {exc}")
         if not all(map(math.isfinite, converted)):
             raise CliError(f"line {lineno}: the converted values overflow")
-        out.write(",".join(f"{v:.12g}" for v in converted) + "\n")
-        nrows += 1
-    if nrows == 0:
+        rows.append(",".join(f"{v:.12g}" for v in converted) + "\n")
+    if not rows:
         raise CliError("no data rows in input")
+    out.write(",".join(header) + "\n")
+    out.writelines(rows)
 
 
 def _not_number(text):

@@ -171,14 +171,18 @@ def golden_equations(chart_name):
     return out
 
 
-def golden_check(chart_name, seed=None):
+def golden_check(chart_name, seed=None, metric=None):
     """Compare assembled residuals with the stored reference equations.
 
     The stored Ampere equations carry the opposite time-derivative sign;
     both orientations are tried and the applied flip is reported.
+    ``metric``, when given, is the metric of the built-in chart
+    ``chart_name``, already built; by default it is built here.
     """
-    chart = builtin_chart(chart_name)
-    m = metric_from_chart(chart)
+    m = metric_from_chart(builtin_chart(chart_name)) if metric is None else metric
+    if m.chart.name != chart_name:
+        raise ValueError(f"metric of chart {m.chart.name!r} given for {chart_name!r}")
+    chart = m.chart
     res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
     golden = golden_equations(chart_name)
     domains = dict(chart.domains())

@@ -36,6 +36,18 @@ Because the divergences are the same +-1 sums, div b~ telescopes to zero
 exactly and charge continuity holds to machine precision; ``diagnostics``
 divides only the final maxima by V.
 
+Every sweep -- the three curls of a step, with the b~ closure and the
+finiteness guard riding along, and the single pass of ``diagnostics`` --
+runs over slabs of axis 0 of about ``_SLAB_CELLS`` cells, so that each
+component's slab stays in cache between the passes of a sweep; a grid
+that small is one slab.  A slab reads one plane of its source beyond
+its rows, and only the first or last slab wraps periodically.  The
++-1 sums along the last axis run as one contiguous pass over the slab
+flattened to 1-D, with the end column saved and put back, rather than
+one short inner loop per row.  Each value goes through the same
+operations in the same order as in a whole-array sweep, so results are
+bitwise those of whole-array sweeps.
+
 Physical and integral variables differ by one positive scalar per
 component.  ``step`` converts a state built from physical arrays (by
 ``init_grid``, ``GridField(...)`` or ``dataclasses.replace``) once and
@@ -75,6 +87,10 @@ SNAPSHOT_MAGIC = b"CVMX"
 _DTYPE_CODE_F64 = 1
 _CSV_ROWS_PER_WRITE = 4096
 _UNIT_SCALE = ((1.0,) * 3,) * 3  # the scalars of a state that holds physical arrays
+# Sweeps run over slabs of axis 0 of about this many cells, 256 KiB per
+# float64 component, so that a slab's components stay in cache from one
+# pass of a sweep to the next.
+_SLAB_CELLS = 1 << 15
 
 
 class SolverError(Exception):
@@ -289,46 +305,91 @@ def _plane(axis, index):
 _HEAD, _TAIL = slice(None, -1), slice(1, None)
 
 
-def _add_shifted(out, w, axis, offset, op, spec):
-    """out op= w[n + offset] along ``axis`` (op is np.add or np.subtract);
-    past the boundary plane w wraps around (periodic) or is zero (PEC)."""
+def _slabs(shape):
+    """(lo, hi) row ranges of axis 0 that split the grid into slabs of about
+    _SLAB_CELLS cells; a grid of at most that many cells is one slab."""
+    n1 = shape[0]
+    rows = max(1, _SLAB_CELLS // (shape[1] * shape[2]))
+    return [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+
+
+def _rows(x, lo, hi):
+    """Rows lo..hi of axis 0 of a broadcast-shaped array; a scalar or an
+    array with one row broadcasts over every slab as it is."""
+    return x[lo:hi] if np.ndim(x) == 3 and len(x) > 1 else x
+
+
+def _add_shifted(out, w, axis, offset, op, spec, lo):
+    """out op= w[n + offset] along ``axis`` (op is np.add or np.subtract),
+    where ``out`` holds rows lo, lo + 1, ... of axis 0 of the result and
+    ``w`` is the whole source; past the boundary plane w wraps around
+    (periodic) or is zero (PEC)."""
+    periodic = spec.bc[axis] == "periodic"
+    if axis == 0:
+        # the slab reads one plane of w past its end; only the first
+        # (offset -1) or last (offset +1) slab holds a boundary plane
+        n, hi = len(w), lo + len(out)
+        a, b = (lo, min(hi, n - 1)) if offset > 0 else (max(lo, 1), hi)
+        op(out[a - lo:b - lo], w[a + offset:b + offset], out=out[a - lo:b - lo])
+        edge = n - 1 if offset > 0 else 0
+        if periodic and lo <= edge < hi:
+            op(out[edge - lo], w[(edge + offset) % n], out=out[edge - lo])
+        return
+    w = w[lo:lo + len(out)]
     dst, src = (_HEAD, _TAIL) if offset > 0 else (_TAIL, _HEAD)
-    op(out[_plane(axis, dst)], w[_plane(axis, src)], out=out[_plane(axis, dst)])
-    if spec.bc[axis] == "periodic":
-        at, src = (-1, 0) if offset > 0 else (0, -1)
-        op(out[_plane(axis, at)], w[_plane(axis, src)], out=out[_plane(axis, at)])
+    end = _plane(axis, -1 if offset > 0 else 0)  # no neighbour inside the grid
+    if axis == 2:
+        # One pass over the slab flattened to 1-D instead of one short inner
+        # loop per row.  It pairs each row's end with the next row's start,
+        # so the end column is saved first and put back (or wrapped) after.
+        before = out[end].copy()
+        flat = out.reshape(-1)
+        assert np.may_share_memory(flat, out), "reshape copied: the update would be lost"
+        op(flat[dst], w.reshape(-1)[src], out=flat[dst])
+    else:
+        before = out[end]  # a view; the pass below leaves the end plane alone
+        op(out[_plane(axis, dst)], w[_plane(axis, src)], out=out[_plane(axis, dst)])
+    if periodic:
+        op(before, w[_plane(axis, 0 if offset > 0 else -1)], out=out[end])
+    elif axis == 2:
+        out[end] = before
 
 
-def _circulate(src, w, offset, spec, out):
-    """out_i = src_i + w_k - w_j - w_k[n + offset along j] + w_j[n + offset along k].
+def _circulate(src, w, offset, spec, out, lo, hi):
+    """out_i = src_i + w_k - w_j - w_k[n + offset along j] + w_j[n + offset along k]
+    on rows lo..hi of axis 0.
 
     With offset +1 this is src - curl(w) by forward incidence sums (the
     Faraday update, edges to faces); with offset -1 it is src + curl(w) by
     backward ones (the Ampere update, faces to edges).  ``src`` may be
-    ``out``.
+    ``out``; ``w`` is read one plane beyond the rows.
     """
     for i, j, k in CYCLIC:
-        np.add(src[i], w[k], out=out[i])
-        out[i] -= w[j]
-        _add_shifted(out[i], w[k], j, offset, np.subtract, spec)
-        _add_shifted(out[i], w[j], k, offset, np.add, spec)
+        o = out[i, lo:hi]
+        np.add(src[i, lo:hi], w[k, lo:hi], out=o)
+        o -= w[j, lo:hi]
+        _add_shifted(o, w[k], j, offset, np.subtract, spec, lo)
+        _add_shifted(o, w[j], k, offset, np.add, spec, lo)
     return out
 
 
-def _divergence(w, offset, spec, out):
-    """out = sum_i w_i[n] - w_i[n + offset along i]: the backward divergence
-    for offset -1 and minus the forward one for offset +1, as +-1 sums."""
-    np.add(w[0], w[1], out=out)
-    out += w[2]
+def _divergence(w, offset, spec, out, lo):
+    """out = sum_i w_i[n] - w_i[n + offset along i] on the rows lo, lo + 1,
+    ... of axis 0 that ``out`` holds: the backward divergence for offset -1
+    and minus the forward one for offset +1, as +-1 sums."""
+    hi = lo + len(out)
+    np.add(w[0, lo:hi], w[1, lo:hi], out=out)
+    out += w[2, lo:hi]
     for i in range(3):
-        _add_shifted(out, w[i], i, offset, np.subtract, spec)
+        _add_shifted(out, w[i], i, offset, np.subtract, spec, lo)
     return out
 
 
-def _closure(w, coef, out):
-    """Pointwise closure or rescaling: out_i = coef[i] w_i."""
+def _closure(w, coef, out, lo=0, hi=None):
+    """Pointwise closure or rescaling on rows lo..hi of axis 0 (all rows by
+    default): out_i = coef[i] w_i."""
     for i in range(3):
-        np.multiply(w[i], coef[i], out=out[i])
+        np.multiply(w[i, lo:hi], _rows(coef[i], lo, hi), out=out[i, lo:hi])
     return out
 
 
@@ -351,18 +412,9 @@ def _apply_pec(e, spec):
     return e
 
 
-def _dot(x, y):
-    """sum(x * y) in one pass: dot products along the last axis, then numpy's
-    pairwise sum of those.  That keeps the rounding error of np.sum(x * y);
-    one np.vdot over 3 x 64^3 values sums in sequence and was off by 4e-14
-    relative on a plane wave, against 2e-16 for this."""
-    n = x.shape[-1]
-    return float(np.sum(np.einsum("ij,ij->i", x.reshape(-1, n), y.reshape(-1, n))))
-
-
-def _max_abs(x):
-    # abs() clears the sign of a maximum that is -0.0; nan propagates.
-    return abs(float(max(x.max(), -x.min())))
+def _peak(x):
+    """max |x| up to the sign of a zero maximum; a nan propagates."""
+    return max(x.max(), -x.min())
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +495,24 @@ def step(state, spec, j_func=None):
     dt = time_step(spec)
     e, d, b = _integral_arrays(state, geo)
     shape = (3, *spec.shape)
+    slabs = _slabs(spec.shape)
 
-    b = _circulate(b, e, 1, spec, np.empty(shape))
-    h = _closure(b, geo.b_to_h, np.empty(shape))
-    d = _circulate(d, h, -1, spec, np.empty(shape))
+    b_half, h, d_new = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo, hi in slabs:
+        _circulate(b, e, 1, spec, b_half, lo, hi)
+        _closure(b_half, geo.b_to_h, h, lo, hi)
+    for lo, hi in slabs:  # reads h one plane before each slab
+        _circulate(d, h, -1, spec, d_new, lo, hi)
+    b, d = b_half, d_new
     if j_func is not None:
         j = np.asarray(j_func(state.t + 0.5 * dt))
         for i in range(3):
             d[i] -= geo.j_coef[i] * j[i]
     e = _apply_pec(_closure(d, geo.d_to_e, h), spec)  # h is spent; reuse its memory
-    _circulate(b, e, 1, spec, b)
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
-        raise InstabilityError(state.nstep + 1)
+    for lo, hi in slabs:
+        _circulate(b, e, 1, spec, b, lo, hi)
+        if not (np.isfinite(e[:, lo:hi]).all() and np.isfinite(b[:, lo:hi]).all()):
+            raise InstabilityError(state.nstep + 1)
     return GridField(e, d, b, state.t + dt, state.nstep + 1, _scale=geo.scale)
 
 
@@ -483,26 +541,45 @@ def diagnostics(state, spec, rho=None):
     geo = _geometry(spec)
     e, d, b = _integral_arrays(state, geo)
     cdt, vol = spec.c * geo.dt, float(np.prod(spec.spacing))
-    acc = np.empty(spec.shape)
-    hb = sum(_dot(np.multiply(b[i], geo.b_to_h[i], out=acc), b[i]) for i in range(3))
-    energy = (2.0 * _dot(e, d) + hb) / (8.0 * math.pi * cdt)
-
-    # b is driven by forward-difference curls, d by backward ones; the
-    # matching divergence direction is what makes each defect telescope.
-    div_b = _max_abs(_divergence(b, 1, spec, acc)) / vol
-    div_d = _divergence(d, -1, spec, acc)
     if rho is not None:
-        div_d -= (4.0 * math.pi * vol) * np.asarray(rho) * geo.sqrtg_node
+        rho = np.broadcast_to(rho, spec.shape)
+    slabs = _slabs(spec.shape)
+    acc = np.empty((slabs[0][1], *spec.shape[1:]))
+    # Per slab: the dot products of e.d and h.b along the last axis, and the
+    # running peaks of div b, div d - 4 pi rho and the nine stored components.
+    # The row dots are summed once at the end by numpy's pairwise sum, which
+    # keeps the rounding error of np.sum(x * y); one np.vdot over 3 x 64^3
+    # values sums in sequence and was off by 4e-14 relative on a plane wave,
+    # against 2e-16 for this.
+    ed, hb = np.empty((3, *spec.shape[:2])), np.empty((3, *spec.shape[:2]))
+    peaks = np.zeros(11)
+    for lo, hi in slabs:
+        t = acc[:hi - lo]
+        for i in range(3):
+            np.einsum("ijk,ijk->ij", e[i, lo:hi], d[i, lo:hi], out=ed[i, lo:hi])
+            np.multiply(b[i, lo:hi], _rows(geo.b_to_h[i], lo, hi), out=t)
+            np.einsum("ijk,ijk->ij", t, b[i, lo:hi], out=hb[i, lo:hi])
+        # b is driven by forward-difference curls, d by backward ones; the
+        # matching divergence direction is what makes each defect telescope.
+        slab_peaks = [_peak(_divergence(b, 1, spec, t, lo))]
+        _divergence(d, -1, spec, t, lo)
+        if rho is not None:
+            t -= (4.0 * math.pi * vol) * rho[lo:hi] * _rows(geo.sqrtg_node, lo, hi)
+        slab_peaks.append(_peak(t))
+        slab_peaks += [_peak(x[i, lo:hi]) for x in state._arrays for i in range(3)]
+        np.maximum(peaks, slab_peaks, out=peaks)  # np.maximum, unlike max, keeps a nan
+    hb_sum = sum(float(np.sum(x)) for x in hb)  # per component, as it was always summed
+    energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * cdt)
     # max |x_i| / scale_i per component equals the maximum over the arrays
     # .e, .d, .b read: dividing by a positive scalar keeps the order of values.
-    scale = state._scale or _UNIT_SCALE
-    peaks = [_max_abs(x[i]) / s[i] for x, s in zip(state._arrays, scale) for i in range(3)]
+    scale = [s for field in state._scale or _UNIT_SCALE for s in field]
+    fields = [abs(float(p)) / s for p, s in zip(peaks[2:], scale)]
     return {
         "energy": energy,
-        "div_D_minus_4pi_rho": _max_abs(div_d) / vol,
-        "div_B": div_b,
+        "div_D_minus_4pi_rho": abs(float(peaks[1])) / vol,
+        "div_B": abs(float(peaks[0])) / vol,
         # np.max, unlike the builtin, propagates a nan from any field
-        "max_abs": float(np.max(peaks)),
+        "max_abs": float(np.max(fields)),
     }
 
 

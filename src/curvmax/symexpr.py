@@ -684,12 +684,17 @@ def eval_expr(e, binding):
     """Evaluate to an IEEE double with every free variable bound.
 
     Raises UnboundVariableError or EvalDomainError (division by zero,
-    sqrt/log/arccos out of domain) naming the offending subexpression.
+    sqrt/log/arccos out of domain, a constant, power or sum beyond the
+    float range, opposite infinities summed) naming the offending
+    subexpression.
     """
     e = _wrap(e)
     t = type(e)
     if t is Const:
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError as err:
+            raise EvalDomainError("constant beyond the float range", e) from err
     if t is Var or t is FieldAtom:
         name = e.name
         if name not in binding:
@@ -698,7 +703,13 @@ def eval_expr(e, binding):
             raise UnboundVariableError(f"unbound variable {name!r}", e)
         return float(binding[name])
     if t is Add:
-        return math.fsum(eval_expr(x, binding) for x in e.terms)
+        terms = [eval_expr(x, binding) for x in e.terms]
+        try:
+            return math.fsum(terms)
+        except ValueError as err:  # fsum refuses inf + -inf
+            raise EvalDomainError("sum of opposite infinities", e) from err
+        except OverflowError as err:
+            raise EvalDomainError("sum beyond the float range", e) from err
     if t is Mul:
         out = 1.0
         for x in e.factors:
@@ -708,7 +719,10 @@ def eval_expr(e, binding):
         b = eval_expr(e.base, binding)
         if b == 0.0 and e.exponent < 0:
             raise EvalDomainError("division by zero", e)
-        return b ** e.exponent
+        try:
+            return b ** e.exponent
+        except OverflowError as err:
+            raise EvalDomainError("power beyond the float range", e) from err
     if t is Func:
         u = eval_expr(e.arg, binding)
         row = _FUNCS[e.fname]

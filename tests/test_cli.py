@@ -180,6 +180,22 @@ def test_check_all_green_build(capsys):
     assert "FAIL" not in out and "PASS" in out
 
 
+def test_check_all_builds_each_chart_metric_once(capsys, monkeypatch):
+    import curvmax.checks
+    import curvmax.maxwell3
+    from curvmax.chart import metric_from_chart
+    built = []
+
+    def counted(chart):
+        built.append(chart.name)
+        return metric_from_chart(chart)
+
+    for module in (curvmax.checks, curvmax.maxwell3):
+        monkeypatch.setattr(module, "metric_from_chart", counted)
+    code, _, _ = run_cli(capsys, "check", "--suite", "all", "--seed", "7")
+    assert code == 0 and sorted(built) == ["cartesian", "cylindrical", "spherical"]
+
+
 def test_check_deterministic_given_seed(capsys):
     _, out1, _ = run_cli(capsys, "check", "--suite", "properties", "--seed", "3")
     _, out2, _ = run_cli(capsys, "check", "--suite", "properties", "--seed", "3")
@@ -364,9 +380,10 @@ def test_transform_pairs4_packing(capsys, tmp_path):
 def test_transform_malformed_row_reports_line_number(capsys, tmp_path):
     p = tmp_path / "in.csv"
     p.write_text(HEADER + "\n" + ",".join(["0"] * 12) + "\n1,2,nope\n")
-    code, _, err = run_cli(capsys, "transform", "--target", "complex", str(p))
+    code, out, err = run_cli(capsys, "transform", "--target", "complex", str(p))
     assert code == 2
     assert err.startswith("error: line 3")
+    assert out == ""  # no header and no partial rows before the error
 
 
 @pytest.mark.parametrize("target, chart, row, message", [
@@ -379,17 +396,17 @@ def test_transform_non_finite_row_is_one_error_line(capsys, tmp_path, target, ch
                                                     row, message):
     p = tmp_path / "in.csv"
     p.write_text(row + "\n")
-    code, _, err = run_cli(capsys, "transform", "--target", target, "--chart", chart,
-                           str(p))
-    assert code == 2
+    code, out, err = run_cli(capsys, "transform", "--target", target, "--chart", chart,
+                             str(p))
+    assert code == 2 and out == ""
     assert err.startswith("error: line 1: ") and message in err and err.count("\n") == 1
 
 
 def test_transform_empty_input_rejected(capsys, tmp_path):
     p = tmp_path / "in.csv"
     p.write_text("\n")
-    code, _, err = run_cli(capsys, "transform", "--target", "complex", str(p))
-    assert code == 2 and err.startswith("error:")
+    code, out, err = run_cli(capsys, "transform", "--target", "complex", str(p))
+    assert code == 2 and err.startswith("error:") and out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +517,7 @@ def test_fuzz_transform_rows(capsys, target, chart, header, rows):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "in.csv"
         p.write_text("".join(r + "\n" for r in lines), encoding="utf-8")
-        code, _, err = run_cli(capsys, "transform", "--target", target,
-                               "--chart", chart, str(p))
+        code, out, err = run_cli(capsys, "transform", "--target", target,
+                                 "--chart", chart, str(p))
     _ends_cleanly(code, err)
+    assert out == "" or code == 0  # a failed conversion writes no partial CSV

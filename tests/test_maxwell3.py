@@ -26,6 +26,15 @@ def test_golden_is_deterministic_given_seed():
     assert a.results == b.results and a.sign_flag == b.sign_flag
 
 
+def test_golden_check_takes_a_built_metric():
+    m = metric_from_chart(builtin_chart("spherical"))
+    a = golden_check("spherical", seed=5, metric=m)
+    b = golden_check("spherical", seed=5)
+    assert a.results == b.results and a.sign_flag == b.sign_flag
+    with pytest.raises(ValueError, match="'spherical' given for 'cylindrical'"):
+        golden_check("cylindrical", seed=5, metric=m)
+
+
 def test_golden_files_cover_all_equations():
     for chart_name in ("cylindrical", "spherical"):
         eqs = golden_equations(chart_name)

@@ -436,3 +436,154 @@ def test_snapshot_csv_matches_row_by_row_writer():
     _ref_write_snapshot_csv(want, state, spec)
     assert "-0," in got.getvalue()
     assert got.getvalue() == want.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Whole-array sweeps: step and diagnostics as they ran before the sweeps went
+# slab by slab, kept as the bitwise oracle of the slab kernels.
+# ---------------------------------------------------------------------------
+
+def _whole_plane(axis, index):
+    idx = [slice(None)] * 3
+    idx[axis] = index
+    return tuple(idx)
+
+
+def _whole_shift(out, w, axis, offset, op, spec):
+    dst, src = (slice(None, -1), slice(1, None)) if offset > 0 else (slice(1, None),
+                                                                     slice(None, -1))
+    op(out[_whole_plane(axis, dst)], w[_whole_plane(axis, src)],
+       out=out[_whole_plane(axis, dst)])
+    if spec.bc[axis] == "periodic":
+        at, src = (-1, 0) if offset > 0 else (0, -1)
+        op(out[_whole_plane(axis, at)], w[_whole_plane(axis, src)],
+           out=out[_whole_plane(axis, at)])
+
+
+def _whole_circulate(src, w, offset, spec, out):
+    for i, j, k in CYCLIC:
+        np.add(src[i], w[k], out=out[i])
+        out[i] -= w[j]
+        _whole_shift(out[i], w[k], j, offset, np.subtract, spec)
+        _whole_shift(out[i], w[j], k, offset, np.add, spec)
+    return out
+
+
+def _whole_divergence(w, offset, spec, out):
+    np.add(w[0], w[1], out=out)
+    out += w[2]
+    for i in range(3):
+        _whole_shift(out, w[i], i, offset, np.subtract, spec)
+    return out
+
+
+def _whole_integral(state, geo):
+    if state._scale == geo.scale:
+        return state._arrays
+    return tuple(np.stack([x[i] * s[i] for i in range(3)])
+                 for x, s in zip((state.e, state.d, state.b), geo.scale))
+
+
+def _whole_step(state, spec, j_func=None):
+    geo = sv._geometry(spec)
+    e, d, b = _whole_integral(state, geo)
+    shape = (3, *spec.shape)
+    b = _whole_circulate(b, e, 1, spec, np.empty(shape))
+    h = np.stack([b[i] * geo.b_to_h[i] for i in range(3)])
+    d = _whole_circulate(d, h, -1, spec, np.empty(shape))
+    if j_func is not None:
+        j = np.asarray(j_func(state.t + 0.5 * geo.dt))
+        for i in range(3):
+            d[i] -= geo.j_coef[i] * j[i]
+    e = np.stack([d[i] * geo.d_to_e[i] for i in range(3)])
+    for a in range(3):
+        if spec.bc[a] == "pec":
+            for i in set(range(3)) - {a}:
+                e[(i, *_whole_plane(a, 0))] = 0.0
+    _whole_circulate(b, e, 1, spec, b)
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
+        raise sv.InstabilityError(state.nstep + 1)
+    return sv.GridField(e, d, b, state.t + geo.dt, state.nstep + 1, _scale=geo.scale)
+
+
+def _whole_dot(x, y):
+    n = x.shape[-1]
+    return float(np.sum(np.einsum("ij,ij->i", x.reshape(-1, n), y.reshape(-1, n))))
+
+
+def _whole_max_abs(x):
+    return abs(float(max(x.max(), -x.min())))
+
+
+def _whole_diagnostics(state, spec, rho=None):
+    geo = sv._geometry(spec)
+    e, d, b = _whole_integral(state, geo)
+    cdt, vol = spec.c * geo.dt, float(np.prod(spec.spacing))
+    hb = sum(_whole_dot(b[i] * geo.b_to_h[i], b[i]) for i in range(3))
+    acc = np.empty(spec.shape)
+    div_b = _whole_max_abs(_whole_divergence(b, 1, spec, acc)) / vol
+    div_d = _whole_divergence(d, -1, spec, acc)
+    if rho is not None:
+        div_d -= (4.0 * math.pi * vol) * np.asarray(rho) * geo.sqrtg_node
+    scale = state._scale or ((1.0,) * 3,) * 3
+    peaks = [_whole_max_abs(x[i]) / s[i] for x, s in zip(state._arrays, scale)
+             for i in range(3)]
+    return {"energy": (2.0 * _whole_dot(e, d) + hb) / (8.0 * math.pi * cdt),
+            "div_D_minus_4pi_rho": _whole_max_abs(div_d) / vol,
+            "div_B": div_b, "max_abs": float(np.max(peaks))}
+
+
+_SHELL_EXTENTS = ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi))
+_CYL_EXTENTS = ((0.5, 1.5), (0.0, 2 * math.pi), (0.0, 1.0))
+# (spec, with a current); at the default slab size the spherical grid is two
+# slabs of 54 and 16 rows, the cylindrical one 36 rows and one
+_SLAB_CASES = {
+    "spherical-pec": (sv.GridSpec("spherical", _SHELL_EXTENTS, (70, 20, 30),
+                                  bc=("pec", "pec", "periodic")), True),
+    "cylindrical-periodic": (sv.GridSpec("cylindrical", _CYL_EXTENTS, (37, 3, 300),
+                                         bc=("periodic", "periodic", "pec")), False),
+    "cartesian-pec": (sv.GridSpec("cartesian", ((0, 1), (0, 1.2), (0, 0.9)), (9, 7, 5),
+                                  bc=("pec",) * 3), True),
+}
+
+
+@pytest.mark.parametrize("slab_cells", [None, 1, 100])
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+def test_slab_sweeps_are_bitwise_the_whole_array_sweeps(case, slab_cells, monkeypatch):
+    spec, with_current = _SLAB_CASES[case]
+    if slab_cells is not None:  # 1: one-row slabs; 100: slabs that do not divide N1
+        monkeypatch.setattr(sv, "_SLAB_CELLS", slab_cells)
+    rng = np.random.default_rng(7)
+    profile = rng.normal(size=(3, *spec.shape))
+    j_func = (lambda t: (1.0 + t) * profile) if with_current else None
+    rho = rng.normal(size=spec.shape)
+    rhos = [rho, 1.5, rho[:, :1, :1]]  # an array, a scalar, an (N1, 1, 1) array
+    got = want = sv.GridField(*rng.normal(size=(3, 3, *spec.shape)), t=0.0)
+    for n in range(20):
+        assert sv.diagnostics(got, spec, rhos[n % 3]) == _whole_diagnostics(want, spec,
+                                                                            rhos[n % 3])
+        prev, before = got, [a.tobytes() for a in got._arrays]
+        got, want = sv.step(got, spec, j_func), _whole_step(want, spec, j_func)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got._arrays, want._arrays))
+        assert (got.t, got.nstep) == (want.t, want.nstep)
+        # the input state, physical at n = 0 and integral after, is not written to
+        assert [a.tobytes() for a in prev._arrays] == before
+    assert sv.diagnostics(got, spec) == _whole_diagnostics(want, spec)
+
+
+@pytest.mark.parametrize("field", ["e", "d", "b"])
+def test_nan_in_the_last_slab_is_reported_and_stops_the_step(field, monkeypatch):
+    monkeypatch.setattr(sv, "_SLAB_CELLS", 16)  # 4^3 cells: four one-row slabs
+    spec = _cart_spec(4)
+    state = sv.run(sv.init_grid(spec, "plane_wave"), spec, 2)
+    bad = np.array(getattr(state, field))
+    bad[1, 3, 2, 1] = np.nan
+    state = dataclasses.replace(state, **{field: bad})
+    diag = sv.diagnostics(state, spec)
+    assert math.isnan(diag["max_abs"]) and math.isnan(diag["energy"])
+    if field != "e":
+        name = "div_B" if field == "b" else "div_D_minus_4pi_rho"
+        assert math.isnan(diag[name])
+    with pytest.raises(sv.InstabilityError) as exc:
+        sv.step(state, spec)
+    assert exc.value.step_index == 3

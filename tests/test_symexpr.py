@@ -371,6 +371,19 @@ def test_eval_domain_errors_name_the_subexpression(text, message):
         assert not np.isfinite(lambdify(e)({}))
 
 
+@pytest.mark.parametrize("text, binding, message", [
+    ("x - y", {"x": math.inf, "y": math.inf}, "sum of opposite infinities in x - y"),
+    ("x + y", {"x": 1e308, "y": 1e308}, "sum beyond the float range in x + y"),
+    ("1 + x^2", {"x": 1e200}, "power beyond the float range in x^2"),
+    ("x^-2", {"x": 1e-200}, "power beyond the float range in x^-2"),
+    ("10^400*x", {"x": 1.0}, "constant beyond the float range in 1" + "0" * 400),
+])
+def test_eval_overflow_and_opposite_infinities_are_domain_errors(text, binding, message):
+    with pytest.raises(sx.EvalDomainError) as exc:
+        eval_expr(parse_expr(text), binding)
+    assert str(exc.value) == message
+
+
 def test_nested_square_root_is_kept():
     assert eval_expr(parse_expr("sqrt(sqrt(x))"), {"x": 16}) == 2.0
     assert eval_expr(parse_expr("sqrt(2*sqrt(x))"), {"x": 16}) == pytest.approx(math.sqrt(8))
