@@ -65,6 +65,7 @@ zero beyond the boundary planes of the difference stencils).
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -599,15 +600,39 @@ def _all_components(state, spec):
 
 
 def write_snapshot_csv(stream, state, spec):
-    """Cell-indexed CSV snapshot: coordinates plus all 12 components."""
-    names, comps = zip(*_all_components(state, spec))
-    coords = np.meshgrid(*_site_axes(spec, (True, True, True)), indexing="ij")
-    table = np.column_stack([x.ravel() for x in coords] + [c.ravel() for c in comps])
+    """Cell-indexed CSV snapshot.
+
+    The header is ``x1,x2,x3`` (the cell-centre coordinates) followed by
+    the 12 component names in sorted order; each row, in C order of the
+    cells, prints every value with ``%.12g``.  Each axis's coordinates are
+    formatted once and joined into a row prefix, and a component whose
+    values all share one bit pattern (so -0.0 and NaN stay exact) is
+    formatted once into the row template; only the other components go
+    through ``%`` per row.  The bytes are those of formatting every cell.
+    """
+    names, cells, varying = [], ["%s"], []
+    for name, comp in _all_components(state, spec):
+        names.append(name)
+        flat = np.asarray(comp, dtype=np.float64).ravel()
+        bits = flat.view(np.int64)
+        if np.all(bits == bits[0]):
+            cells.append("%.12g" % flat[0])
+        else:
+            cells.append("%.12g")
+            varying.append(flat)
     stream.write("x1,x2,x3," + ",".join(names) + "\n")
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    for lo in range(0, len(table), _CSV_ROWS_PER_WRITE):
-        rows = table[lo:lo + _CSV_ROWS_PER_WRITE]
-        stream.write(line * len(rows) % tuple(rows.ravel().tolist()))
+    line = ",".join(cells) + "\n"
+    axes = [["%.12g" % x for x in axis.tolist()]
+            for axis in _site_axes(spec, (True, True, True))]
+    prefixes = map(",".join, itertools.product(*axes))
+    ncells = math.prod(spec.shape)
+    for lo in range(0, ncells, _CSV_ROWS_PER_WRITE):
+        hi = min(lo + _CSV_ROWS_PER_WRITE, ncells)
+        block = np.empty((hi - lo, 1 + len(varying)), dtype=object)
+        block[:, 0] = list(itertools.islice(prefixes, hi - lo))
+        for k, flat in enumerate(varying, 1):
+            block[:, k] = flat[lo:hi]
+        stream.write(line * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 def write_snapshot_binary(stream, state, spec):

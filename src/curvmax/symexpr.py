@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,6 +46,7 @@ __all__ = [
     "eval_expr", "lambdify", "free_vars", "equivalent", "substitute",
     "SymExprError", "ParseError", "UnknownFunctionError", "EvalError",
     "UnboundVariableError", "EvalDomainError", "IllConditionedError",
+    "ConstantSizeError",
     "DEFAULT_DOMAIN", "default_seed",
 ]
 
@@ -83,6 +85,11 @@ class UnboundVariableError(EvalError):
 
 class EvalDomainError(EvalError):
     pass
+
+
+class ConstantSizeError(SymExprError):
+    """A constant whose numerator or denominator has more decimal digits
+    than Python will print (``sys.get_int_max_str_digits``)."""
 
 
 class IllConditionedError(SymExprError):
@@ -154,11 +161,24 @@ class Expr:
         return mul(Const(-1), self)
 
 
+# Python refuses to print an integer of more than _MAX_DIGITS decimal
+# digits (0: no limit), so no constant may grow past that: the first
+# integer too long to print is _TOO_LONG, and every integer of at most
+# _SAFE_BITS bits is shorter.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_TOO_LONG = 10 ** _MAX_DIGITS if _MAX_DIGITS else math.inf
+_SAFE_BITS = _TOO_LONG.bit_length() - 1 if _MAX_DIGITS else math.inf
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+        v = value if isinstance(value, Fraction) else Fraction(value)
+        if ((v.numerator.bit_length() > _SAFE_BITS or v.denominator.bit_length() > _SAFE_BITS)
+                and max(abs(v.numerator), v.denominator) >= _TOO_LONG):
+            raise ConstantSizeError(f"constant of more than {_MAX_DIGITS} digits")
+        object.__setattr__(self, "value", v)
 
     def _parts(self):
         return (self.value,)
@@ -466,9 +486,14 @@ def pow_(base, exponent):
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and exponent < 0:
+        v = base.value
+        if v == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        return Const(base.value ** exponent)
+        # p^k has at least k (bits(p) - 1) + 1 bits: refuse before computing it
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length()) - 1
+        if abs(exponent) * bits > _SAFE_BITS:
+            raise ConstantSizeError(f"constant of more than {_MAX_DIGITS} digits")
+        return Const(v ** exponent)
     if isinstance(base, Pow):
         return pow_(base.base, base.exponent * exponent)
     if isinstance(base, Mul):
@@ -684,8 +709,9 @@ def eval_expr(e, binding):
     """Evaluate to an IEEE double with every free variable bound.
 
     Raises UnboundVariableError or EvalDomainError (division by zero,
-    sqrt/log/arccos out of domain, a constant, power or sum beyond the
-    float range, opposite infinities summed) naming the offending
+    sqrt/log/arccos out of domain, a constant, product, power or sum
+    beyond the float range, an undefined product such as zero times an
+    infinity, opposite infinities summed) naming the offending
     subexpression.
     """
     e = _wrap(e)
@@ -714,6 +740,12 @@ def eval_expr(e, binding):
         out = 1.0
         for x in e.factors:
             out *= eval_expr(x, binding)
+        if not math.isfinite(out):
+            # an infinite factor gives an infinite product; finite ones must not
+            if out != out:
+                raise EvalDomainError("undefined product (zero times an infinity, or a nan)", e)
+            if all(abs(eval_expr(x, binding)) < math.inf for x in e.factors):
+                raise EvalDomainError("product beyond the float range", e)
         return out
     if t is Pow:
         b = eval_expr(e.base, binding)
@@ -923,9 +955,9 @@ class _Parser:
     def expr(self):
         e = self.term()
         while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
+            op = self.toks.next()
             rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = _fold(add if op[0] == "+" else sub, e, rhs, op)
         return e
 
     def term(self):
@@ -933,7 +965,7 @@ class _Parser:
         while self.toks.peek()[0] in ("*", "/"):
             op = self.toks.next()
             rhs = self.factor()
-            e = mul(e, rhs) if op[0] == "*" else _fold(div, e, rhs, op)
+            e = _fold(mul if op[0] == "*" else div, e, rhs, op)
         return e
 
     def factor(self):
@@ -957,7 +989,11 @@ class _Parser:
         tok = self.toks.next()
         kind, lit, line, col = tok
         if kind == "num":
-            return _parse_number(lit)
+            try:
+                return _parse_number(lit)
+            except (ValueError, ConstantSizeError):  # int() refuses it too
+                raise ParseError(f"number of more than {_MAX_DIGITS} digits",
+                                 line, col) from None
         if kind == "(":
             e = self.expr()
             closing = self.toks.next()
@@ -980,11 +1016,14 @@ class _Parser:
 
 def _fold(build, a, b, op):
     """Apply a builder at operator token ``op``; constant folding turns a
-    zero divisor into a ParseError at that operator."""
+    zero divisor or a constant too long to print into a ParseError at
+    that operator."""
     try:
         return build(a, b)
     except ZeroDivisionError:
         raise ParseError("division by zero", op[2], op[3]) from None
+    except ConstantSizeError as err:
+        raise ParseError(str(err), op[2], op[3]) from None
 
 
 def parse_expr(text):

@@ -126,6 +126,8 @@ def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
     ("u, u, z", "", "singular metric"),
     ("u^2/2, v, z", "domain = u:(-2.0,-0.1)\n", "sqrt|g| = u is not positive"),
     ("2^2000*u, v, z", "", "is not positive and finite"),
+    # sqrt|g| = 1, but g_vv = 1 + 10^4400 has too many digits to print
+    ("u + 10^2200*v, v, z", "", "constant of more than"),
 ])
 def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
                                                         embedding, domain, message):
@@ -147,8 +149,9 @@ def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
     ("u, v, z", "u, v, z", "u:(2,0.1)", "finite with min < max"),
     ("u, v, z", "u, v, z", "q:(0.1,1)", "not a coordinate"),
     ("x, y", "x, y", "", "dimension must be 3, got 2"),
+    ("u, v, z", "u + 2^3000000*v, v, z", "", "constant of more than"),
 ], ids=["non-number", "one-bound", "non-ascii-digit", "infinite", "nan",
-        "reversed", "not-a-coordinate", "two-coordinates"])
+        "reversed", "not-a-coordinate", "two-coordinates", "huge-power"])
 def test_derive_chart_file_bad_input_is_one_error_line(capsys, tmp_path, coords,
                                                        embedding, domain, message):
     p = tmp_path / "chart.ini"
@@ -245,6 +248,24 @@ def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
     assert code == 0
     want = (DATA / "simulate_cartesian_8_diagnostics.csv").read_bytes()
     assert (out_dir / "diagnostics.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("args, pinned", [
+    (("--chart", "spherical", "--grid", "6x5x4", "--extent", "1:0.5:1.5",
+      "--extent", "2:0.3:2.84", "--extent", "3:0:6.283185307179586",
+      "--bc", "pec,pec,periodic", "--initial", "azimuthal_mode"),
+     "simulate_spherical_azimuthal_snapshot.csv"),
+    (("--chart", "cartesian", "--grid", "5x4x3", "--initial", "plane_wave"),
+     "simulate_cartesian_plane_wave_snapshot.csv"),
+])
+def test_simulate_csv_snapshot_matches_pinned_output(capsys, tmp_path, args, pinned):
+    # the first snapshot of a 4-step run dumped every 2 steps
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", *args, "--steps", "4", "--dump-every", "2",
+                         "--out", str(out_dir))
+    assert code == 0
+    want = (DATA / pinned).read_bytes()
+    assert (out_dir / "snapshot_000002.csv").read_bytes() == want
 
 
 def test_simulate_binary_snapshot(capsys, tmp_path):
@@ -427,7 +448,8 @@ _FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=Tru
 # Each pool is mostly valid pieces with a few malformed ones, so that most
 # examples get past the first check and reach the deeper ones.
 _leaf = st.sampled_from(["u", "v", "z", "u", "v", "u", "1", "2", "0.5", ".5", "3.",
-                         "10^400", "pi", "q", "\u00b2", "@", ""])
+                         "10^400", "10^2200", "2^3000000", "pi", "q", "\u00b2", "@",
+                         ""])
 _expr = st.recursive(_leaf, lambda sub: st.one_of(
     st.tuples(sub, st.sampled_from("+-*/"), sub).map("".join),
     st.tuples(st.sampled_from(FUNCTIONS + ("sinh",)), sub).map(lambda t: f"{t[0]}({t[1]})"),

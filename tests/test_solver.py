@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvmax import solver as sv
 from curvmax.chart import builtin_chart, metric_from_chart
@@ -419,6 +420,15 @@ def _ref_write_snapshot_csv(stream, state, spec):
         stream.write(",".join(row) + "\n")
 
 
+def _assert_same_text(got, want):
+    # names the first differing line; pytest's own diff of two long strings
+    # takes minutes
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i}: got {g[i:i + 1]}, want {w[i:i + 1]}")
+
+
 def test_snapshot_csv_matches_row_by_row_writer():
     spec = sv.GridSpec("spherical",
                        ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)),
@@ -436,6 +446,56 @@ def test_snapshot_csv_matches_row_by_row_writer():
     _ref_write_snapshot_csv(want, state, spec)
     assert "-0," in got.getvalue()
     assert got.getvalue() == want.getvalue()
+
+
+# the largest grid last, so that a failure shrinks towards the small ones
+_SNAPSHOT_GRIDS = [
+    ("cartesian", ((0.0, 1.0),) * 3, (2, 3, 7)),
+    ("cylindrical", ((0.5, 1.5), (0.0, 2 * math.pi), (-1.0, 1.0)), (5, 2, 4)),
+    ("spherical", ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)), (3, 4, 5)),
+    ("cartesian", ((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)), (17, 16, 16)),  # two row blocks
+]
+# a component constant at one of these, or varying across the cells: None
+# for random values, "+-0" for zeros of both signs; -nan is nan with the
+# sign bit set, which prints as nan
+_SNAPSHOT_VALUES = st.sampled_from([None] * 4 + ["+-0", 0.0, -0.0, math.nan, -math.nan, 2.5,
+                                                 -1e-300])
+
+
+def _snapshot_state(shape, values, seed):
+    rng = np.random.default_rng(seed)
+    fields = np.empty((3, 3) + shape)
+    for f, i in np.ndindex(3, 3):
+        v = values[3 * f + i]
+        if v is None:
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            x.flat[rng.integers(x.size, size=3)] = (-0.0, 0.0, math.nan)
+            fields[f, i] = x
+        elif v == "+-0":
+            fields[f, i] = 0.0
+            fields[f, i].flat[rng.integers(math.prod(shape))] = -0.0
+        else:
+            fields[f, i] = v
+    return sv.GridField(e=fields[0], d=fields[1], b=fields[2], t=0.0)
+
+
+# On the Cartesian chart every physical component is its input array, so a
+# constant input is a constant column; on curved ones only 0, -0 and nan stay.
+@settings(max_examples=30, deadline=None, database=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(st.integers(0, len(_SNAPSHOT_GRIDS) - 1),
+       st.lists(_SNAPSHOT_VALUES, min_size=9, max_size=9), st.integers(0, 2 ** 32 - 1))
+@example(3, [None, 0.0, -0.0, math.nan, 2.5, "+-0", -math.nan, 0.0, None], 1)
+@example(3, [0.0, -0.0, math.nan, 2.5, -1e-300, -math.nan, 0.0, 0.0, -0.0], 2)
+@example(2, [0.0] * 9, 3)
+def test_snapshot_csv_matches_row_by_row_writer_property(grid, values, seed):
+    chart, extents, shape = _SNAPSHOT_GRIDS[grid]
+    spec = sv.GridSpec(chart, extents, shape)
+    state = _snapshot_state(shape, values, seed)
+    got, want = io.StringIO(), io.StringIO()
+    sv.write_snapshot_csv(got, state, spec)
+    _ref_write_snapshot_csv(want, state, spec)
+    _assert_same_text(got.getvalue(), want.getvalue())
 
 
 # ---------------------------------------------------------------------------

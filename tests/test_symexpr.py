@@ -1,6 +1,7 @@
 """Expression-tree properties: evaluation, differentiation, simplify, parsing."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -377,11 +378,52 @@ def test_eval_domain_errors_name_the_subexpression(text, message):
     ("1 + x^2", {"x": 1e200}, "power beyond the float range in x^2"),
     ("x^-2", {"x": 1e-200}, "power beyond the float range in x^-2"),
     ("10^400*x", {"x": 1.0}, "constant beyond the float range in 1" + "0" * 400),
+    ("x*y", {"x": 1e200, "y": 1e200}, "product beyond the float range in x*y"),
+    ("1 + x*y", {"x": math.inf, "y": 0.0},
+     "undefined product (zero times an infinity, or a nan) in x*y"),
+    ("2*x", {"x": 1e308}, "product beyond the float range in 2*x"),
 ])
 def test_eval_overflow_and_opposite_infinities_are_domain_errors(text, binding, message):
     with pytest.raises(sx.EvalDomainError) as exc:
         eval_expr(parse_expr(text), binding)
     assert str(exc.value) == message
+
+
+def test_eval_product_with_an_infinite_factor_is_infinite():
+    assert eval_expr(parse_expr("2*x*y"), {"x": -math.inf, "y": 3.0}) == -math.inf
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(not LIMIT, reason="integer printing is not limited")
+def test_constants_stay_printable():
+    widest = 10 ** LIMIT - 1  # LIMIT nines: the longest integer Python prints
+    for v in (widest, -widest, Fraction(1, widest)):
+        assert print_expr(Const(v))
+    for v in (widest + 1, -widest - 1, Fraction(1, widest + 1), Fraction(widest + 1, 3)):
+        with pytest.raises(sx.ConstantSizeError):
+            Const(v)
+    with pytest.raises(sx.ConstantSizeError):
+        sx.pow_(Const(10), LIMIT)
+    with pytest.raises(sx.ConstantSizeError):
+        sx.mul(Const(widest), Const(widest))
+    # refused from the bit lengths alone, before the power is computed
+    with pytest.raises(sx.ConstantSizeError):
+        sx.pow_(Const(Fraction(2, 3)), -3_000_000_000)
+    assert sx.pow_(Const(-1), 3_000_000_001) == Const(-1)
+
+
+@pytest.mark.skipif(not LIMIT, reason="integer printing is not limited")
+@pytest.mark.parametrize("text, col", [
+    ("u + 2^3000000*v", 6), ("10^2200 * 10^2200", 9), ("x + 10^4300", 7),
+    ("9*10^4299 + 10^4299", 11), ("1" * 5000 + "*x", 1), ("7." + "0" * 4300 + "1", 1),
+], ids=["power", "product", "power-4300", "sum", "long-integer", "long-decimal"])
+def test_constants_too_long_to_print_are_parse_errors(text, col):
+    with pytest.raises(sx.ParseError) as exc:
+        parse_expr(text)
+    assert f"(line 1, column {col})" in str(exc.value)
+    assert f"more than {LIMIT} digits" in str(exc.value)
 
 
 def test_nested_square_root_is_kept():
