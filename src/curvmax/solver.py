@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,7 +87,6 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"CVMX"
 _DTYPE_CODE_F64 = 1
-_CSV_ROWS_PER_WRITE = 4096
 _UNIT_SCALE = ((1.0,) * 3,) * 3  # the scalars of a state that holds physical arrays
 # Sweeps run over slabs of axis 0 of about this many cells, 256 KiB per
 # float64 component, so that a slab's components stay in cache from one
@@ -403,13 +403,15 @@ def _integral_arrays(state, geo):
                  for x, s in zip((state.e, state.d, state.b), geo.scale))
 
 
+def _wall_sites(spec):
+    """Index tuples of the tangential components on each PEC wall plane."""
+    return [(i, *_plane(a, 0)) for a in range(3) if spec.bc[a] == "pec"
+            for i in range(3) if i != a]
+
+
 def _apply_pec(e, spec):
-    for a in range(3):
-        if spec.bc[a] != "pec":
-            continue
-        for i in range(3):
-            if i != a:  # tangential components on the wall plane
-                e[(i, *_plane(a, 0))] = 0.0
+    for site in _wall_sites(spec):
+        e[site] = 0.0
     return e
 
 
@@ -510,9 +512,16 @@ def step(state, spec, j_func=None):
         for i in range(3):
             d[i] -= geo.j_coef[i] * j[i]
     e = _apply_pec(_closure(d, geo.d_to_e, h), spec)  # h is spent; reuse its memory
+    # The finiteness guard.  Every e~_k enters the unshifted term of b~_i
+    # (i != k) in the same cell and slab, every d~ reaches e~ through a
+    # positive finite closure, and adding finite values never makes inf or
+    # nan finite; so checking b~ covers all three fields, except d~ on the
+    # PEC wall planes, whose e~ is zeroed.
+    if not all(np.isfinite(d[site]).all() for site in _wall_sites(spec)):
+        raise InstabilityError(state.nstep + 1)
     for lo, hi in slabs:
         _circulate(b, e, 1, spec, b, lo, hi)
-        if not (np.isfinite(e[:, lo:hi]).all() and np.isfinite(b[:, lo:hi]).all()):
+        if not np.isfinite(b[:, lo:hi]).all():
             raise InstabilityError(state.nstep + 1)
     return GridField(e, d, b, state.t + dt, state.nstep + 1, _scale=geo.scale)
 
@@ -599,40 +608,66 @@ def _all_components(state, spec):
         yield f"H_{i + 1}", b[i] * (geo.h_coef[i] / sb[i])
 
 
+def _cut_invariant_axes(x):
+    """``x`` with each axis along which it repeats its first plane, bit for
+    bit (so -0.0 and each nan payload are told apart), cut to that plane.
+    One line along the axis is compared before the whole array, so an
+    array with no symmetry is rejected after three short comparisons."""
+    for a in range(3):
+        bits = x.view(np.int64)
+        line = bits[tuple(slice(None) if b == a else 0 for b in range(3))]
+        first = _plane(a, slice(0, 1))
+        if (line == line[0]).all() and (bits == bits[first]).all():
+            x = x[first]
+    return x
+
+
 def write_snapshot_csv(stream, state, spec):
     """Cell-indexed CSV snapshot.
 
     The header is ``x1,x2,x3`` (the cell-centre coordinates) followed by
     the 12 component names in sorted order; each row, in C order of the
-    cells, prints every value with ``%.12g``.  Each axis's coordinates are
-    formatted once and joined into a row prefix, and a component whose
-    values all share one bit pattern (so -0.0 and NaN stay exact) is
-    formatted once into the row template; only the other components go
-    through ``%`` per row.  The bytes are those of formatting every cell.
+    cells, prints every value with ``%.12g``.  The bytes are those of
+    formatting every cell, but the writer formats less:
+
+    - each axis's coordinates once, joined into a row prefix per cell;
+    - each component only along the axes it varies on: an axis along
+      which it repeats its first plane bit for bit (so -0.0 and nan
+      payloads stay exact) is cut to that plane, and a component cut to
+      one value is formatted once into the row template;
+    - the component text of a row once per cell of the grid spanned by
+      the axes the components vary on, one x1 plane of it at a time; each
+      row is its coordinate prefix followed by the text it shares with
+      the other rows of that cell.
     """
-    names, cells, varying = [], ["%s"], []
+    names, cells, varying = [], [], []
     for name, comp in _all_components(state, spec):
         names.append(name)
-        flat = np.asarray(comp, dtype=np.float64).ravel()
-        bits = flat.view(np.int64)
-        if np.all(bits == bits[0]):
-            cells.append("%.12g" % flat[0])
+        cut = _cut_invariant_axes(np.asarray(comp, dtype=np.float64))
+        if cut.size == 1:
+            cells.append("%.12g" % cut.flat[0])
         else:
             cells.append("%.12g")
-            varying.append(flat)
+            varying.append(cut)
     stream.write("x1,x2,x3," + ",".join(names) + "\n")
-    line = ",".join(cells) + "\n"
+    line = "," + ",".join(cells) + "\n"
     axes = [["%.12g" % x for x in axis.tolist()]
             for axis in _site_axes(spec, (True, True, True))]
     prefixes = map(",".join, itertools.product(*axes))
-    ncells = math.prod(spec.shape)
-    for lo in range(0, ncells, _CSV_ROWS_PER_WRITE):
-        hi = min(lo + _CSV_ROWS_PER_WRITE, ncells)
-        block = np.empty((hi - lo, 1 + len(varying)), dtype=object)
-        block[:, 0] = list(itertools.islice(prefixes, hi - lo))
-        for k, flat in enumerate(varying, 1):
-            block[:, k] = flat[lo:hi]
-        stream.write(line * (hi - lo) % tuple(block.ravel().tolist()))
+    n1, *plane = spec.shape
+    sub = np.broadcast_shapes((1, 1, 1), *(x.shape for x in varying))
+    varying = [np.broadcast_to(x, sub) for x in varying]
+    for p in range(sub[0]):
+        values = np.empty((sub[1] * sub[2], len(varying)))
+        for k, x in enumerate(varying):
+            values[:, k] = x[p].ravel()
+        texts = [line % tuple(row) for row in values.tolist()]
+        shared = np.broadcast_to(np.array(texts, dtype=object).reshape(sub[1:]), plane)
+        # sub[0] is 1 or n1, so the x1 planes that share plane p of the
+        # texts are all of them or p alone
+        for _ in range(p, n1, sub[0]):
+            stream.write("".join(map(operator.add, itertools.islice(prefixes, shared.size),
+                                     shared.flat)))
 
 
 def write_snapshot_binary(stream, state, spec):

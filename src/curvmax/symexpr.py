@@ -708,11 +708,11 @@ def simplify(e):
 def eval_expr(e, binding):
     """Evaluate to an IEEE double with every free variable bound.
 
-    Raises UnboundVariableError or EvalDomainError (division by zero,
-    sqrt/log/arccos out of domain, a constant, product, power or sum
-    beyond the float range, an undefined product such as zero times an
-    infinity, opposite infinities summed) naming the offending
-    subexpression.
+    Raises UnboundVariableError or EvalDomainError (a nan bound to a
+    variable, division by zero, sqrt/log/arccos out of domain, a constant,
+    product, power or sum beyond the float range, an undefined product such
+    as zero times an infinity, opposite infinities summed) naming the
+    offending subexpression.
     """
     e = _wrap(e)
     t = type(e)
@@ -727,7 +727,10 @@ def eval_expr(e, binding):
             if name == "pi":
                 return math.pi
             raise UnboundVariableError(f"unbound variable {name!r}", e)
-        return float(binding[name])
+        value = float(binding[name])
+        if value != value:
+            raise EvalDomainError(f"nan bound to {name!r}", e)
+        return value
     if t is Add:
         terms = [eval_expr(x, binding) for x in e.terms]
         try:

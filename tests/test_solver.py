@@ -193,6 +193,31 @@ def test_instability_from_nan_in_b_reports_step_index():
     assert exc.value.step_index == 6
 
 
+_WALL_SITES = [(1, 0, 2, 3), (0, 2, 3, 0), (2, 4, 0, 1)]  # tangential, on x1, x3, x2 = 0
+_INNER_SITES = [(1, 3, 2, 3), (0, 0, 2, 3)]  # inside; normal to the x1 = 0 wall
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic is the point
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("site", _WALL_SITES + _INNER_SITES)
+@pytest.mark.parametrize("field", ["e", "d", "b", "j"])
+def test_non_finite_value_in_any_field_stops_the_step(field, site, bad):
+    # e~ is zeroed on the PEC walls, so a non-finite d~ there never reaches
+    # e~ or b~: the guard must look at it itself
+    spec = sv.GridSpec("cartesian", ((0, 1),) * 3, (6, 6, 6), bc=("pec", "pec", "pec"))
+    state = sv.run(sv.init_grid(spec, "plane_wave"), spec, 2)
+    j = np.zeros((3, 6, 6, 6))
+    if field == "j":
+        j[site] = bad
+    else:
+        x = np.array(getattr(state, field))
+        x[site] = bad
+        state = dataclasses.replace(state, **{field: x})
+    with pytest.raises(sv.InstabilityError) as exc:
+        sv.run(state, spec, 5, j_func=lambda t: j)
+    assert exc.value.step_index == 3
+
+
 @pytest.mark.parametrize("field", ["b", "d"])
 def test_diagnostics_max_abs_reports_nan_in_any_field(field):
     spec = _cart_spec(4)
@@ -448,50 +473,83 @@ def test_snapshot_csv_matches_row_by_row_writer():
     assert got.getvalue() == want.getvalue()
 
 
-# the largest grid last, so that a failure shrinks towards the small ones
+# the largest grids last, so that a failure shrinks towards the small ones
 _SNAPSHOT_GRIDS = [
     ("cartesian", ((0.0, 1.0),) * 3, (2, 3, 7)),
     ("cylindrical", ((0.5, 1.5), (0.0, 2 * math.pi), (-1.0, 1.0)), (5, 2, 4)),
     ("spherical", ((0.5, 1.5), (0.3, math.pi - 0.3), (0.0, 2 * math.pi)), (3, 4, 5)),
-    ("cartesian", ((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)), (17, 16, 16)),  # two row blocks
+    ("cartesian", ((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)), (17, 16, 16)),
+    # 65 x1 planes of 64 texts, each shared by two rows, when the
+    # components vary along x1 and x2 only
+    ("cartesian", ((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)), (65, 64, 2)),
 ]
-# a component constant at one of these, or varying across the cells: None
-# for random values, "+-0" for zeros of both signs; -nan is nan with the
-# sign bit set, which prints as nan
-_SNAPSHOT_VALUES = st.sampled_from([None] * 4 + ["+-0", 0.0, -0.0, math.nan, -math.nan, 2.5,
-                                                 -1e-300])
+# A component constant at one of these, or varying across the cells: None
+# for random values, "+-0" for zeros of both signs, a tuple of axes for
+# random values along those axes only, repeated along the others.  "-0 cut"
+# and "nan cut" would vary along x1 only, but their last x1 plane, 0 or nan,
+# holds one -0 or one nan of another payload in its last cell, off the lines
+# the axis check compares first; that one bit pattern makes them vary along
+# every axis.  -nan is nan with the sign bit set, which prints as nan.
+_SNAPSHOT_VALUES = st.sampled_from([None] * 3 + [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+                                   + ["+-0", "-0 cut", "nan cut", 0.0, -0.0, math.nan,
+                                      -math.nan, 2.5, -1e-300])
+_NAN_BITS = np.float64(math.nan).view(np.int64)
 
 
-def _snapshot_state(shape, values, seed):
+def _snapshot_state(shape, values, seed, flat=None):
+    """The state of the given component values; with ``flat`` an axis, each
+    input component is made to repeat its last plane along that axis."""
     rng = np.random.default_rng(seed)
     fields = np.empty((3, 3) + shape)
     for f, i in np.ndindex(3, 3):
         v = values[3 * f + i]
+        x = fields[f, i]
         if v is None:
-            x = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+            x[...] = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
             x.flat[rng.integers(x.size, size=3)] = (-0.0, 0.0, math.nan)
-            fields[f, i] = x
+        elif isinstance(v, tuple):
+            sub = tuple(n if a in v else 1 for a, n in enumerate(shape))
+            x[...] = rng.normal(size=sub) * 10.0 ** rng.integers(-20, 20, size=sub)
         elif v == "+-0":
-            fields[f, i] = 0.0
-            fields[f, i].flat[rng.integers(math.prod(shape))] = -0.0
+            x[...] = 0.0
+            x.flat[rng.integers(math.prod(shape))] = -0.0
+        elif v in ("-0 cut", "nan cut"):
+            x[...] = rng.normal(size=(shape[0], 1, 1))
+            x[-1] = 0.0 if v == "-0 cut" else math.nan
+            x.view(np.int64)[-1, -1, -1] = (np.float64(-0.0).view(np.int64) if v == "-0 cut"
+                                            else _NAN_BITS + 1)
         else:
-            fields[f, i] = v
+            x[...] = v
+        if flat is not None:
+            x[...] = x[sv._plane(flat, slice(-1, None))]
     return sv.GridField(e=fields[0], d=fields[1], b=fields[2], t=0.0)
 
 
 # On the Cartesian chart every physical component is its input array, so a
-# constant input is a constant column; on curved ones only 0, -0 and nan stay.
+# constant input is a constant column and an input varying along some axes
+# varies along those; on curved ones the metric adds the axes it depends on,
+# and only 0, -0 and nan stay constant.  A state flat along an axis the
+# metric does not depend on takes the writer's path over fewer axes.
 @settings(max_examples=30, deadline=None, database=None, derandomize=True,
           report_multiple_bugs=False)
 @given(st.integers(0, len(_SNAPSHOT_GRIDS) - 1),
-       st.lists(_SNAPSHOT_VALUES, min_size=9, max_size=9), st.integers(0, 2 ** 32 - 1))
-@example(3, [None, 0.0, -0.0, math.nan, 2.5, "+-0", -math.nan, 0.0, None], 1)
-@example(3, [0.0, -0.0, math.nan, 2.5, -1e-300, -math.nan, 0.0, 0.0, -0.0], 2)
-@example(2, [0.0] * 9, 3)
-def test_snapshot_csv_matches_row_by_row_writer_property(grid, values, seed):
+       st.lists(_SNAPSHOT_VALUES, min_size=9, max_size=9), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 0, 1, 2]))
+@example(3, [None, 0.0, -0.0, math.nan, 2.5, "+-0", -math.nan, 0.0, None], 1, None)
+@example(3, [0.0, -0.0, math.nan, 2.5, -1e-300, -math.nan, 0.0, 0.0, -0.0], 2, None)
+@example(2, [0.0] * 9, 3, None)
+# the components vary along x1 and x2 only, over 65 x1 planes
+@example(4, [(0,), (1,), (0, 1), 0.0, (0, 1), -0.0, math.nan, 2.5, (0,)], 4, None)
+@example(3, [(2,), (2,), 0.0, (2,), -0.0, 2.5, (2,), math.nan, (2,)], 5, None)  # along x3
+# one -0 and one nan payload: over all axes, then along x1 and x2 only
+@example(3, [(0,), "-0 cut", 0.0, "nan cut", (0,), -0.0, (0,), 2.5, math.nan], 6, None)
+@example(3, [(0,), "-0 cut", 0.0, "nan cut", (0,), -0.0, (0,), 2.5, math.nan], 6, 2)
+# each component along one axis, all three axes together
+@example(0, [(0,), (1,), (2,), (0,), 0.0, 2.5, (1,), (2,), -0.0], 7, None)
+def test_snapshot_csv_matches_row_by_row_writer_property(grid, values, seed, flat):
     chart, extents, shape = _SNAPSHOT_GRIDS[grid]
     spec = sv.GridSpec(chart, extents, shape)
-    state = _snapshot_state(shape, values, seed)
+    state = _snapshot_state(shape, values, seed, flat)
     got, want = io.StringIO(), io.StringIO()
     sv.write_snapshot_csv(got, state, spec)
     _ref_write_snapshot_csv(want, state, spec)

@@ -389,6 +389,14 @@ def test_eval_overflow_and_opposite_infinities_are_domain_errors(text, binding, 
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text", ["x + 1", "x^2", "sin(x)", "2*x", "y*x - y"])
+@pytest.mark.parametrize("nan", [math.nan, -math.nan, np.float64("nan")])
+def test_eval_nan_binding_is_a_domain_error_naming_the_variable(text, nan):
+    with pytest.raises(sx.EvalDomainError) as exc:
+        eval_expr(parse_expr(text), {"x": nan, "y": 2.0})
+    assert str(exc.value) == "nan bound to 'x' in x"
+
+
 def test_eval_product_with_an_infinite_factor_is_infinite():
     assert eval_expr(parse_expr("2*x*y"), {"x": -math.inf, "y": 3.0}) == -math.inf
 
