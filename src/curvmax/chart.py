@@ -140,16 +140,16 @@ def _chart_spherical():
                  {"r": (0.1, 2.0), "theta": (0.1, 2.0), "phi": (0.1, 2.0)})
 
 
-BUILTIN_CHARTS = ("cartesian", "cylindrical", "spherical")
+_BUILDERS = {"cartesian": _chart_cartesian,
+             "cylindrical": _chart_cylindrical,
+             "spherical": _chart_spherical}
+BUILTIN_CHARTS = tuple(_BUILDERS)
 
 
 def builtin_chart(name):
-    try:
-        return {"cartesian": _chart_cartesian,
-                "cylindrical": _chart_cylindrical,
-                "spherical": _chart_spherical}[name]()
-    except KeyError:
-        raise ChartError(f"unknown built-in chart {name!r}") from None
+    if name not in _BUILDERS:
+        raise ChartError(f"unknown built-in chart {name!r}")
+    return _BUILDERS[name]()
 
 
 def parse_chart_file(text):

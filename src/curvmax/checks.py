@@ -193,9 +193,14 @@ def _properties_suite(seed, metrics):
             + _solver_conservation(seed))
 
 
+def _all_suite(seed, metrics):
+    return _paper_suite(seed, metrics) + _properties_suite(seed, metrics)
+
+
 SUITES = {
     "paper": _paper_suite,
     "properties": _properties_suite,
+    "all": _all_suite,
 }
 
 
@@ -209,9 +214,6 @@ class _RunMetrics(dict):
 
 def run_suite(name, seed=None):
     """Results for a named suite ('paper', 'properties', or 'all')."""
-    metrics = _RunMetrics()
-    if name == "all":
-        return _paper_suite(seed, metrics) + _properties_suite(seed, metrics)
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose paper, properties, all")
-    return SUITES[name](seed, metrics)
+        raise ValueError(f"unknown suite {name!r}; choose {', '.join(SUITES)}")
+    return SUITES[name](seed, _RunMetrics())

@@ -23,7 +23,7 @@ from . import maxwell4 as m4
 from . import solver as sv
 from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_chart,
                     lame_coefficients, metric_from_chart, parse_chart_file)
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .diffops import curl, div, grad, laplacian
 from .maxwell3 import assemble_residuals, symbolic_fields, symbolic_sources
 from .symexpr import Expr, FieldAtom, SymExprError, free_vars, print_expr, to_latex
@@ -52,7 +52,7 @@ def _load_chart(chart, chart_file):
     try:
         with open(chart_file, encoding="utf-8") as f:
             charts = parse_chart_file(f.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read chart file: {exc}")
     except (ChartError, SymExprError) as exc:
         raise CliError(f"invalid chart file: {exc}")
@@ -208,8 +208,8 @@ def derive(chart, chart_file, form, fmt):
 
 @cli.command()
 @click.option("--suite", default="all",
-              type=click.Choice(("paper", "properties", "all")), show_default=True)
-@click.option("--seed", default=None, type=int, envvar="CURVMAX_SEED",
+              type=click.Choice(tuple(SUITES)), show_default=True)
+@click.option("--seed", default=None, type=click.IntRange(min=0), envvar="CURVMAX_SEED",
               help="RNG seed (falls back to CURVMAX_SEED).")
 def check(suite, seed):
     """Run a verification suite; exit 1 on any failure."""
@@ -270,7 +270,7 @@ def _parse_bc(text):
 @click.option("--out", required=True, type=click.Path(),
               help="Output directory for snapshots and diagnostics.")
 @click.option("--initial", default="plane_wave", show_default=True,
-              type=click.Choice(("zero", "plane_wave", "azimuthal_mode")))
+              type=click.Choice(tuple(sv.INITIAL_CONDITIONS)))
 @click.option("--bc", default="periodic", show_default=True,
               help="periodic or pec on every axis, or one per axis as pec,periodic,pec.")
 @click.option("--snapshot-format", default="csv", show_default=True,
@@ -395,7 +395,7 @@ _TARGETS = {
 @click.option("--target", required=True, type=click.Choice(sorted(_TARGETS)))
 @click.option("--chart", default="cartesian", show_default=True,
               help="Chart for the nonholonomic target (row point in its coordinates).")
-@click.argument("input", type=click.File("r"), default="-")
+@click.argument("input", type=click.File("rb"), default="-")
 @click.option("--out", type=click.File("w"), default="-")
 def transform(target, chart, input, out):
     """Convert CSV rows of (E, B, D, H) components between representations.
@@ -426,8 +426,12 @@ def transform(target, chart, input, out):
             return h
 
     rows = []  # every row is converted before any is written: a bad row leaves no output
-    for lineno, raw in enumerate(input, start=1):
-        line = raw.strip()
+    # bytes.splitlines breaks at \n, \r\n and \r only, as text mode reads lines
+    for lineno, raw in enumerate(input.read().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"line {lineno}: {exc}")
         if not line or line.startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
@@ -475,6 +479,9 @@ def main(argv=None):
         sys.exit(exc.exit_code)
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
+        sys.exit(1)
+    except MemoryError as exc:  # a grid that fits the address space but not the machine
+        click.echo(f"error: out of memory: {str(exc) or 'allocation failed'}", err=True)
         sys.exit(1)
 
 

@@ -42,11 +42,15 @@ runs over slabs of axis 0 of about ``_SLAB_CELLS`` cells, so that each
 component's slab stays in cache between the passes of a sweep; a grid
 that small is one slab.  A slab reads one plane of its source beyond
 its rows, and only the first or last slab wraps periodically.  The
-+-1 sums along the last axis run as one contiguous pass over the slab
-flattened to 1-D, with the end column saved and put back, rather than
-one short inner loop per row.  Each value goes through the same
-operations in the same order as in a whole-array sweep, so results are
-bitwise those of whole-array sweeps.
++-1 sums along each of the last two axes are one pass over the slab
+flattened to 1-D, the neighbour one stride away, with the end plane saved
+first and put back (PEC) or wrapped (periodic).  Each value goes through
+the same operations in the same order as in a whole-array sweep, so
+results are bitwise those of whole-array sweeps.
+
+Initial conditions are one table, ``INITIAL_CONDITIONS``, of nonzero
+components (field, component, axis, profile); one routine samples it at
+any time, E_i at edge-i sites and B^i at face-i sites.
 
 Physical and integral variables differ by one positive scalar per
 component.  ``step`` converts a state built from physical arrays (by
@@ -80,7 +84,7 @@ from .symexpr import lambdify
 
 __all__ = [
     "SolverError", "InstabilityError", "GridSpec", "GridField",
-    "init_grid", "step", "run", "diagnostics",
+    "INITIAL_CONDITIONS", "init_grid", "step", "run", "diagnostics",
     "write_snapshot_csv", "write_snapshot_binary", "write_diagnostics_csv",
     "SNAPSHOT_MAGIC",
 ]
@@ -128,6 +132,8 @@ class GridSpec:
             raise SolverError("GridSpec needs 3 extents, 3 cell counts, 3 bcs")
         if any(n < 2 for n in self.shape):
             raise SolverError("need at least 2 cells per axis")
+        if 24 * math.prod(map(int, self.shape)) > np.iinfo(np.intp).max:  # 3 float64 per cell
+            raise SolverError("grid too large to address as (3, N1, N2, N3) float64 arrays")
         if any(hi <= lo for lo, hi in self.extents):
             raise SolverError("each extent needs min < max")
         h = self.spacing
@@ -200,15 +206,15 @@ class GridField:
 # Geometry (metric factors at staggered sites)
 # ---------------------------------------------------------------------------
 
+# Axes at cell centres per site: edge i (E_i, D^i) on axis i, face i (B^i, H_i) on the others
+_HALF = {"e": [tuple(a == i for a in range(3)) for i in range(3)],
+         "b": [tuple(a != i for a in range(3)) for i in range(3)]}
+
+
 def _site_axes(spec, half):
     """1-D coordinate arrays; half[a] True puts axis a at cell centers."""
-    out = []
-    for a in range(3):
-        lo, _ = spec.extents[a]
-        d = spec.spacing[a]
-        shift = 0.5 * d if half[a] else 0.0
-        out.append(lo + shift + d * np.arange(spec.shape[a]))
-    return out
+    return [lo + (0.5 * d if c else 0.0) + d * np.arange(n)
+            for (lo, _), d, n, c in zip(spec.extents, spec.spacing, spec.shape, half)]
 
 
 @dataclass(frozen=True)
@@ -246,13 +252,11 @@ def _geometry(spec):
         grids = np.meshgrid(*_site_axes(spec, half), indexing="ij", sparse=True)
         return np.array(lambdify(expr)(dict(zip(coords, grids))), dtype=float, ndmin=3)
 
-    edge_half = [tuple(a == i for a in range(3)) for i in range(3)]
-    face_half = [tuple(a != i for a in range(3)) for i in range(3)]
-    g_edge = [sample(m.g_lo[i][i], edge_half[i]) for i in range(3)]
-    g_face = [sample(m.g_lo[i][i], face_half[i]) for i in range(3)]
+    g_edge = [sample(m.g_lo[i][i], _HALF["e"][i]) for i in range(3)]
+    g_face = [sample(m.g_lo[i][i], _HALF["b"][i]) for i in range(3)]
     g_center = [sample(m.g_lo[i][i], (True, True, True)) for i in range(3)]
-    sqrtg_edge = [sample(m.sqrt_abs_g, edge_half[i]) for i in range(3)]
-    sqrtg_face = [sample(m.sqrt_abs_g, face_half[i]) for i in range(3)]
+    sqrtg_edge = [sample(m.sqrt_abs_g, _HALF["e"][i]) for i in range(3)]
+    sqrtg_face = [sample(m.sqrt_abs_g, _HALF["b"][i]) for i in range(3)]
     sqrtg_node = sample(m.sqrt_abs_g, (False, False, False))
     for arr in (*g_edge, *g_face, *g_center, *sqrtg_edge, *sqrtg_face, sqrtg_node):
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
@@ -303,9 +307,6 @@ def _plane(axis, index):
     return tuple(idx)
 
 
-_HEAD, _TAIL = slice(None, -1), slice(1, None)
-
-
 def _slabs(shape):
     """(lo, hi) row ranges of axis 0 that split the grid into slabs of about
     _SLAB_CELLS cells; a grid of at most that many cells is one slab."""
@@ -336,23 +337,20 @@ def _add_shifted(out, w, axis, offset, op, spec, lo):
         if periodic and lo <= edge < hi:
             op(out[edge - lo], w[(edge + offset) % n], out=out[edge - lo])
         return
+    # One pass over the slab flattened to 1-D, the neighbour one stride away.
+    # It runs each row's end plane into the next row, so that plane is saved.
     w = w[lo:lo + len(out)]
-    dst, src = (_HEAD, _TAIL) if offset > 0 else (_TAIL, _HEAD)
+    stride = math.prod(out.shape[axis + 1:])
+    head, tail = slice(None, -stride), slice(stride, None)
+    dst, src = (head, tail) if offset > 0 else (tail, head)
     end = _plane(axis, -1 if offset > 0 else 0)  # no neighbour inside the grid
-    if axis == 2:
-        # One pass over the slab flattened to 1-D instead of one short inner
-        # loop per row.  It pairs each row's end with the next row's start,
-        # so the end column is saved first and put back (or wrapped) after.
-        before = out[end].copy()
-        flat = out.reshape(-1)
-        assert np.may_share_memory(flat, out), "reshape copied: the update would be lost"
-        op(flat[dst], w.reshape(-1)[src], out=flat[dst])
-    else:
-        before = out[end]  # a view; the pass below leaves the end plane alone
-        op(out[_plane(axis, dst)], w[_plane(axis, src)], out=out[_plane(axis, dst)])
+    before = out[end].copy()
+    flat = out.reshape(-1)
+    assert np.may_share_memory(flat, out), "reshape copied: the update would be lost"
+    op(flat[dst], w.reshape(-1)[src], out=flat[dst])
     if periodic:
         op(before, w[_plane(axis, 0 if offset > 0 else -1)], out=out[end])
-    elif axis == 2:
+    else:
         out[end] = before
 
 
@@ -424,63 +422,45 @@ def _peak(x):
 # Initial conditions
 # ---------------------------------------------------------------------------
 
-def _plane_wave_fields(spec):
-    """Plane wave along axis 3: E_2 = cos(k(x3 - ct)), B^1 = -E_2."""
+def _plane_wave(spec, x3, t):
+    """cos(k (x3 - c t)), one wavelength across the extent of axis 3."""
     lo, hi = spec.extents[2]
-    k = 2.0 * math.pi / (hi - lo)
-
-    def e_field(t):
-        axes = _site_axes(spec, (False, True, False))
-        x3 = axes[2].reshape(1, 1, -1)
-        e = np.zeros((3, *spec.shape))
-        e[1] = np.broadcast_to(np.cos(k * (x3 - spec.c * t)), spec.shape)
-        return e
-
-    def b_field(t):
-        axes = _site_axes(spec, (False, True, True))
-        x3 = axes[2].reshape(1, 1, -1)
-        b = np.zeros((3, *spec.shape))
-        b[0] = np.broadcast_to(-np.cos(k * (x3 - spec.c * t)), spec.shape)
-        return b
-
-    return e_field, b_field
+    return np.cos(2.0 * math.pi / (hi - lo) * (x3 - spec.c * t))
 
 
-def _azimuthal_mode_fields(spec):
-    """Cylindrical test mode: E_z = cos(m phi), no initial B."""
-    def e_field(t):
-        axes = _site_axes(spec, (False, False, True))
-        phi = axes[1].reshape(1, -1, 1)
-        e = np.zeros((3, *spec.shape))
-        e[2] = np.broadcast_to(np.cos(2.0 * phi), spec.shape)
-        return e
-
-    def b_field(t):
-        return np.zeros((3, *spec.shape))
-
-    return e_field, b_field
-
-
-_INITIAL_CONDITIONS = {
-    "zero": lambda spec: (lambda t: np.zeros((3, *spec.shape)),
-                          lambda t: np.zeros((3, *spec.shape))),
-    "plane_wave": _plane_wave_fields,
-    "azimuthal_mode": _azimuthal_mode_fields,
+# Each initial condition lists its nonzero components (field, i, a, profile):
+# component i of E ("e") or B ("b") is profile(spec, x, t) of the coordinate
+# x of axis a at that component's sites, constant along the other axes.
+INITIAL_CONDITIONS = {
+    "zero": (),
+    # plane wave along axis 3: E_2 = cos(k(x3 - ct)), B^1 = -E_2
+    "plane_wave": (("e", 1, 2, _plane_wave),
+                   ("b", 0, 2, lambda spec, x, t: -_plane_wave(spec, x, t))),
+    # cylindrical test mode: E_z = cos(2 phi), no initial B
+    "azimuthal_mode": (("e", 2, 1, lambda spec, x, t: np.cos(2.0 * x)),),
 }
+
+
+def _initial_fields(spec, initial, t):
+    """Physical (E, B) of a named initial condition at time ``t``: E_i at
+    edge-i sites, B^i at face-i sites, each of shape (3, N1, N2, N3)."""
+    fields = {"e": np.zeros((3, *spec.shape)), "b": np.zeros((3, *spec.shape))}
+    for field, i, a, profile in INITIAL_CONDITIONS[initial]:
+        x = np.meshgrid(*_site_axes(spec, _HALF[field][i]), indexing="ij", sparse=True)[a]
+        fields[field][i] = profile(spec, x, t)
+    return fields["e"], fields["b"]
 
 
 def init_grid(spec, initial="zero"):
     """Sample a named analytic initial condition at the staggered sites."""
-    if initial not in _INITIAL_CONDITIONS:
+    if initial not in INITIAL_CONDITIONS:
         raise SolverError(f"unknown initial condition {initial!r}; "
-                          f"known: {sorted(_INITIAL_CONDITIONS)}")
+                          f"known: {sorted(INITIAL_CONDITIONS)}")
     geo = _geometry(spec)
-    e_field, b_field = _INITIAL_CONDITIONS[initial](spec)
-    e = _apply_pec(e_field(0.0), spec)
-    b0 = b_field(0.0)
-    d = np.stack([geo.sqrtg_edge[i] * spec.epsilon * e[i] / geo.g_edge[i]
-                  for i in range(3)])
-    b = np.stack([geo.sqrtg_face[i] * b0[i] for i in range(3)])
+    e, b = _initial_fields(spec, initial, 0.0)
+    _apply_pec(e, spec)
+    d = np.stack([geo.sqrtg_edge[i] * spec.epsilon * e[i] / geo.g_edge[i] for i in range(3)])
+    b = np.stack([geo.sqrtg_face[i] * b[i] for i in range(3)])
     return GridField(e=e, d=d, b=b, t=0.0)
 
 

@@ -163,6 +163,15 @@ def test_derive_chart_file_bad_input_is_one_error_line(capsys, tmp_path, coords,
     assert message in err and err.count("\n") == 1
 
 
+def test_derive_chart_file_not_utf8_is_one_error_line(capsys, tmp_path):
+    p = tmp_path / "chart.ini"
+    p.write_bytes(b"[chart]\nname = caf\xff\ncoords = u, v, z\nembedding = u, v, z\n")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read chart file: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
 def test_derive_requires_exactly_one_chart_source(capsys):
     code, _, err = run_cli(capsys, "derive")
     assert code == 2 and err.startswith("error:")
@@ -197,6 +206,16 @@ def test_check_all_builds_each_chart_metric_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "metric_from_chart", counted)
     code, _, _ = run_cli(capsys, "check", "--suite", "all", "--seed", "7")
     assert code == 0 and sorted(built) == ["cartesian", "cylindrical", "spherical"]
+
+
+@pytest.mark.parametrize("use_env", [False, True])
+def test_check_negative_seed_is_one_error_line(capsys, monkeypatch, use_env):
+    if use_env:
+        monkeypatch.setenv("CURVMAX_SEED", "-1")
+    code, out, err = run_cli(capsys, "check", "--suite", "properties",
+                             *(() if use_env else ("--seed", "-1")))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--seed" in err and err.count("\n") == 1
 
 
 def test_check_deterministic_given_seed(capsys):
@@ -326,6 +345,29 @@ def test_simulate_singular_extent_is_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_simulate_grid_too_large_to_address_is_one_error_line(capsys, tmp_path):
+    out_dir = tmp_path / "sim"
+    code, out, err = run_cli(capsys, "simulate", "--grid", "2x2x4611686018427387904",
+                             "--steps", "1", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("error: grid too large") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("stage", ["init_grid", "run"])
+def test_simulate_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch, stage):
+    from curvmax import solver as sv
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.00 TiB for an array")
+
+    monkeypatch.setattr(sv, stage, no_memory)
+    code, out, err = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
+                             "--out", str(tmp_path / "sim"))
+    assert code == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 6.00 TiB for an array\n"
+
+
 def test_simulate_extent_sets_the_snapshot_coordinates(capsys, tmp_path):
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
@@ -423,6 +465,24 @@ def test_transform_non_finite_row_is_one_error_line(capsys, tmp_path, target, ch
     assert err.startswith("error: line 1: ") and message in err and err.count("\n") == 1
 
 
+def test_transform_not_utf8_is_one_error_line(capsys, tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_bytes((HEADER + "\n" + ",".join(["0"] * 12) + "\n").encode() + b"1,2,\xff\n")
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "transform", "--target", "complex", str(p),
+                             "--out", str(out_csv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ") and "0xff" in err and err.count("\n") == 1
+    assert not out_csv.exists()  # no partial CSV
+
+
+def test_transform_reads_cr_and_crlf_line_ends(capsys, tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_bytes(b"0,0,0,0,0,0,0,0,0,0,0,0\r" + b"1,0,0,0,0,0,0,0,0,0,0,0\r\n")
+    code, out, _ = run_cli(capsys, "transform", "--target", "pairs4", str(p))
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_transform_empty_input_rejected(capsys, tmp_path):
     p = tmp_path / "in.csv"
     p.write_text("\n")
@@ -489,7 +549,8 @@ def test_fuzz_derive_chart_file(capsys, text, fmt, form):
     _ends_cleanly(code, err)
 
 
-_cells = st.sampled_from(["2", "3", "4"] * 4 + ["1", "0", "x"])
+# 4611686018427387904 = 2^62 cells on one axis: too large to address
+_cells = st.sampled_from(["2", "3", "4"] * 4 + ["1", "0", "x", "4611686018427387904"])
 _extent_value = st.sampled_from(["0", "0.5", "1", "2", "3", "0.25", "-1", "inf", "nan",
                                  "abc", "1e308", "1e150", "1e-200", ""])
 

@@ -20,8 +20,7 @@ def _cart_spec(n, cfl=0.5, length=1.0):
 
 
 def _plane_wave_l2_error(spec, state):
-    e_field, _ = sv._INITIAL_CONDITIONS["plane_wave"](spec)
-    exact = e_field(state.t)
+    exact, _ = sv._initial_fields(spec, "plane_wave", state.t)
     return float(np.linalg.norm(state.e - exact) / np.linalg.norm(exact))
 
 
@@ -130,6 +129,28 @@ def test_geometry_that_overflows_is_a_solver_error(chart, extents, message):
     spec = sv.GridSpec(chart, extents, (4, 4, 4), bc=("pec",) * 3)
     with pytest.raises(sv.SolverError, match=message):
         sv.init_grid(spec, "zero")
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4611686018427387904), (2 ** 20,) * 3,
+                                   tuple(np.int64(n) for n in (4, 2 ** 31, 2 ** 31))])
+def test_gridspec_too_large_to_address_is_a_solver_error(shape):
+    # arithmetic only: no array of the grid is allocated
+    with pytest.raises(sv.SolverError, match="too large"):
+        sv.GridSpec("cartesian", ((0, 1),) * 3, shape)
+
+
+def test_initial_fields_sit_at_the_staggered_sites():
+    spec = sv.GridSpec("cylindrical", ((0.5, 1.5), (0, 2 * math.pi), (0, 1)), (4, 6, 5))
+    e, b = sv._initial_fields(spec, "azimuthal_mode", 3.0)
+    phi = spec.extents[1][0] + spec.spacing[1] * np.arange(6)  # edge-3 sites: nodes in phi
+    assert np.array_equal(e[2], np.broadcast_to(np.cos(2.0 * phi)[:, None], (4, 6, 5)))
+    assert not e[:2].any() and not b.any()
+    spec = _cart_spec(8)
+    t, z = 0.3, (np.arange(8) + 0.5) / 8  # face-1 sites: cell centres in x3
+    e, b = sv._initial_fields(spec, "plane_wave", t)
+    assert np.array_equal(b[0], np.broadcast_to(-np.cos(2 * math.pi * (z - t)), (8, 8, 8)))
+    assert np.array_equal(e[1, 0, 0], np.cos(2 * math.pi * (np.arange(8) / 8 - t)))
+    assert not e[[0, 2]].any() and not b[1:].any()
 
 
 def test_gridspec_built_from_lists_equals_the_tuple_built_one():
