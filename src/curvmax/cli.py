@@ -290,7 +290,10 @@ def simulate(chart, grid, extent, cfl, steps, dump_every, out, initial, bc,
         state = sv.init_grid(spec, initial)
     except (sv.SolverError, ChartError, SymExprError) as exc:
         raise CliError(str(exc))
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path that cannot be made
+        raise CliError(f"cannot create --out directory: {exc}")
 
     def snap(st):
         ext = "csv" if snapshot_format == "csv" else "cvmx"
@@ -311,12 +314,14 @@ def simulate(chart, grid, extent, cfl, steps, dump_every, out, initial, bc,
 
     try:
         state = sv.run(state, spec, steps, callback=after_step)
+        if not dump_every or state.nstep % dump_every:
+            snap(state)
+        with open(os.path.join(out, "diagnostics.csv"), "w", encoding="utf-8") as f:
+            sv.write_diagnostics_csv(f, rows)
     except sv.InstabilityError as exc:
         raise CliError(str(exc), exit_code=1)
-    if not dump_every or state.nstep % dump_every:
-        snap(state)
-    with open(os.path.join(out, "diagnostics.csv"), "w", encoding="utf-8") as f:
-        sv.write_diagnostics_csv(f, rows)
+    except OSError as exc:  # a snapshot or diagnostics.csv could not be written
+        raise CliError(f"cannot write output: {exc}", exit_code=1)
     click.echo(f"completed {steps} steps, t = {state.t:.12g}; output in {out}")
 
 

@@ -24,6 +24,23 @@ Each node computes its hash and its sort key once, on first use, and keeps
 them.  Builders may return an input node unchanged (``add`` keeps every
 term that no other term merged with), so trees share subtrees.  That
 sharing, and the cached hash and key, are why nodes must stay immutable.
+``diff`` and ``substitute`` (so ``simplify``) keep a memo from each
+composite node of their input, by identity, to its result, for the length
+of one call: a subtree shared n times is worked on once.  Nothing is kept
+from one call to the next.
+
+Canonical mark: a builder marks the node it makes as canonical when every
+input it was given is canonical (constants, variables and field atoms
+always are), and ``simplify`` returns a marked subtree as it is instead of
+rebuilding it.  A node made with a constructor (``Add(x, x)``) is unmarked,
+and so is any builder output that holds one: the builders assume canonical
+inputs and may keep an input as it is, so ``mul(2, Add(x, x))`` is
+``Mul(2, Add(x, x))``, and only ``simplify`` turns it into ``4*x``.
+
+A builder given a constant outside a function's domain (``log(0)``,
+``sqrt(-4)``, ``arccos(2)``) raises ConstantDomainError, and zero to a
+negative power raises ZeroPowerError, rather than building a node that a
+later fold (``0*log(0) -> 0``) would hide.
 """
 
 from __future__ import annotations
@@ -46,7 +63,7 @@ __all__ = [
     "eval_expr", "lambdify", "free_vars", "equivalent", "substitute",
     "SymExprError", "ParseError", "UnknownFunctionError", "EvalError",
     "UnboundVariableError", "EvalDomainError", "IllConditionedError",
-    "ConstantSizeError",
+    "ConstantSizeError", "ConstantDomainError", "ZeroPowerError",
     "DEFAULT_DOMAIN", "default_seed",
 ]
 
@@ -96,15 +113,26 @@ class IllConditionedError(SymExprError):
     pass
 
 
+class ConstantDomainError(SymExprError):
+    """A builder was given a constant outside a function's domain, such as
+    log(0) or sqrt(-1)."""
+
+
+class ZeroPowerError(ConstantDomainError, ZeroDivisionError):
+    """Zero raised to a negative power by a builder (1/0)."""
+
+
 # ---------------------------------------------------------------------------
 # Node types
 # ---------------------------------------------------------------------------
 
 class Expr:
     """Base class; all nodes are immutable and hashable.  ``_hash`` and
-    ``_skey`` (the sort key) are computed on first use and kept."""
+    ``_skey`` (the sort key) are computed on first use and kept.
+    ``_canon`` is the canonical mark: True only on a node that ``simplify``
+    gives back unchanged (always on constants, variables and field atoms)."""
 
-    __slots__ = ("_hash", "_skey")
+    __slots__ = ("_hash", "_skey", "_canon")
 
     def __eq__(self, other):
         if self is other:
@@ -172,6 +200,7 @@ _SAFE_BITS = _TOO_LONG.bit_length() - 1 if _MAX_DIGITS else math.inf
 
 class Const(Expr):
     __slots__ = ("value",)
+    _canon = True
 
     def __init__(self, value):
         v = value if isinstance(value, Fraction) else Fraction(value)
@@ -186,6 +215,7 @@ class Const(Expr):
 
 class Var(Expr):
     __slots__ = ("name",)
+    _canon = True
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
@@ -200,6 +230,7 @@ class FieldAtom(Expr):
     commute structurally.  Evaluation looks the atom up by ``name``."""
 
     __slots__ = ("base", "args", "derivs")
+    _canon = True
 
     def __init__(self, base, args, derivs=()):
         object.__setattr__(self, "base", base)
@@ -221,6 +252,7 @@ class Add(Expr):
 
     def __init__(self, *terms):
         object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "_canon", False)
 
     def _parts(self):
         return self.terms
@@ -231,6 +263,7 @@ class Mul(Expr):
 
     def __init__(self, *factors):
         object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "_canon", False)
 
     def _parts(self):
         return self.factors
@@ -246,6 +279,7 @@ class Pow(Expr):
             raise TypeError("Pow exponent must be an integer")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_canon", False)
 
     def _parts(self):
         return (self.base, self.exponent)
@@ -259,6 +293,7 @@ class Func(Expr):
             raise ValueError(f"unknown function {fname!r}")
         object.__setattr__(self, "fname", fname)
         object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_canon", False)
 
     def _parts(self):
         return (self.fname, self.arg)
@@ -329,61 +364,82 @@ def _as_unit(f):
     return f, 1
 
 
+def _mark(node):
+    object.__setattr__(node, "_canon", True)
+    return node
+
+
 def _unit(base, exp):
     if exp == 1:
         return base
-    return Pow(base, exp)
+    node = Pow(base, exp)
+    # canonical exactly when pow_ would build this same node from base
+    if base._canon and exp and type(base) not in (Const, Pow, Mul):
+        _mark(node)
+    return node
 
 
 def mul(*factors):
-    coeff = Fraction(1)
+    # the coefficient is kept as an integer numerator and denominator and
+    # becomes one Fraction at the end
+    num = den = 1
     units = {}
-
-    def absorb(f):
-        nonlocal coeff
-        if isinstance(f, Const):
-            coeff *= f.value
-        elif isinstance(f, Mul):
-            for g in f.factors:
-                absorb(g)
+    canon = True
+    todo = [_wrap(f) for f in reversed(factors)]
+    while todo:
+        f = todo.pop()
+        t = type(f)
+        if t is Const:
+            v = f.value
+            num *= v.numerator
+            den *= v.denominator
+        elif t is Mul:
+            canon = canon and f._canon
+            todo.extend(reversed(f.factors))
         else:
-            b, n = _as_unit(f)
-            if isinstance(b, Const):
-                coeff *= b.value ** n
+            canon = canon and f._canon
+            b, n = (f.base, f.exponent) if t is Pow else (f, 1)
+            if type(b) is Const:
+                v = b.value ** n
+                num *= v.numerator
+                den *= v.denominator
             else:
                 units[b] = units.get(b, 0) + n
-
-    for f in factors:
-        absorb(_wrap(f))
-    if coeff == 0:
+    if num == 0:
         return ZERO
     parts = [_unit(b, n) for b, n in units.items() if n != 0]
     parts.sort(key=_key)
     if not parts:
-        return Const(coeff)
-    if coeff != 1:
-        parts.insert(0, Const(coeff))
+        return Const(Fraction(num, den))
+    if num != den:
+        parts.insert(0, Const(Fraction(num, den)))
     if len(parts) == 1:
         return parts[0]
-    return Mul(*parts)
+    node = Mul(*parts)
+    return _mark(node) if canon else node
+
+
+_FRACTION_ONE = Fraction(1)
 
 
 def _term_split(t):
     """Canonical term -> (coeff, mono) with mono a dict base -> exponent."""
-    if isinstance(t, Const):
+    tt = type(t)
+    if tt is Const:
         return t.value, {}
-    if isinstance(t, Mul):
-        coeff = Fraction(1)
+    if tt is Mul:
+        coeff = None
         mono = {}
         for f in t.factors:
-            if isinstance(f, Const):
-                coeff *= f.value
+            if type(f) is Const:
+                # a canonical Mul holds at most one constant, its first factor
+                coeff = f.value if coeff is None else coeff * f.value
             else:
                 b, n = _as_unit(f)
                 mono[b] = mono.get(b, 0) + n
-        return coeff, mono
+        return (_FRACTION_ONE if coeff is None else coeff), mono
     b, n = _as_unit(t)
-    return Fraction(1), {b: n}
+    return _FRACTION_ONE, {b: n}
 
 
 def _mono_key(mono):
@@ -444,6 +500,8 @@ def add(*terms):
     # while no other term has merged with it, else None (rebuild).  A
     # canonical term rebuilt from its split is equal to itself.
     combined = {}
+    terms = [_wrap(t) for t in terms]
+    canon = all(t._canon for t in terms)
 
     def absorb(t):
         if isinstance(t, Add):
@@ -464,7 +522,7 @@ def add(*terms):
             combined[k] = [coeff, mono, t]
 
     for t in terms:
-        absorb(_wrap(t))
+        absorb(t)
     _pythagoras(combined)
     parts = [node if node is not None else _term_build(c, m)
              for c, m, node in combined.values()]
@@ -474,7 +532,8 @@ def add(*terms):
         return ZERO
     if len(parts) == 1:
         return parts[0]
-    return Add(*parts)
+    node = Add(*parts)
+    return _mark(node) if canon else node
 
 
 def pow_(base, exponent):
@@ -488,7 +547,7 @@ def pow_(base, exponent):
     if isinstance(base, Const):
         v = base.value
         if v == 0 and exponent < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
+            raise ZeroPowerError("0 raised to a negative power")
         # p^k has at least k (bits(p) - 1) + 1 bits: refuse before computing it
         bits = max(v.numerator.bit_length(), v.denominator.bit_length()) - 1
         if abs(exponent) * bits > _SAFE_BITS:
@@ -498,7 +557,8 @@ def pow_(base, exponent):
         return pow_(base.base, base.exponent * exponent)
     if isinstance(base, Mul):
         return mul(*(pow_(f, exponent) for f in base.factors))
-    return Pow(base, exponent)
+    node = Pow(base, exponent)
+    return _mark(node) if base._canon else node
 
 
 def neg(x):
@@ -525,8 +585,11 @@ def _sqrt_rational(v):
 def func(fname, arg):
     arg = _wrap(arg)
     row = _FUNCS.get(fname)
-    if row is not None and isinstance(arg, Const) and arg.value in row.folds:
-        return row.folds[arg.value]
+    if row is not None and isinstance(arg, Const):
+        if row.domain is not None and row.domain[0](arg.value):
+            raise ConstantDomainError(f"{row.domain[1]} in {fname}({print_expr(arg)})")
+        if arg.value in row.folds:
+            return row.folds[arg.value]
     if fname == "sqrt":
         # domain positivity assumed: sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)
         if isinstance(arg, Const) and arg.value >= 0:
@@ -537,10 +600,12 @@ def func(fname, arg):
             b, n = arg.base, arg.exponent
             if n % 2 == 0:
                 return pow_(b, n // 2)
-            return mul(pow_(b, (n - 1) // 2), Func("sqrt", b))
+            root = Func("sqrt", b)
+            return mul(pow_(b, (n - 1) // 2), _mark(root) if arg._canon else root)
         if isinstance(arg, Mul):
             return mul(*(func("sqrt", f) for f in arg.factors))
-    return Func(fname, arg)
+    node = Func(fname, arg)
+    return _mark(node) if arg._canon else node
 
 
 def sin(x):
@@ -613,10 +678,13 @@ def diff(e, v):
     canonical.  Derivative with respect to an absent variable is 0."""
     if isinstance(v, Var):
         v = v.name
-    return _diff(_wrap(e), v)
+    return _diff(_wrap(e), v, {})
 
 
-def _diff(e, v):
+def _diff(e, v, memo):
+    """``memo`` maps id(node) -> derivative for the composite nodes of one
+    tree already differentiated in this call; it lives as long as the call,
+    while the tree keeps every node (and so every id) alive."""
     t = type(e)
     if t is Const:
         return ZERO
@@ -626,25 +694,29 @@ def _diff(e, v):
         if v in e.args:
             return FieldAtom(e.base, e.args, e.derivs + (v,))
         return ZERO
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if t is Add:
-        return add(*(_diff(x, v) for x in e.terms))
-    if t is Mul:
+        out = add(*(_diff(x, v, memo) for x in e.terms))
+    elif t is Mul:
         # product rule; a factor with zero derivative adds no term
         parts = []
         for i, f in enumerate(e.factors):
-            df = _diff(f, v)
+            df = _diff(f, v, memo)
             if df != ZERO:
                 parts.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
-        return add(*parts)
-    if t is Pow:
-        return mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, v))
-    if t is Func:
+        out = add(*parts)
+    elif t is Pow:
+        out = mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, v, memo))
+    elif t is Func:
         u = e.arg
-        du = _diff(u, v)
-        if du == ZERO:
-            return ZERO
-        return mul(_FUNCS[e.fname].deriv(u), du)
-    raise TypeError(f"unknown node {t!r}")
+        du = _diff(u, v, memo)
+        out = ZERO if du == ZERO else mul(_FUNCS[e.fname].deriv(u), du)
+    else:
+        raise TypeError(f"unknown node {t!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -676,32 +748,41 @@ def free_vars(e):
 def substitute(e, mapping):
     """Replace variables and field atoms by name with expressions.
 
-    Values may be Expr or numbers; the result is canonical.
+    Values may be Expr or numbers; the result is canonical.  With no
+    bindings, a subtree that carries the canonical mark is returned as it
+    is.
     """
     mapping = {k: _wrap(v) for k, v in mapping.items()}
+    memo = {}  # id(composite node) -> its result, for this call only
 
     def visit(x):
         t = type(x)
         if t is Var or t is FieldAtom:
             return mapping.get(x.name, x)
-        if t is Const:
+        if t is Const or (x._canon and not mapping):
             return x
+        out = memo.get(id(x))
+        if out is not None:
+            return out
         if t is Add:
-            return add(*(visit(u) for u in x.terms))
-        if t is Mul:
-            return mul(*(visit(u) for u in x.factors))
-        if t is Pow:
-            return pow_(visit(x.base), x.exponent)
-        if t is Func:
-            return func(x.fname, visit(x.arg))
-        raise TypeError(f"unknown node {t!r}")
+            out = add(*(visit(u) for u in x.terms))
+        elif t is Mul:
+            out = mul(*(visit(u) for u in x.factors))
+        elif t is Pow:
+            out = pow_(visit(x.base), x.exponent)
+        elif t is Func:
+            out = func(x.fname, visit(x.arg))
+        else:
+            raise TypeError(f"unknown node {t!r}")
+        memo[id(x)] = out
+        return out
 
     return visit(_wrap(e))
 
 
 def simplify(e):
     """Canonical form of a tree built by hand with the node constructors:
-    the same tree the builders give.  Identity on canonical trees."""
+    the same tree the builders give.  Returns a builder-made tree itself."""
     return substitute(e, {})
 
 
@@ -714,11 +795,33 @@ def eval_expr(e, binding):
     as zero times an infinity, opposite infinities summed) naming the
     offending subexpression.
     """
-    e = _wrap(e)
+    return _eval(_wrap(e), binding)
+
+
+def _eval(e, binding):
     t = type(e)
+    if t is Mul:
+        out = 1.0
+        for x in e.factors:
+            out *= _eval(x, binding)
+        if not math.isfinite(out):
+            # an infinite factor gives an infinite product; finite ones must not
+            if out != out:
+                raise EvalDomainError("undefined product (zero times an infinity, or a nan)", e)
+            if all(abs(_eval(x, binding)) < math.inf for x in e.factors):
+                raise EvalDomainError("product beyond the float range", e)
+        return out
+    if t is Add:
+        terms = [_eval(x, binding) for x in e.terms]
+        try:
+            return math.fsum(terms)
+        except ValueError as err:  # fsum refuses inf + -inf
+            raise EvalDomainError("sum of opposite infinities", e) from err
+        except OverflowError as err:
+            raise EvalDomainError("sum beyond the float range", e) from err
     if t is Const:
         try:
-            return float(e.value)
+            return e.value.numerator / e.value.denominator  # float(e.value), without its call
         except OverflowError as err:
             raise EvalDomainError("constant beyond the float range", e) from err
     if t is Var or t is FieldAtom:
@@ -731,27 +834,8 @@ def eval_expr(e, binding):
         if value != value:
             raise EvalDomainError(f"nan bound to {name!r}", e)
         return value
-    if t is Add:
-        terms = [eval_expr(x, binding) for x in e.terms]
-        try:
-            return math.fsum(terms)
-        except ValueError as err:  # fsum refuses inf + -inf
-            raise EvalDomainError("sum of opposite infinities", e) from err
-        except OverflowError as err:
-            raise EvalDomainError("sum beyond the float range", e) from err
-    if t is Mul:
-        out = 1.0
-        for x in e.factors:
-            out *= eval_expr(x, binding)
-        if not math.isfinite(out):
-            # an infinite factor gives an infinite product; finite ones must not
-            if out != out:
-                raise EvalDomainError("undefined product (zero times an infinity, or a nan)", e)
-            if all(abs(eval_expr(x, binding)) < math.inf for x in e.factors):
-                raise EvalDomainError("product beyond the float range", e)
-        return out
     if t is Pow:
-        b = eval_expr(e.base, binding)
+        b = _eval(e.base, binding)
         if b == 0.0 and e.exponent < 0:
             raise EvalDomainError("division by zero", e)
         try:
@@ -759,7 +843,7 @@ def eval_expr(e, binding):
         except OverflowError as err:
             raise EvalDomainError("power beyond the float range", e) from err
     if t is Func:
-        u = eval_expr(e.arg, binding)
+        u = _eval(e.arg, binding)
         row = _FUNCS[e.fname]
         if row.domain is not None and row.domain[0](u):
             raise EvalDomainError(row.domain[1], e)
@@ -1012,7 +1096,10 @@ class _Parser:
                 closing = self.toks.next()
                 if closing[0] != ")":
                     raise ParseError("expected ')'", closing[2], closing[3])
-                return func(lit, arg)
+                try:
+                    return func(lit, arg)
+                except ConstantDomainError as err:
+                    raise ParseError(str(err), line, col) from None
             return Var(lit)
         raise ParseError(f"unexpected {lit or kind!r}", line, col)
 

@@ -150,8 +150,13 @@ def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
     ("u, v, z", "u, v, z", "q:(0.1,1)", "not a coordinate"),
     ("x, y", "x, y", "", "dimension must be 3, got 2"),
     ("u, v, z", "u + 2^3000000*v, v, z", "", "constant of more than"),
+    # a constant outside a function's domain: undefined on the whole chart
+    ("u, v, z", "u + log(0), v, z", "", "log of non-positive value in log(0) (line 1, column 5)"),
+    ("u, v, z", "u, v*sqrt(-4), z", "", "sqrt of negative value in sqrt(-4)"),
+    ("u, v, z", "u, v, arccos(u - u + 2)*z", "", "arccos argument outside [-1, 1]"),
 ], ids=["non-number", "one-bound", "non-ascii-digit", "infinite", "nan",
-        "reversed", "not-a-coordinate", "two-coordinates", "huge-power"])
+        "reversed", "not-a-coordinate", "two-coordinates", "huge-power",
+        "log-zero", "sqrt-negative", "arccos-two"])
 def test_derive_chart_file_bad_input_is_one_error_line(capsys, tmp_path, coords,
                                                        embedding, domain, message):
     p = tmp_path / "chart.ini"
@@ -368,6 +373,27 @@ def test_simulate_out_of_memory_is_one_error_line(capsys, tmp_path, monkeypatch,
     assert err == "error: out of memory: Unable to allocate 6.00 TiB for an array\n"
 
 
+def test_simulate_out_naming_a_file_is_one_error_line(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    code, out, err = run_cli(capsys, "simulate", "--grid", "2x2x2", "--steps", "1",
+                             "--out", str(afile))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot create --out directory: ") and err.count("\n") == 1
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("blocked", ["diagnostics.csv", "snapshot_000001.csv"])
+def test_simulate_unwritable_output_is_one_error_line(capsys, tmp_path, blocked):
+    out_dir = tmp_path / "sim"
+    (out_dir / blocked).mkdir(parents=True)  # a directory where a file must go
+    code, out, err = run_cli(capsys, "simulate", "--grid", "2x2x2", "--steps", "1",
+                             "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write output: ") and blocked in err
+    assert err.count("\n") == 1
+
+
 def test_simulate_extent_sets_the_snapshot_coordinates(capsys, tmp_path):
     out_dir = tmp_path / "sim"
     code, _, _ = run_cli(capsys, "simulate", "--grid", "4x4x4", "--steps", "1",
@@ -509,7 +535,7 @@ _FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=Tru
 # examples get past the first check and reach the deeper ones.
 _leaf = st.sampled_from(["u", "v", "z", "u", "v", "u", "1", "2", "0.5", ".5", "3.",
                          "10^400", "10^2200", "2^3000000", "pi", "q", "\u00b2", "@",
-                         ""])
+                         "", "log(0)", "sqrt(-1)"])
 _expr = st.recursive(_leaf, lambda sub: st.one_of(
     st.tuples(sub, st.sampled_from("+-*/"), sub).map("".join),
     st.tuples(st.sampled_from(FUNCTIONS + ("sinh",)), sub).map(lambda t: f"{t[0]}({t[1]})"),

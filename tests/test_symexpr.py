@@ -185,6 +185,14 @@ def _power(a, n):
     return a if n < 0 and isinstance(a, Const) else sx.pow_(a, n)
 
 
+def _root(a):
+    # the sqrt builder refuses a negative constant or constant factor
+    try:
+        return sx.sqrt(a)
+    except sx.ConstantDomainError:
+        return sx.sqrt(-a)
+
+
 def builder_exprs(depth=3):
     """Builder-made trees over x, y and a field atom, with powers, sqrt and
     sin/cos pairs so that like terms merge and sin^2 + cos^2 collapses."""
@@ -196,7 +204,7 @@ def builder_exprs(depth=3):
         st.lists(sub, min_size=2, max_size=3).map(lambda ts: sx.add(*ts)),
         st.lists(sub, min_size=2, max_size=3).map(lambda fs: sx.mul(*fs)),
         st.tuples(sub, st.sampled_from([-2, -1, 2, 3])).map(lambda an: _power(*an)),
-        sub.map(sx.sin), sub.map(sx.cos), sub.map(sx.sqrt),
+        sub.map(sx.sin), sub.map(sx.cos), sub.map(_root),
         sub.map(lambda a: sx.pow_(sx.sin(a), 2)),
         sub.map(lambda a: sx.pow_(sx.cos(a), 2)),
     )
@@ -363,8 +371,9 @@ def test_function_row(fname):
     ("arccos(2)", "arccos argument outside [-1, 1] in arccos(2)"),
 ])
 def test_eval_domain_errors_name_the_subexpression(text, message):
-    e = parse_expr(text)
-    assert isinstance(e, Func)
+    # built by hand: the builders refuse a constant outside the domain
+    fname, arg = text[:-1].split("(")
+    e = Func(fname, Const(int(arg)))
     with pytest.raises(sx.EvalDomainError) as exc:
         eval_expr(e, {})
     assert str(exc.value) == message
@@ -451,3 +460,153 @@ def test_decimal_literals(text, value):
             parse_expr(text)
     else:
         assert parse_expr(text) == sx._wrap(value)
+
+
+# ---------------------------------------------------------------------------
+# A constant outside a function's domain is an error when it is built, not
+# a node that later folds away (0*log(0) -> 0, log(0) - log(0) -> 0).
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sx.log(0), "log of non-positive value in log(0)"),
+    (lambda: sx.mul(0, sx.log(0)), "log of non-positive value in log(0)"),
+    (lambda: sx.sqrt(-4), "sqrt of negative value in sqrt(-4)"),
+    (lambda: sx.sqrt(parse_expr("-x")), "sqrt of negative value in sqrt(-1)"),
+    (lambda: sx.func("arccos", 2), "arccos argument outside [-1, 1] in arccos(2)"),
+    (lambda: substitute(parse_expr("sqrt(x)"), {"x": -4}), "sqrt of negative value in sqrt(-4)"),
+    (lambda: substitute(parse_expr("log(x) - log(y)"), {"x": 0, "y": 0}),
+     "log of non-positive value in log(0)"),
+    (lambda: sx.add(Var("x"), sx.mul(0, sx.arccos(2))),
+     "arccos argument outside [-1, 1] in arccos(2)"),
+    (lambda: substitute(parse_expr("x + y*arccos(y)"), {"y": 2}),
+     "arccos argument outside [-1, 1] in arccos(2)"),
+], ids=["log", "zero-times-log", "sqrt", "sqrt-of-negated", "arccos", "substitute-sqrt",
+        "substitute-log-difference", "zero-times-arccos", "substitute-arccos"])
+def test_constant_outside_a_domain_is_an_error(build, message):
+    with pytest.raises(sx.ConstantDomainError) as exc:
+        build()
+    assert isinstance(exc.value, sx.SymExprError)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, col", [("x + log(0)", 5), ("2*sqrt(-1)", 3),
+                                       ("arccos(3/2)", 1), ("y*log(x - x)", 3)])
+def test_constant_outside_a_domain_is_a_parse_error_at_the_function(text, col):
+    with pytest.raises(sx.ParseError) as exc:
+        parse_expr(text)
+    assert str(exc.value).endswith(f"(line 1, column {col})")
+
+
+def test_zero_to_a_negative_power_is_a_symexpr_error():
+    with pytest.raises(sx.ZeroPowerError) as exc:
+        substitute(parse_expr("1/x"), {"x": 0})
+    assert isinstance(exc.value, sx.SymExprError)
+    assert isinstance(exc.value, ZeroDivisionError)
+
+
+# ---------------------------------------------------------------------------
+# The canonical mark: simplify gives a builder-made tree back as it is, and
+# a mark never hides a hand-built node that the builders would change.
+# ---------------------------------------------------------------------------
+
+def _rebuild(e):
+    """``simplify`` as a full bottom-up rebuild that reads no mark."""
+    t = type(e)
+    if t is Add:
+        return sx.add(*(_rebuild(u) for u in e.terms))
+    if t is Mul:
+        return sx.mul(*(_rebuild(u) for u in e.factors))
+    if t is Pow:
+        return sx.pow_(_rebuild(e.base), e.exponent)
+    if t is Func:
+        return sx.func(e.fname, _rebuild(e.arg))
+    return e
+
+
+def _nodes(e):
+    yield e
+    for child in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+        yield from _nodes(child)
+    if isinstance(e, (Pow, Func)):
+        yield from _nodes(e.base if isinstance(e, Pow) else e.arg)
+
+
+def mixed_exprs(depth=3):
+    """Builder calls and node constructors mixed, so that builder output can
+    hold hand-built children and the reverse."""
+    if depth == 0:
+        return st.one_of(leaf(), st.just(FieldAtom("f", ("x", "y"))))
+    sub = mixed_exprs(depth - 1)
+    return st.one_of(
+        builder_exprs(1),
+        st.lists(sub, min_size=1, max_size=3).map(lambda ts: sx.add(*ts)),
+        st.lists(sub, min_size=1, max_size=3).map(lambda fs: sx.mul(*fs)),
+        st.lists(sub, min_size=1, max_size=3).map(lambda ts: Add(*ts)),
+        st.lists(sub, min_size=1, max_size=3).map(lambda fs: Mul(*fs)),
+        st.tuples(sub, st.sampled_from([-1, 1, 2, 3])).map(lambda an: Pow(*an)),
+        st.tuples(sub, st.sampled_from([-1, 2, 3])).map(lambda an: _power(*an)),
+        sub.map(lambda a: Func("sin", a)), sub.map(sx.cos), sub.map(lambda a: Func("sqrt", a)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(builder_exprs())
+def test_simplify_returns_a_builder_made_tree_itself(e):
+    assert simplify(e) is e
+
+
+@pytest.mark.parametrize("text", ["x", "2*x*y + sin(x)^2", "sqrt(x^3*y)/(1 + x)",
+                                  "arccos(x/2) - log(y)*exp(-x)"])
+def test_simplify_returns_a_parsed_tree_itself(text):
+    e = parse_expr(text)
+    assert simplify(e) is e
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_exprs())
+def test_simplify_equals_a_full_rebuild(e):
+    try:
+        want = _rebuild(e)
+    except sx.SymExprError as err:
+        with pytest.raises(type(err)):
+            simplify(e)
+        return
+    got = simplify(e)
+    assert got == want and print_expr(got) == print_expr(want)
+    for node in _nodes(e):
+        if node._canon:  # a marked node is one simplify leaves as it is
+            assert _rebuild(node) == node
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda x: sx.mul(Const(2), Add(x, x)), "4*x"),
+    (lambda x: sx.add(Mul(x, Const(2)), x), "3*x"),
+    (lambda x: sx.mul(x, Pow(sx.pow_(x, 2), 3)), "x^7"),
+    (lambda x: sx.add(Pow(sx.pow_(x, 2), 3), Pow(sx.pow_(x, 2), 3)), "2*x^6"),
+    (lambda x: sx.sqrt(Pow(Const(4), 3)), "8"),
+    (lambda x: sx.sin(Add(x, x)), "sin(2*x)"),
+], ids=["mul", "add", "mul-pow-of-pow", "add-pow-of-pow", "sqrt-of-constant-power",
+        "func"])
+def test_builder_output_with_a_hand_built_child_is_canonicalized(build, want):
+    got = simplify(build(Var("x")))
+    assert got == parse_expr(want) and print_expr(got) == want
+
+
+def test_diff_memo_does_not_leak_between_calls():
+    x, y = Var("x"), Var("y")
+    s = sx.mul(x, y)
+    e = sx.add(sx.sin(s), sx.mul(s, s), sx.sqrt(s))  # x*y appears three times
+    dx = "y*cos(x*y) + (1/2)*sqrt(y)*sqrt(x)^-1 + 2*x*y^2"
+    dy = "x*cos(x*y) + (1/2)*sqrt(x)*sqrt(y)^-1 + 2*y*x^2"
+    assert print_expr(diff(e, "x")) == dx
+    assert print_expr(diff(e, "y")) == dy
+    assert print_expr(diff(e, "x")) == dx
+
+
+def test_substitute_memo_does_not_leak_between_calls():
+    x, y = Var("x"), Var("y")
+    s = sx.mul(x, y)
+    e = sx.add(sx.sin(s), sx.mul(s, s), sx.sqrt(s))
+    assert print_expr(substitute(e, {"x": 1})) == "sin(y) + sqrt(y) + y^2"
+    assert print_expr(substitute(e, {"x": 4})) == "sin(4*y) + 2*sqrt(y) + 16*y^2"
+    assert simplify(e) is e
