@@ -163,15 +163,15 @@ def parse_chart_file(text):
         embedding = r*cos(phi), r*sin(phi), z
         domain = r:(0.1,2.0), phi:(0.0,6.28), z:(-1.0,1.0)
     """
-    sections = []
+    sections = []  # (key -> value, key -> (line, column) of the value)
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line == "[chart]":
-            current = {}
-            sections.append(current)
+            current, where = {}, {}
+            sections.append((current, where))
             continue
         if line.startswith("["):
             raise ChartError(f"line {lineno}: unknown section {line}")
@@ -179,19 +179,22 @@ def parse_chart_file(text):
             raise ChartError(f"line {lineno}: key outside a [chart] section")
         if "=" not in line:
             raise ChartError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
+        key, _, value = raw.partition("=")
         current[key.strip()] = value.strip()
+        where[key.strip()] = (lineno, len(raw) - len(value.lstrip()) + 1)
 
     charts = []
-    for sec in sections:
+    for sec, where in sections:
         for req in ("name", "coords", "embedding"):
             if req not in sec:
                 raise ChartError(f"chart section missing {req!r}")
         coords = tuple(c.strip() for c in sec["coords"].split(","))
-        embedding = tuple(parse_expr(e) for e in _split_top(sec["embedding"]))
+        lineno, col = where["embedding"]
+        embedding = tuple(parse_expr(e, line=lineno, col=c)
+                          for e, c in _split_top(sec["embedding"], col))
         domain = {}
         if "domain" in sec:
-            for part in _split_top(sec["domain"]):
+            for part, _ in _split_top(sec["domain"]):
                 cname, _, rng = part.partition(":")
                 rng = rng.strip()
                 try:
@@ -205,21 +208,24 @@ def parse_chart_file(text):
     return charts
 
 
-def _split_top(text):
-    """Split on commas not nested in parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+def _split_top(text, col=1):
+    """Split on commas not nested in parentheses into stripped parts, each
+    with the column of its first character when ``text`` starts at ``col``."""
+    bounds, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
+        elif ch == "," and depth == 0:
+            bounds.append((start, i))
+            start = i + 1
+    bounds.append((start, len(text)))
+    out = []
+    for a, b in bounds:
+        part = text[a:b].lstrip()
+        out.append((part.rstrip(), col + b - len(part)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ def laplacian(phi, m):
     s = m.sqrt_abs_g
     inv = sx.pow_(s, -1)
     coords = m.chart.coords
+    dphi = [diff(phi, c) for c in coords]
     terms = []
     for i in range(m.dim):
-        flux = sx.add(*(m.g_hi[i][j] * diff(phi, coords[j]) for j in range(m.dim)))
+        flux = sx.add(*(m.g_hi[i][j] * dphi[j] for j in range(m.dim)))
         terms.append(inv * diff(s * flux, coords[i]))
     return sx.add(*terms)
 

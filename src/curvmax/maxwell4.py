@@ -57,6 +57,9 @@ def _is_sym(matrix):
 # Spacetime metric
 # ---------------------------------------------------------------------------
 
+_DET_SIGN = "spacetime metric must have det < 0"
+
+
 @dataclass(frozen=True)
 class Metric4:
     """Diagonal-or-numeric spacetime metric with det < 0.
@@ -90,12 +93,20 @@ class Metric4:
             return cls.numeric(np.diag(entries))
         entries = tuple(simplify(e) if isinstance(e, Expr) else sx.Const(e)
                         for e in entries)
+        det = entries[0] * entries[1] * entries[2] * entries[3]
+        if det == sx.ZERO:
+            raise Maxwell4Error(_DET_SIGN)
+        try:
+            # variables are positive on their domains, so sqrt refuses -det
+            # when det is a positive constant or has a positive coefficient
+            sqrt_neg_det = sx.sqrt(-det)
+        except sx.ConstantDomainError:
+            raise Maxwell4Error(_DET_SIGN) from None
         lo = tuple(tuple(entries[a] if a == b else sx.ZERO
                          for b in range(4)) for a in range(4))
         hi = tuple(tuple(sx.pow_(entries[a], -1) if a == b else sx.ZERO
                          for b in range(4)) for a in range(4))
-        det = entries[0] * entries[1] * entries[2] * entries[3]
-        return cls(lo, hi, det, sx.sqrt(-det))
+        return cls(lo, hi, det, sqrt_neg_det)
 
     @classmethod
     def from_spatial(cls, m3):
@@ -111,7 +122,7 @@ class Metric4:
             raise Maxwell4Error("metric must be a symmetric 4x4 matrix")
         det = float(np.linalg.det(m))
         if det >= 0:
-            raise Maxwell4Error("spacetime metric must have det < 0")
+            raise Maxwell4Error(_DET_SIGN)
         hi = np.linalg.inv(m)
         return cls(tuple(map(tuple, m)), tuple(map(tuple, hi)),
                    det, math.sqrt(-det))

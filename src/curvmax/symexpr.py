@@ -20,10 +20,13 @@ function, derivative, constant folds, LaTeX name, ``eval_expr`` domain
 check), which ``func``, ``diff``, ``eval_expr``, ``lambdify`` and
 ``to_latex`` read; ``FUNCTIONS`` lists its keys.
 
-Each node computes its hash and its sort key once, on first use, and keeps
-them.  Builders may return an input node unchanged (``add`` keeps every
-term that no other term merged with), so trees share subtrees.  That
-sharing, and the cached hash and key, are why nodes must stay immutable.
+Each node computes its hash, its sort key and, once it is a term of a
+sum, its term split (coefficient, monomial and like-term key, which ``add``
+reads) once, on first use, and keeps them.  Builders may return an input
+node unchanged (``add`` keeps every term that no other term merged with,
+and a sum of one canonical term is that term), so trees share subtrees.
+That sharing, and the cached hash, key and split, are why nodes must stay
+immutable.
 ``diff`` and ``substitute`` (so ``simplify``) keep a memo from each
 composite node of their input, by identity, to its result, for the length
 of one call: a subtree shared n times is worked on once.  Nothing is kept
@@ -127,12 +130,13 @@ class ZeroPowerError(ConstantDomainError, ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all nodes are immutable and hashable.  ``_hash`` and
-    ``_skey`` (the sort key) are computed on first use and kept.
-    ``_canon`` is the canonical mark: True only on a node that ``simplify``
-    gives back unchanged (always on constants, variables and field atoms)."""
+    """Base class; all nodes are immutable and hashable.  ``_hash``,
+    ``_skey`` (the sort key) and ``_split`` (see ``_term_split``) are
+    computed on first use and kept.  ``_canon`` is the canonical mark: True
+    only on a node that ``simplify`` gives back unchanged (always on
+    constants, variables and field atoms)."""
 
-    __slots__ = ("_hash", "_skey", "_canon")
+    __slots__ = ("_hash", "_skey", "_split", "_canon")
 
     def __eq__(self, other):
         if self is other:
@@ -145,11 +149,12 @@ class Expr:
         raise AttributeError("Expr is immutable")
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((type(self).__name__, self._parts()))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def _parts(self):
         raise NotImplementedError
@@ -321,11 +326,12 @@ def _wrap(x):
 
 def _key(e):
     """Sort key of a node; built once per node and kept in ``_skey``."""
-    k = getattr(e, "_skey", None)
-    if k is None:
+    try:
+        return e._skey
+    except AttributeError:
         k = _make_key(e)
         object.__setattr__(e, "_skey", k)
-    return k
+        return k
 
 
 def _make_key(e):
@@ -335,7 +341,7 @@ def _make_key(e):
     if t is Var:
         return (1, e.name)
     if t is FieldAtom:
-        return (2, e.base, e.derivs)
+        return (2, e.base, e.derivs, e.args)
     if t is Func:
         return (3, e.fname, _key(e.arg))
     if t is Pow:
@@ -423,11 +429,18 @@ _FRACTION_ONE = Fraction(1)
 
 
 def _term_split(t):
-    """Canonical term -> (coeff, mono) with mono a dict base -> exponent."""
+    """Term -> (coeff, mono, key, sin2), computed once per node and kept in
+    ``_split``: mono maps base -> exponent and must not be mutated, key is
+    the like-term key ``frozenset(mono.items())``, and sin2 tells whether a
+    base sin(u) has an exponent of at least 2 (so ``_pythagoras`` may fire)."""
+    try:
+        return t._split
+    except AttributeError:
+        pass
     tt = type(t)
     if tt is Const:
-        return t.value, {}
-    if tt is Mul:
+        coeff, mono = t.value, {}
+    elif tt is Mul:
         coeff = None
         mono = {}
         for f in t.factors:
@@ -437,13 +450,15 @@ def _term_split(t):
             else:
                 b, n = _as_unit(f)
                 mono[b] = mono.get(b, 0) + n
-        return (_FRACTION_ONE if coeff is None else coeff), mono
-    b, n = _as_unit(t)
-    return _FRACTION_ONE, {b: n}
-
-
-def _mono_key(mono):
-    return tuple(sorted((_key(b), n) for b, n in mono.items()))
+        if coeff is None:
+            coeff = _FRACTION_ONE
+    else:
+        b, n = _as_unit(t)
+        coeff, mono = _FRACTION_ONE, {b: n}
+    sin2 = any(n >= 2 and type(b) is Func and b.fname == "sin" for b, n in mono.items())
+    split = (coeff, mono, frozenset(mono.items()), sin2)
+    object.__setattr__(t, "_split", split)
+    return split
 
 
 def _term_build(coeff, mono):
@@ -453,9 +468,9 @@ def _term_build(coeff, mono):
 def _pythagoras(terms):
     """Collapse X*sin(u)^2 + X*cos(u)^2 -> X inside a combined term map.
 
-    ``terms`` maps mono-key -> [coeff, mono, node] as in ``add``; mutated
-    in place until no rule fires, and a term it changes loses its node.
-    Each application lowers total degree, so this terminates.
+    ``terms`` maps like-term key -> [coeff, mono, node] as in ``add``;
+    mutated in place until no rule fires, and a term it changes loses its
+    node.  Each application lowers total degree, so this terminates.
     """
     changed = True
     while changed:
@@ -473,7 +488,7 @@ def _pythagoras(terms):
                     del partner[b]
                 cb = Func("cos", b.arg)
                 partner[cb] = partner.get(cb, 0) + 2
-                pk = _mono_key(partner)
+                pk = frozenset(partner.items())
                 if pk in terms and pk != k and terms[pk][0] == coeff:
                     reduced = dict(mono)
                     reduced[b] = n - 2
@@ -481,7 +496,7 @@ def _pythagoras(terms):
                         del reduced[b]
                     del terms[k]
                     del terms[pk]
-                    rk = _mono_key(reduced)
+                    rk = frozenset(reduced.items())
                     if rk in terms:
                         terms[rk][0] += coeff
                         terms[rk][2] = None
@@ -496,37 +511,46 @@ def _pythagoras(terms):
 
 
 def add(*terms):
-    # combined maps mono-key -> [coeff, mono, node]; node is the input term
-    # while no other term has merged with it, else None (rebuild).  A
+    terms = [_wrap(t) for t in terms]
+    if len(terms) == 1:
+        t = terms[0]
+        # a canonical term other than a sum or zero is its own sum
+        if t._canon and type(t) is not Add and (type(t) is not Const or t.value):
+            return t
+    # combined maps like-term key -> [coeff, mono, node]; node is the input
+    # term while no other term has merged with it, else None (rebuild).  A
     # canonical term rebuilt from its split is equal to itself.
     combined = {}
-    terms = [_wrap(t) for t in terms]
-    canon = all(t._canon for t in terms)
-
-    def absorb(t):
-        if isinstance(t, Add):
-            for u in t.terms:
-                absorb(u)
-            return
-        coeff, mono = _term_split(t)
-        if coeff == 0:
-            return
-        k = _mono_key(mono)
+    canon = True
+    sin2 = False
+    todo = terms[::-1]
+    while todo:
+        t = todo.pop()
+        canon = canon and t._canon
+        if type(t) is Add:
+            todo.extend(reversed(t.terms))
+            continue
+        coeff, mono, k, s2 = _term_split(t)
+        if not coeff:
+            continue
         entry = combined.get(k)
         if entry is not None:
             entry[0] += coeff
             entry[2] = None
-            if entry[0] == 0:
+            if not entry[0]:
                 del combined[k]
         else:
             combined[k] = [coeff, mono, t]
-
-    for t in terms:
-        absorb(t)
-    _pythagoras(combined)
-    parts = [node if node is not None else _term_build(c, m)
-             for c, m, node in combined.values()]
-    parts = [p for p in parts if p != ZERO]
+            sin2 = sin2 or s2
+    if sin2:
+        _pythagoras(combined)
+    parts = []
+    for c, m, node in combined.values():
+        if node is None:
+            node = _term_build(c, m)
+            if type(node) is Const and not node.value:
+                continue
+        parts.append(node)
     parts.sort(key=_key)
     if not parts:
         return ZERO
@@ -950,11 +974,11 @@ _DIGITS = frozenset("0123456789")
 
 
 class _Tokenizer:
-    def __init__(self, text):
+    def __init__(self, text, line, col):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.line = line
+        self.col = col
         self.tokens = []
         self._scan()
         self.idx = 0
@@ -1029,8 +1053,8 @@ class _Parser:
     Unary minus binds looser than '^', so -x^2 reads as -(x^2).
     """
 
-    def __init__(self, text):
-        self.toks = _Tokenizer(text)
+    def __init__(self, text, line, col):
+        self.toks = _Tokenizer(text, line, col)
 
     def parse(self):
         e = self.expr()
@@ -1116,10 +1140,11 @@ def _fold(build, a, b, op):
         raise ParseError(str(err), op[2], op[3]) from None
 
 
-def parse_expr(text):
+def parse_expr(text, *, line=1, col=1):
     """Parse per the module grammar into a canonical tree; round-trips
-    through print_expr."""
-    return _Parser(text).parse()
+    through print_expr.  ``line`` and ``col`` place the text's first
+    character in a larger file, for the positions ParseError reports."""
+    return _Parser(text, line, col).parse()
 
 
 # ---------------------------------------------------------------------------

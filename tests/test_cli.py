@@ -151,7 +151,7 @@ def test_derive_chart_file_bad_metric_is_one_error_line(capsys, tmp_path,
     ("x, y", "x, y", "", "dimension must be 3, got 2"),
     ("u, v, z", "u + 2^3000000*v, v, z", "", "constant of more than"),
     # a constant outside a function's domain: undefined on the whole chart
-    ("u, v, z", "u + log(0), v, z", "", "log of non-positive value in log(0) (line 1, column 5)"),
+    ("u, v, z", "u + log(0), v, z", "", "log of non-positive value in log(0) (line 4, column 17)"),
     ("u, v, z", "u, v*sqrt(-4), z", "", "sqrt of negative value in sqrt(-4)"),
     ("u, v, z", "u, v, arccos(u - u + 2)*z", "", "arccos argument outside [-1, 1]"),
 ], ids=["non-number", "one-bound", "non-ascii-digit", "infinite", "nan",
@@ -166,6 +166,21 @@ def test_derive_chart_file_bad_input_is_one_error_line(capsys, tmp_path, coords,
     assert code == 2 and out == ""
     assert err.startswith("error: invalid chart file: ")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("embedding_line, message", [
+    ("embedding = u + log(0), v, z", "log of non-positive value in log(0) (line 5, column 17)"),
+    ("  embedding =  u,   v/0 , z", "division by zero (line 5, column 22)"),
+    ("embedding = u, v, (z@", "unexpected character '@' (line 5, column 21)"),
+], ids=["log-zero", "indented-second-part", "inside-parentheses"])
+def test_derive_chart_file_parse_error_gives_file_position(capsys, tmp_path,
+                                                           embedding_line, message):
+    p = tmp_path / "chart.ini"
+    p.write_text("[chart]\nname = bad\n# the embedding is on line 5\ncoords = u, v, z\n"
+                 f"{embedding_line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: invalid chart file: {message}\n"
 
 
 def test_derive_chart_file_not_utf8_is_one_error_line(capsys, tmp_path):

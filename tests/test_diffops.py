@@ -10,6 +10,7 @@ evaluator, so agreement validates the curvilinear formulas.
 import numpy as np
 import pytest
 
+from curvmax import diffops
 from curvmax import symexpr as sx
 from curvmax.chart import (ComponentVector, _mat_det, _mat_inverse,
                            builtin_chart, convert_basis, jacobian,
@@ -151,3 +152,26 @@ def test_spherical_laplacian_closed_form():
                 + sx.pow_(r, -2) * sx.cos(th) * sx.pow_(sx.sin(th), -1) * f_t
                 + sx.pow_(r, -2) * sx.pow_(sx.sin(th), -2) * f_pp)
     assert equivalent(laplacian(phi, m), expected, chart.domains(), seed=11)
+
+
+@pytest.mark.parametrize("chart_name", CHART_NAMES)
+def test_laplacian_takes_each_first_derivative_once(chart_name, monkeypatch):
+    chart = builtin_chart(chart_name)
+    m = metric_from_chart(chart)
+    phi = FieldAtom("f", chart.coords)
+    # the formula as written: d_j phi inside the sum over i
+    inv = sx.pow_(m.sqrt_abs_g, -1)
+    want = sx.add(*(
+        inv * diff(m.sqrt_abs_g * sx.add(*(m.g_hi[i][j] * diff(phi, chart.coords[j])
+                                           for j in range(3))), chart.coords[i])
+        for i in range(3)))
+    calls = []
+
+    def counting_diff(e, v):
+        calls.append((e, v))
+        return diff(e, v)
+    monkeypatch.setattr(diffops, "diff", counting_diff)
+    assert laplacian(phi, m) == want
+    # three first derivatives of phi, then one derivative of each flux
+    assert [v for e, v in calls if e == phi] == list(chart.coords)
+    assert len(calls) == 6

@@ -209,6 +209,23 @@ def test_symbolic_metric_requires_diagonal():
         m4.Metric4.numeric(np.diag([1.0, 1.0, 1.0, 1.0]))  # det > 0
 
 
+@pytest.mark.parametrize("entries", [
+    (sx.ONE,) * 4,
+    (sx.Var("x"), 1, 1, 1),
+    (sx.Var("x"), -1, 1, -1),
+    (sx.Var("x"), 0, -1, -1),
+], ids=["ones", "symbolic-positive", "two-negative", "zero"])
+def test_symbolic_diagonal_metric_with_det_not_negative_is_refused(entries):
+    with pytest.raises(m4.Maxwell4Error, match="det < 0"):
+        m4.Metric4.diagonal(entries)
+
+
+def test_symbolic_diagonal_metric_with_negative_det_is_kept():
+    x = sx.Var("x")
+    m = m4.Metric4.diagonal((sx.ONE, -x, -1, -1))
+    assert m.det == sx.simplify(-x) and m.sqrt_minus_g == sx.sqrt(x)
+
+
 # ---------------------------------------------------------------------------
 # Contractions against a nested-loop oracle over all 256 index tuples
 # ---------------------------------------------------------------------------
