@@ -521,36 +521,31 @@ def add(*terms):
     # term while no other term has merged with it, else None (rebuild).  A
     # canonical term rebuilt from its split is equal to itself.
     combined = {}
-    canon = True
+    canon = all(t._canon for t in terms)
     sin2 = False
     todo = terms[::-1]
     while todo:
         t = todo.pop()
-        canon = canon and t._canon
         if type(t) is Add:
             todo.extend(reversed(t.terms))
             continue
         coeff, mono, k, s2 = _term_split(t)
-        if not coeff:
+        if coeff == 0:
             continue
         entry = combined.get(k)
         if entry is not None:
             entry[0] += coeff
             entry[2] = None
-            if not entry[0]:
+            if entry[0] == 0:
                 del combined[k]
         else:
             combined[k] = [coeff, mono, t]
             sin2 = sin2 or s2
     if sin2:
         _pythagoras(combined)
-    parts = []
-    for c, m, node in combined.values():
-        if node is None:
-            node = _term_build(c, m)
-            if type(node) is Const and not node.value:
-                continue
-        parts.append(node)
+    parts = [node if node is not None else _term_build(c, m)
+             for c, m, node in combined.values()]
+    parts = [p for p in parts if p != ZERO]
     parts.sort(key=_key)
     if not parts:
         return ZERO
