@@ -194,10 +194,10 @@ def _root(a):
 
 
 def builder_exprs(depth=3):
-    """Builder-made trees over x, y and a field atom, with powers, sqrt and
-    sin/cos pairs so that like terms merge and sin^2 + cos^2 collapses."""
+    """Builder-made trees over x, y and two field atoms that differ only in
+    their arguments (so must never merge), with powers, sqrt and sin/cos
+    pairs so that like terms merge and sin^2 + cos^2 collapses."""
     if depth == 0:
-        # two atoms that differ only in their arguments must never merge
         return st.one_of(leaf(), st.sampled_from([FieldAtom("f", ("x", "y")),
                                                   FieldAtom("f", ("x",))]))
     sub = builder_exprs(depth - 1)
