@@ -56,10 +56,6 @@ class Chart:
                 raise ChartError(f"domain of {c!r} must be finite with min < max, "
                                  f"got ({lo}, {hi})")
 
-    @property
-    def dim(self):
-        return len(self.coords)
-
     def domains(self):
         """Sampling domains for `equivalent`, defaulted where undeclared."""
         return {c: self.domain.get(c, sx.DEFAULT_DOMAIN) for c in self.coords}
@@ -82,10 +78,6 @@ class MetricData:
     det_g: Expr
     sqrt_abs_g: Expr
     lame: tuple[Expr, ...] | None
-
-    @property
-    def dim(self):
-        return len(self.g_lo)
 
     def domains(self):
         return self.chart.domains()
@@ -233,11 +225,7 @@ def _split_top(text, col=1):
 # ---------------------------------------------------------------------------
 
 def jacobian(chart):
-    n = chart.dim
-    rows = tuple(
-        tuple(diff(chart.embedding[a], chart.coords[i]) for i in range(n))
-        for a in range(n))
-    return Jacobian(rows)
+    return Jacobian(tuple(tuple(diff(x, c) for c in chart.coords) for x in chart.embedding))
 
 
 def _mat_det(m):
@@ -266,22 +254,19 @@ def metric_from_chart(chart):
 
     Raises ChartError when the metric is singular, or when sqrt|g| or a
     Lame coefficient is not positive and finite on the chart's domain."""
-    n = chart.dim
     jac = jacobian(chart).matrix
-    g_lo = tuple(
-        tuple(sx.add(*(jac[a][i] * jac[a][j] for a in range(n)))
-              for j in range(n))
-        for i in range(n))
+    g_lo = tuple(tuple(sx.add(*(jac[a][i] * jac[a][j] for a in range(3))) for j in range(3))
+                 for i in range(3))
     det = _mat_det(g_lo)
     if det == sx.ZERO:
         raise ChartError(f"chart {chart.name!r} has a singular metric")
     g_hi = _mat_inverse(g_lo, det)
     sqrt_abs_g = sx.sqrt(det)
-    diagonal = all(g_lo[i][j] == sx.ZERO for i in range(n) for j in range(n) if i != j)
+    diagonal = all(g_lo[i][j] == sx.ZERO for i in range(3) for j in range(3) if i != j)
     lame = None
     checked = [("sqrt|g|", sqrt_abs_g)]
     if diagonal:
-        lame = tuple(sx.sqrt(g_lo[i][i]) for i in range(n))
+        lame = tuple(sx.sqrt(g_lo[i][i]) for i in range(3))
         checked += [(f"Lame coefficient h_{c}", h) for c, h in zip(chart.coords, lame)]
     _require_positive(chart, checked)
     return MetricData(chart, g_lo, g_hi, det, sqrt_abs_g, lame)
@@ -326,35 +311,29 @@ def convert_basis(v, m, target):
     if v.basis == target:
         return v
     h = lame_coefficients(m)
-    if v.variance == "contravariant":
-        scale = h if target == "nonholonomic" else tuple(sx.pow_(x, -1) for x in h)
-    else:
-        scale = tuple(sx.pow_(x, -1) for x in h) if target == "nonholonomic" else h
+    times_h = (v.variance == "contravariant") == (target == "nonholonomic")
+    scale = h if times_h else tuple(sx.pow_(x, -1) for x in h)
     comps = tuple(scale[i] * v.components[i] for i in range(len(v)))
     return ComponentVector(comps, v.variance, target)
 
 
+def _contract(v, g, variance, action, caller):
+    """Holonomic components sum_j g[i][j] v_j of ``v``, which must be
+    holonomic and of the given variance; the result has the other one."""
+    if v.basis != "holonomic":
+        raise ChartError(f"index {action} acts on holonomic components")
+    if v.variance != variance:
+        raise ChartError(f"{caller} expects {variance} components")
+    comps = tuple(sx.add(*(g[i][j] * v.components[j] for j in range(3))) for i in range(3))
+    other = "contravariant" if variance == "covariant" else "covariant"
+    return ComponentVector(comps, other, "holonomic")
+
+
 def raise_index(v, m):
     """f^i = g^ij f_j (holonomic components)."""
-    if v.basis != "holonomic":
-        raise ChartError("index raising acts on holonomic components")
-    if v.variance != "covariant":
-        raise ChartError("raise_index expects covariant components")
-    n = m.dim
-    comps = tuple(
-        sx.add(*(m.g_hi[i][j] * v.components[j] for j in range(n)))
-        for i in range(n))
-    return ComponentVector(comps, "contravariant", "holonomic")
+    return _contract(v, m.g_hi, "covariant", "raising", "raise_index")
 
 
 def lower_index(v, m):
     """f_i = g_ij f^j (holonomic components)."""
-    if v.basis != "holonomic":
-        raise ChartError("index lowering acts on holonomic components")
-    if v.variance != "contravariant":
-        raise ChartError("lower_index expects contravariant components")
-    n = m.dim
-    comps = tuple(
-        sx.add(*(m.g_lo[i][j] * v.components[j] for j in range(n)))
-        for i in range(n))
-    return ComponentVector(comps, "covariant", "holonomic")
+    return _contract(v, m.g_lo, "contravariant", "lowering", "lower_index")

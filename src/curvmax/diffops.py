@@ -46,7 +46,7 @@ def div(v, m):
     s = m.sqrt_abs_g
     inv = sx.pow_(s, -1)
     terms = [inv * diff(s * v.components[i], m.chart.coords[i])
-             for i in range(m.dim)]
+             for i in range(3)]
     return sx.add(*terms)
 
 
@@ -68,8 +68,8 @@ def laplacian(phi, m):
     coords = m.chart.coords
     dphi = [diff(phi, c) for c in coords]
     terms = []
-    for i in range(m.dim):
-        flux = sx.add(*(m.g_hi[i][j] * dphi[j] for j in range(m.dim)))
+    for i in range(3):
+        flux = sx.add(*(m.g_hi[i][j] * dphi[j] for j in range(3)))
         terms.append(inv * diff(s * flux, coords[i]))
     return sx.add(*terms)
 
@@ -82,7 +82,7 @@ def grad_nh(phi, m):
     """Physical-component gradient: (1/h_i) d_i phi."""
     h = lame_coefficients(m)
     comps = tuple(sx.pow_(h[i], -1) * diff(phi, m.chart.coords[i])
-                  for i in range(m.dim))
+                  for i in range(3))
     return ComponentVector(comps, "covariant", "nonholonomic")
 
 

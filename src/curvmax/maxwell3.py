@@ -76,24 +76,23 @@ class MaxwellResiduals3:
                         (*self.faraday, *self.ampere, self.gauss_D, self.gauss_B)))
 
 
+def _atoms(chart, base, variance):
+    """Holonomic components base_1..base_3: field atoms in (t, chart coordinates)."""
+    args = ("t",) + chart.coords
+    return ComponentVector(tuple(FieldAtom(f"{base}_{i + 1}", args) for i in range(3)),
+                           variance, "holonomic")
+
+
 def symbolic_fields(chart):
     """FieldSet3 of opaque field atoms in (t, chart coordinates)."""
-    args = ("t",) + chart.coords
-
-    def vec(base, variance):
-        return ComponentVector(
-            tuple(FieldAtom(f"{base}_{i + 1}", args) for i in range(chart.dim)),
-            variance, "holonomic")
-
-    return FieldSet3(E=vec("E", "covariant"), H=vec("H", "covariant"),
-                     D=vec("D", "contravariant"), B=vec("B", "contravariant"))
+    return FieldSet3(E=_atoms(chart, "E", "covariant"), H=_atoms(chart, "H", "covariant"),
+                     D=_atoms(chart, "D", "contravariant"),
+                     B=_atoms(chart, "B", "contravariant"))
 
 
 def symbolic_sources(chart, c=None):
-    args = ("t",) + chart.coords
-    j = ComponentVector(tuple(FieldAtom(f"j_{i + 1}", args) for i in range(chart.dim)),
-                        "contravariant", "holonomic")
-    return Sources3(rho=FieldAtom("rho", args), j=j, c=c if c is not None else Var("c"))
+    return Sources3(rho=FieldAtom("rho", ("t",) + chart.coords),
+                    j=_atoms(chart, "j", "contravariant"), c=c if c is not None else Var("c"))
 
 
 def assemble_residuals(fields, src, m):

@@ -53,8 +53,9 @@ components (field, component, axis, profile); one routine samples it at
 any time, E_i at edge-i sites and B^i at face-i sites.
 
 Physical and integral variables differ by one positive scalar per
-component.  ``step`` converts a state built from physical arrays (by
-``init_grid``, ``GridField(...)`` or ``dataclasses.replace``) once and
+component.  A state built from physical arrays (by ``init_grid``,
+``GridField(...)`` or ``dataclasses.replace``) holds the scalars
+``_UNIT_SCALE``, all 1.0.  ``step`` converts such a state once and
 returns integral states, which later steps use as they are.  Reading
 ``state.e``, ``state.d`` or ``state.b`` of an integral state divides by
 those scalars into a new read-only array; it is not cached on the state,
@@ -159,17 +160,19 @@ class GridField:
 
     ``e``, ``d`` and ``b`` read the physical arrays: covariant E_i at
     edge-i sites, sqrt(g) D^i at edge-i sites and sqrt(g) B^i at face-i
-    sites, each of shape (3, N1, N2, N3).  ``step`` ends with the second
-    half step of ``b``, so all three are at time ``t``.
+    sites, each of shape (3, N1, N2, N3); for any other shape ``step``,
+    ``diagnostics`` and the snapshot writers raise SolverError.  ``step``
+    ends with the second half step of ``b``, so all three are at time ``t``.
 
     A state built as ``GridField(e=, d=, b=, t=)`` (or by
-    ``dataclasses.replace``) holds the given physical arrays.  A state
-    returned by ``step`` holds the integral arrays e~, d~, b~ of the module
-    docstring and the per-component scalars that relate them to the
-    physical ones; each read of ``e``, ``d`` or ``b`` then divides by those
-    scalars into a new array, which is not kept: keeping it would hold
-    every field twice.  Either way the arrays read are read-only, so a
-    write raises instead of being lost.
+    ``dataclasses.replace``) holds the given physical arrays and the
+    scalars ``_UNIT_SCALE``, all 1.0.  A state returned by ``step`` holds
+    the integral arrays e~, d~, b~ of the module docstring and the
+    per-component scalars that relate them to the physical ones; each read
+    of ``e``, ``d`` or ``b`` then divides by those scalars into a new
+    array, which is not kept: keeping it would hold every field twice.
+    Either way the arrays read are read-only, so a write raises instead of
+    being lost.
     """
 
     e: np.ndarray
@@ -178,9 +181,9 @@ class GridField:
     t: float
     nstep: int = 0
 
-    def __init__(self, e, d, b, t, nstep=0, *, _scale=None):
-        # _scale (from ``step`` only) marks e, d, b as integral arrays with
-        # physical = arrays[k][i] / _scale[k][i]
+    def __init__(self, e, d, b, t, nstep=0, *, _scale=_UNIT_SCALE):
+        # physical = arrays[k][i] / _scale[k][i]; only ``step`` passes
+        # scalars other than _UNIT_SCALE, those of integral arrays
         arrays = tuple(np.asarray(x) for x in (e, d, b))
         for name, value in (("_arrays", arrays), ("_scale", _scale),
                             ("t", t), ("nstep", nstep)):
@@ -188,7 +191,7 @@ class GridField:
 
     def _physical(self, k):
         x = self._arrays[k]
-        if self._scale is None:
+        if self._scale is _UNIT_SCALE:
             out = x.view()
         else:
             out = np.empty(x.shape)
@@ -392,11 +395,22 @@ def _closure(w, coef, out, lo=0, hi=None):
     return out
 
 
-def _integral_arrays(state, geo):
+def _stored_arrays(state, spec):
+    """The (e, d, b) arrays a state holds; SolverError unless each is
+    (3, N1, N2, N3) for the spec's cells."""
+    want = (3, *spec.shape)
+    for x in state._arrays:
+        if x.shape != want:
+            raise SolverError(f"state array of shape {x.shape} does not fit the grid's {want}")
+    return state._arrays
+
+
+def _integral_arrays(state, spec, geo):
     """(e~, d~, b~) of a state; a state from an earlier step with the same
     geometry already holds them, any other is converted once."""
+    arrays = _stored_arrays(state, spec)
     if state._scale == geo.scale:
-        return state._arrays
+        return arrays
     return tuple(_closure(x, s, np.empty(x.shape))
                  for x, s in zip((state.e, state.d, state.b), geo.scale))
 
@@ -476,7 +490,7 @@ def step(state, spec, j_func=None):
     """
     geo = _geometry(spec)
     dt = time_step(spec)
-    e, d, b = _integral_arrays(state, geo)
+    e, d, b = _integral_arrays(state, spec, geo)
     shape = (3, *spec.shape)
     slabs = _slabs(spec.shape)
 
@@ -529,7 +543,7 @@ def diagnostics(state, spec, rho=None):
     exact invariant.
     """
     geo = _geometry(spec)
-    e, d, b = _integral_arrays(state, geo)
+    e, d, b = _integral_arrays(state, spec, geo)
     cdt, vol = spec.c * geo.dt, float(np.prod(spec.spacing))
     if rho is not None:
         rho = np.broadcast_to(rho, spec.shape)
@@ -562,7 +576,7 @@ def diagnostics(state, spec, rho=None):
     energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * cdt)
     # max |x_i| / scale_i per component equals the maximum over the arrays
     # .e, .d, .b read: dividing by a positive scalar keeps the order of values.
-    scale = [s for field in state._scale or _UNIT_SCALE for s in field]
+    scale = [s for field in state._scale for s in field]
     fields = [abs(float(p)) / s for p, s in zip(peaks[2:], scale)]
     return {
         "energy": energy,
@@ -574,18 +588,15 @@ def diagnostics(state, spec, rho=None):
 
 
 def _all_components(state, spec):
-    """Yield (name, array) for the 12 snapshot components in sorted name
-    order, each computed when it is reached, so a writer need not hold all."""
+    """Check the state's shapes, then return (name, array) for the 12 snapshot
+    components in sorted name order, each computed when it is reached."""
     geo = _geometry(spec)
-    (e, d, b), (se, sd, sb) = state._arrays, state._scale or _UNIT_SCALE
-    for i in range(3):
-        yield f"B_{i + 1}", b[i] / (sb[i] * geo.sqrtg_face[i])
-    for i in range(3):
-        yield f"D_{i + 1}", d[i] / (sd[i] * geo.sqrtg_edge[i])
-    for i in range(3):
-        yield f"E_{i + 1}", e[i] / se[i]  # as state.e reads it
-    for i in range(3):
-        yield f"H_{i + 1}", b[i] * (geo.h_coef[i] / sb[i])
+    (e, d, b), (se, sd, sb) = _stored_arrays(state, spec), state._scale
+    return itertools.chain(
+        ((f"B_{i + 1}", b[i] / (sb[i] * geo.sqrtg_face[i])) for i in range(3)),
+        ((f"D_{i + 1}", d[i] / (sd[i] * geo.sqrtg_edge[i])) for i in range(3)),
+        ((f"E_{i + 1}", e[i] / se[i]) for i in range(3)),  # as state.e reads it
+        ((f"H_{i + 1}", b[i] * (geo.h_coef[i] / sb[i])) for i in range(3)))
 
 
 def _cut_invariant_axes(x):
@@ -657,9 +668,10 @@ def write_snapshot_binary(stream, state, spec):
     (1 = float64); uint32 field count; zero padding to 64 bytes.  Payload:
     the field arrays in sorted component-name order, C order.
     """
+    components = _all_components(state, spec)  # checks the state first
     header = SNAPSHOT_MAGIC + struct.pack("<3I2I", *spec.shape, _DTYPE_CODE_F64, 12)
     stream.write(header.ljust(64, b"\0"))
-    for _, comp in _all_components(state, spec):
+    for _, comp in components:
         stream.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
 

@@ -475,27 +475,21 @@ def _pythagoras(terms):
     changed = True
     while changed:
         changed = False
-        for k in list(terms.keys()):
-            if k not in terms:
-                continue
-            coeff, mono, _ = terms[k]
+        # each pass stops at its first rewrite, so every key it reads is live
+        for k, (coeff, mono, _) in list(terms.items()):
             for b, n in mono.items():
                 if not (isinstance(b, Func) and b.fname == "sin" and n >= 2):
                     continue
-                partner = dict(mono)
-                partner[b] = n - 2
-                if partner[b] == 0:
-                    del partner[b]
+                reduced = dict(mono)
+                reduced[b] = n - 2
+                if reduced[b] == 0:
+                    del reduced[b]
                 cb = Func("cos", b.arg)
+                partner = dict(reduced)
                 partner[cb] = partner.get(cb, 0) + 2
                 pk = frozenset(partner.items())
-                if pk in terms and pk != k and terms[pk][0] == coeff:
-                    reduced = dict(mono)
-                    reduced[b] = n - 2
-                    if reduced[b] == 0:
-                        del reduced[b]
-                    del terms[k]
-                    del terms[pk]
+                if pk in terms and terms[pk][0] == coeff:
+                    del terms[k], terms[pk]
                     rk = frozenset(reduced.items())
                     if rk in terms:
                         terms[rk][0] += coeff
@@ -749,9 +743,7 @@ def free_vars(e):
     while stack:
         x = stack.pop()
         t = type(x)
-        if t is Var:
-            out.add(x.name)
-        elif t is FieldAtom:
+        if t is Var or t is FieldAtom:
             out.add(x.name)
         elif t is Add:
             stack.extend(x.terms)
@@ -1159,6 +1151,12 @@ def _paren_for_mul(x):
     return s
 
 
+def _join_terms(printer, terms):
+    """Printed terms joined by " + ", or by " - " for one with a leading minus."""
+    first, *rest = map(printer, terms)
+    return first + "".join(" - " + s[1:] if s.startswith("-") else " + " + s for s in rest)
+
+
 def print_expr(e):
     """Plain-text form that reparses to the same tree."""
     e = _wrap(e)
@@ -1187,14 +1185,7 @@ def print_expr(e):
             sign = "-"
         return sign + "*".join(_paren_for_mul(f) for f in factors)
     if t is Add:
-        out = print_expr(e.terms[0])
-        for term in e.terms[1:]:
-            s = print_expr(term)
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return _join_terms(print_expr, e.terms)
     raise TypeError(f"unknown node {t!r}")
 
 
@@ -1278,12 +1269,5 @@ def to_latex(e):
             body = ((cnum + " ") if cnum else "") + render(num)
         return sign + body
     if t is Add:
-        out = to_latex(e.terms[0])
-        for term in e.terms[1:]:
-            s = to_latex(term)
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return _join_terms(to_latex, e.terms)
     raise TypeError(f"unknown node {t!r}")

@@ -99,6 +99,11 @@ PINNED += [("--chart", "cartesian", "4tensor"),
 PINNED = [pytest.param(*case, "text", id="-".join(case)) for case in PINNED]
 PINNED += [pytest.param("--chart", "cartesian", "4tensor", "latex",
                         id="--chart-cartesian-4tensor-latex")]
+# LaTeX pins whose equations hold sums, so the joining of terms is checked
+PINNED += [pytest.param("--chart", "spherical", "3vector", "latex",
+                        id="--chart-spherical-3vector-latex"),
+           pytest.param("--chart-file", "parabolic.chart", "operators", "latex",
+                        id="--chart-file-parabolic.chart-operators-latex")]
 
 
 @pytest.mark.parametrize("source, chart, form, fmt", PINNED)

@@ -326,6 +326,44 @@ def test_field_reads_are_read_only_and_match_the_binary_snapshot():
         given.e[0, 0, 0, 0] = 1.0
 
 
+def _misshapen_states(spec):
+    """States on ``spec`` with one array, or all three, of the wrong shape."""
+    good = sv.init_grid(spec, "plane_wave")
+    short = np.zeros((3, 1, *spec.shape[1:]))
+    yield dataclasses.replace(good, d=short)
+    yield sv.GridField(e=short, d=short, b=short, t=0.0)
+    yield sv.GridField(e=good.e, d=good.d, b=np.zeros((2, *spec.shape)), t=0.0)
+
+
+def _write_csv(state, spec):
+    sv.write_snapshot_csv(io.StringIO(), state, spec)
+
+
+def _write_binary(state, spec):
+    sv.write_snapshot_binary(io.BytesIO(), state, spec)
+
+
+@pytest.mark.parametrize("entry", [sv.step, sv.diagnostics, _write_csv, _write_binary],
+                         ids=["step", "diagnostics", "csv", "binary"])
+def test_state_arrays_that_do_not_fit_the_spec_are_a_solver_error(entry):
+    spec = _cart_spec(4)
+    for state in _misshapen_states(spec):
+        bad = next(x.shape for x in state._arrays if x.shape != (3, 4, 4, 4))
+        with pytest.raises(sv.SolverError) as exc:
+            entry(state, spec)
+        assert str(bad) in str(exc.value) and "(3, 4, 4, 4)" in str(exc.value)
+
+
+def test_misshapen_state_writes_no_snapshot_bytes():
+    spec = _cart_spec(4)
+    for state in _misshapen_states(spec):
+        for stream, write in ((io.StringIO(), sv.write_snapshot_csv),
+                              (io.BytesIO(), sv.write_snapshot_binary)):
+            with pytest.raises(sv.SolverError):
+                write(stream, state, spec)
+            assert not stream.getvalue()
+
+
 def test_max_abs_equals_the_maximum_over_the_fields_read():
     integral = _stepped_shell()
     physical = sv.GridField(e=integral.e, d=integral.d, b=integral.b, t=integral.t)

@@ -315,6 +315,27 @@ def test_add_equals_rebuilding_add(terms):
     assert print_expr(got) == print_expr(want)
 
 
+# Fixed results of the Pythagoras rewrite: the property above compares
+# ``add`` with a reference that calls ``sx._pythagoras`` itself.
+PYTHAGORAS = [
+    ("x*sin(u)^2 + x*cos(u)^2 + y", "x + y"),
+    ("sin(u)^4 + sin(u)^2*cos(u)^2", "sin(u)^2"),
+    ("2*sin(u)^2 + cos(u)^2", "cos(u)^2 + 2*sin(u)^2"),
+    ("sin(u)^2 + cos(u)^2 + 1", "2"),
+    ("x*sin(u)^2 + x*cos(u)^2 - x", "0"),
+    # two rewrites: first in v, then in u
+    ("sin(u)^3*cos(v)^2 + sin(u)^3*sin(v)^2 + sin(u)*cos(u)^2", "sin(u)"),
+]
+
+
+@pytest.mark.parametrize("text, want", PYTHAGORAS)
+def test_pythagoras_gives_fixed_results(text, want):
+    terms = [parse_expr(t) for t in text.replace(" - ", " + -").split(" + ")]
+    assert print_expr(sx.add(*terms)) == want
+    assert print_expr(_rebuilding_add(*terms)) == want
+    assert print_expr(parse_expr(text)) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(builder_exprs(), st.sampled_from(VARS))
 def test_diff_equals_zero_product_rule(e, v):
