@@ -3,14 +3,16 @@
 All operators follow the metric-compatible, torsion-free connection; the
 divergence and Laplacian use the sqrt|g|-densitized forms, and the curl
 takes (i, j, k) over the cyclic permutations of (1, 2, 3) listed in
-``CYCLIC``.
+``CYCLIC``.  Each operator takes all its derivatives through one
+``symexpr.partials()``, so a subtree shared between the trees it
+differentiates by one coordinate is differentiated once.
 """
 
 from __future__ import annotations
 
 from . import symexpr as sx
 from .chart import ComponentVector, convert_basis, lame_coefficients
-from .symexpr import diff
+from .symexpr import partials
 
 __all__ = [
     "grad", "div", "curl", "laplacian", "grad_nh", "div_nh", "curl_nh",
@@ -30,7 +32,8 @@ class DiffOpsError(Exception):
 
 def grad(phi, chart):
     """Covariant holonomic gradient: component i = d phi / d u^i."""
-    comps = tuple(diff(phi, c) for c in chart.coords)
+    d = partials()
+    comps = tuple(d(phi, c) for c in chart.coords)
     return ComponentVector(comps, "covariant", "holonomic")
 
 
@@ -45,7 +48,8 @@ def div(v, m):
     _require(v, "contravariant", "holonomic")
     s = m.sqrt_abs_g
     inv = sx.pow_(s, -1)
-    terms = [inv * diff(s * v.components[i], m.chart.coords[i])
+    d = partials()
+    terms = [inv * d(s * v.components[i], m.chart.coords[i])
              for i in range(3)]
     return sx.add(*terms)
 
@@ -55,8 +59,9 @@ def curl(w, m):
     _require(w, "covariant", "holonomic")
     inv = sx.pow_(m.sqrt_abs_g, -1)
     coords = m.chart.coords
+    d = partials()
     comps = tuple(
-        inv * (diff(w.components[k], coords[j]) - diff(w.components[j], coords[k]))
+        inv * (d(w.components[k], coords[j]) - d(w.components[j], coords[k]))
         for (_, j, k) in CYCLIC)
     return ComponentVector(comps, "contravariant", "holonomic")
 
@@ -66,11 +71,12 @@ def laplacian(phi, m):
     s = m.sqrt_abs_g
     inv = sx.pow_(s, -1)
     coords = m.chart.coords
-    dphi = [diff(phi, c) for c in coords]
+    d = partials()
+    dphi = [d(phi, c) for c in coords]
     terms = []
     for i in range(3):
         flux = sx.add(*(m.g_hi[i][j] * dphi[j] for j in range(3)))
-        terms.append(inv * diff(s * flux, coords[i]))
+        terms.append(inv * d(s * flux, coords[i]))
     return sx.add(*terms)
 
 
@@ -81,7 +87,8 @@ def laplacian(phi, m):
 def grad_nh(phi, m):
     """Physical-component gradient: (1/h_i) d_i phi."""
     h = lame_coefficients(m)
-    comps = tuple(sx.pow_(h[i], -1) * diff(phi, m.chart.coords[i])
+    d = partials()
+    comps = tuple(sx.pow_(h[i], -1) * d(phi, m.chart.coords[i])
                   for i in range(3))
     return ComponentVector(comps, "covariant", "nonholonomic")
 

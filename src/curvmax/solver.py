@@ -486,7 +486,8 @@ def step(state, spec, j_func=None):
     """One leapfrog step (b half, d full, b half); returns the new state.
 
     ``j_func(t) -> (3, N1, N2, N3)`` contravariant current samples at the
-    edge sites, or None for source-free runs.
+    edge sites, or None for source-free runs; a current of any other shape
+    is a SolverError.
     """
     geo = _geometry(spec)
     dt = time_step(spec)
@@ -503,6 +504,8 @@ def step(state, spec, j_func=None):
     b, d = b_half, d_new
     if j_func is not None:
         j = np.asarray(j_func(state.t + 0.5 * dt))
+        if j.shape != shape:
+            raise SolverError(f"current of shape {j.shape} does not fit the grid's {shape}")
         for i in range(3):
             d[i] -= geo.j_coef[i] * j[i]
     e = _apply_pec(_closure(d, geo.d_to_e, h), spec)  # h is spent; reuse its memory
@@ -540,13 +543,18 @@ def diagnostics(state, spec, rho=None):
     midpoint quadrature, that is (sum e~.d~ / (c dt/2) + sum h~.b~ / (c dt))
     / 8pi in integral variables; the divergence defects use the same +-1
     incidence sums whose commutation with the update curls makes div b an
-    exact invariant.
+    exact invariant.  ``rho`` is the charge density at the nodes, a scalar
+    or an array that broadcasts to (N1, N2, N3); any other is a SolverError.
     """
     geo = _geometry(spec)
     e, d, b = _integral_arrays(state, spec, geo)
     cdt, vol = spec.c * geo.dt, float(np.prod(spec.spacing))
     if rho is not None:
-        rho = np.broadcast_to(rho, spec.shape)
+        try:
+            rho = np.broadcast_to(rho, spec.shape)
+        except ValueError:
+            raise SolverError(f"charge density of shape {np.shape(rho)} does not "
+                              f"broadcast to the grid's {spec.shape}") from None
     slabs = _slabs(spec.shape)
     acc = np.empty((slabs[0][1], *spec.shape[1:]))
     # Per slab: the dot products of e.d and h.b along the last axis, and the

@@ -27,10 +27,16 @@ node unchanged (``add`` keeps every term that no other term merged with,
 and a sum of one canonical term is that term), so trees share subtrees.
 That sharing, and the cached hash, key and split, are why nodes must stay
 immutable.
-``diff`` and ``substitute`` (so ``simplify``) keep a memo from each
-composite node of their input, by identity, to its result, for the length
-of one call: a subtree shared n times is worked on once.  Nothing is kept
-from one call to the next.
+``substitute`` (so ``simplify``) keeps a memo from each composite node of
+its input, by identity, to its result, for the length of one call: a
+subtree shared n times is worked on once.  Derivatives keep theirs longer:
+``partials()`` gives a callable that keeps one such memo per variable for
+its own lifetime, and each operator of ``diffops`` takes all its
+derivatives through one, so a subtree shared between the trees it
+differentiates by one variable is differentiated once; ``diff`` is a fresh
+one.  ``eval_expr`` compiles each root it evaluates into a tape, kept on
+the root (``_tape``), so every later evaluation of that root at another
+binding runs the tape instead of walking the tree.
 
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
@@ -62,7 +68,7 @@ __all__ = [
     "FUNCTIONS", "ZERO", "ONE",
     "const", "var", "add", "mul", "neg", "sub", "div", "pow_", "func",
     "sin", "cos", "tan", "sqrt", "exp", "log", "arctan", "arccos",
-    "parse_expr", "print_expr", "to_latex", "diff", "simplify",
+    "parse_expr", "print_expr", "to_latex", "diff", "partials", "simplify",
     "eval_expr", "lambdify", "free_vars", "equivalent", "substitute",
     "SymExprError", "ParseError", "UnknownFunctionError", "EvalError",
     "UnboundVariableError", "EvalDomainError", "IllConditionedError",
@@ -131,12 +137,13 @@ class ZeroPowerError(ConstantDomainError, ZeroDivisionError):
 
 class Expr:
     """Base class; all nodes are immutable and hashable.  ``_hash``,
-    ``_skey`` (the sort key) and ``_split`` (see ``_term_split``) are
-    computed on first use and kept.  ``_canon`` is the canonical mark: True
-    only on a node that ``simplify`` gives back unchanged (always on
-    constants, variables and field atoms)."""
+    ``_skey`` (the sort key), ``_split`` (see ``_term_split``) and
+    ``_tape`` (see ``eval_expr``) are computed on first use and kept.
+    ``_canon`` is the canonical mark: True only on a node that ``simplify``
+    gives back unchanged (always on constants, variables and field
+    atoms)."""
 
-    __slots__ = ("_hash", "_skey", "_split", "_canon")
+    __slots__ = ("_hash", "_skey", "_split", "_canon", "_tape")
 
     def __eq__(self, other):
         if self is other:
@@ -232,7 +239,12 @@ class Var(Expr):
 class FieldAtom(Expr):
     """Opaque field component u(args...) with an optional partial-derivative
     multi-index.  Derivative variables are kept sorted, so mixed partials
-    commute structurally.  Evaluation looks the atom up by ``name``."""
+    commute structurally.  Evaluation looks the atom up by ``name``, which
+    leaves ``args`` out, so ``eval_expr`` refuses a tree holding two atoms
+    of one name with different ``args`` (``u(x) + u(y)``); a ``Var`` may
+    share an atom's name.  ``print_expr`` and ``lambdify`` also use the
+    name alone and are unchanged: they print ``u + u`` and read one
+    binding for both."""
 
     __slots__ = ("base", "args", "derivs")
     _canon = True
@@ -432,7 +444,10 @@ def _term_split(t):
     """Term -> (coeff, mono, key, sin2), computed once per node and kept in
     ``_split``: mono maps base -> exponent and must not be mutated, key is
     the like-term key ``frozenset(mono.items())``, and sin2 tells whether a
-    base sin(u) has an exponent of at least 2 (so ``_pythagoras`` may fire)."""
+    base sin(u) has an exponent of at least 2 (so ``_pythagoras`` may fire).
+    A term that is its own base (a variable, atom or function) is split
+    anew on each call: kept, its split would hold the node itself, a
+    reference cycle that only the cyclic collector frees."""
     try:
         return t._split
     except AttributeError:
@@ -457,7 +472,8 @@ def _term_split(t):
         coeff, mono = _FRACTION_ONE, {b: n}
     sin2 = any(n >= 2 and type(b) is Func and b.fname == "sin" for b, n in mono.items())
     split = (coeff, mono, frozenset(mono.items()), sin2)
-    object.__setattr__(t, "_split", split)
+    if tt is Const or tt is Mul or tt is Pow:
+        object.__setattr__(t, "_split", split)
     return split
 
 
@@ -686,18 +702,34 @@ FUNCTIONS = tuple(_FUNCS)
 # Differentiation
 # ---------------------------------------------------------------------------
 
+def partials():
+    """A fresh ``d(e, v)`` that works like ``diff`` and keeps, for its own
+    lifetime, one memo per variable over every tree it is given: a subtree
+    shared between two of its inputs is differentiated by a variable once.
+    It holds each input root, so that every id in its memos stays the id
+    of a live node.  An operator takes all its derivatives through one."""
+    memos = {}
+    roots = []
+
+    def d(e, v):
+        if isinstance(v, Var):
+            v = v.name
+        e = _wrap(e)
+        roots.append(e)
+        return _diff(e, v, memos.setdefault(v, {}))
+    return d
+
+
 def diff(e, v):
     """Partial derivative of ``e`` with respect to variable name ``v``,
     canonical.  Derivative with respect to an absent variable is 0."""
-    if isinstance(v, Var):
-        v = v.name
-    return _diff(_wrap(e), v, {})
+    return partials()(e, v)
 
 
 def _diff(e, v, memo):
-    """``memo`` maps id(node) -> derivative for the composite nodes of one
-    tree already differentiated in this call; it lives as long as the call,
-    while the tree keeps every node (and so every id) alive."""
+    """``memo`` maps id(node) -> derivative by ``v`` for the composite
+    nodes already differentiated; whoever keeps it keeps their trees (and
+    so every id) alive."""
     t = type(e)
     if t is Const:
         return ZERO
@@ -788,7 +820,10 @@ def substitute(e, mapping):
         memo[id(x)] = out
         return out
 
-    return visit(_wrap(e))
+    try:
+        return visit(_wrap(e))
+    finally:
+        del visit  # it refers to itself: leave no cycle behind
 
 
 def simplify(e):
@@ -804,65 +839,138 @@ def eval_expr(e, binding):
     variable, division by zero, sqrt/log/arccos out of domain, a constant,
     product, power or sum beyond the float range, an undefined product such
     as zero times an infinity, opposite infinities summed) naming the
-    offending subexpression.
+    offending subexpression, and EvalError for a tree holding two field
+    atoms of one name but different arguments (see ``FieldAtom``).
+
+    The first call on a root compiles it into a tape, kept in its ``_tape``
+    slot: its distinct nodes (by identity) in left-to-right post-order,
+    each at its first occurrence, with constants converted to floats once.
+    Every call runs that tape with one value per distinct node, so a
+    subtree shared n times is evaluated once per call, and the nodes are
+    visited in the order a recursive walk would reach them: the first node
+    that fails is the one named.
     """
-    return _eval(_wrap(e), binding)
+    e = _wrap(e)
+    try:
+        tape = e._tape
+    except AttributeError:
+        tape = _compile(e)
+        object.__setattr__(e, "_tape", tape)
+    return _run(tape, binding, e)
 
 
-def _eval(e, binding):
-    t = type(e)
-    if t is Mul:
-        out = 1.0
-        for x in e.factors:
-            out *= _eval(x, binding)
-        if not math.isfinite(out):
-            # an infinite factor gives an infinite product; finite ones must not
-            if out != out:
-                raise EvalDomainError("undefined product (zero times an infinity, or a nan)", e)
-            if all(abs(_eval(x, binding)) < math.inf for x in e.factors):
-                raise EvalDomainError("product beyond the float range", e)
-        return out
-    if t is Add:
-        terms = [_eval(x, binding) for x in e.terms]
-        try:
-            return math.fsum(terms)
-        except ValueError as err:  # fsum refuses inf + -inf
-            raise EvalDomainError("sum of opposite infinities", e) from err
-        except OverflowError as err:
-            raise EvalDomainError("sum beyond the float range", e) from err
-    if t is Const:
-        try:
-            return e.value.numerator / e.value.denominator  # float(e.value), without its call
-        except OverflowError as err:
-            raise EvalDomainError("constant beyond the float range", e) from err
-    if t is Var or t is FieldAtom:
-        name = e.name
-        if name not in binding:
-            if name == "pi":
-                return math.pi
-            raise UnboundVariableError(f"unbound variable {name!r}", e)
-        value = float(binding[name])
-        if value != value:
-            raise EvalDomainError(f"nan bound to {name!r}", e)
-        return value
-    if t is Pow:
-        b = _eval(e.base, binding)
-        if b == 0.0 and e.exponent < 0:
-            raise EvalDomainError("division by zero", e)
-        try:
-            return b ** e.exponent
-        except OverflowError as err:
-            raise EvalDomainError("power beyond the float range", e) from err
-    if t is Func:
-        u = _eval(e.arg, binding)
-        row = _FUNCS[e.fname]
-        if row.domain is not None and row.domain[0](u):
-            raise EvalDomainError(row.domain[1], e)
-        try:
-            return row.mathf(u)
-        except (ValueError, OverflowError) as err:
-            raise EvalDomainError(str(err), e) from err
-    raise TypeError(f"unknown node {t!r}")
+# tape instruction kinds; each instruction is (kind, operand, slot, node)
+_T_MUL, _T_ADD, _T_POW, _T_FUNC, _T_ATOM, _T_BAD_CONST, _T_UNKNOWN = range(7)
+
+
+def _compile(root):
+    """(template, code) of ``root``'s tape: ``template`` holds one value
+    slot per distinct node, preset for constants, and ``code`` computes the
+    other slots in post-order.  ``code`` names the root's own node as None,
+    so that the tape held by the root does not hold the root."""
+    slots = {}   # id(node) -> slot
+    template = []
+    code = []
+    atoms = {}   # field-atom name -> first atom of that name
+
+    def visit(x):
+        slot = slots.get(id(x))
+        if slot is not None:
+            return slot
+        t = type(x)
+        value = None
+        if t is Mul:
+            op = _T_MUL, tuple(map(visit, x.factors))
+        elif t is Add:
+            op = _T_ADD, tuple(map(visit, x.terms))
+        elif t is Pow:
+            op = _T_POW, (visit(x.base), x.exponent)
+        elif t is Func:
+            op = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
+        elif t is Var or t is FieldAtom:
+            op = _T_ATOM, x.name
+            if t is FieldAtom and atoms.setdefault(op[1], x).args != x.args:
+                raise EvalError(f"field atom {op[1]!r} also appears with other arguments", x)
+        elif t is Const:
+            op = None
+            try:
+                value = x.value.numerator / x.value.denominator
+            except OverflowError:
+                op = _T_BAD_CONST, None
+        else:
+            op = _T_UNKNOWN, t
+        slot = slots[id(x)] = len(template)
+        template.append(value)
+        if op is not None:
+            code.append((*op, slot, None if x is root else x))
+        return slot
+
+    try:
+        visit(root)
+    finally:
+        del visit  # it refers to itself: leave no cycle behind
+    return template, code
+
+
+def _run(tape, binding, root):
+    template, code = tape
+    vals = template[:]
+    for kind, arg, slot, node in code:
+        if kind is _T_MUL:
+            out = 1.0
+            for i in arg:
+                out *= vals[i]
+            if not math.isfinite(out):
+                # an infinite factor gives an infinite product; finite ones must not
+                if out != out:
+                    raise EvalDomainError("undefined product (zero times an infinity, or a nan)",
+                                          node or root)
+                if all(abs(vals[i]) < math.inf for i in arg):
+                    raise EvalDomainError("product beyond the float range", node or root)
+            vals[slot] = out
+        elif kind is _T_ADD:
+            try:
+                vals[slot] = math.fsum([vals[i] for i in arg])
+            except ValueError as err:  # fsum refuses inf + -inf
+                raise EvalDomainError("sum of opposite infinities", node or root) from err
+            except OverflowError as err:
+                raise EvalDomainError("sum beyond the float range", node or root) from err
+        elif kind is _T_POW:
+            b = vals[arg[0]]
+            if b == 0.0 and arg[1] < 0:
+                raise EvalDomainError("division by zero", node or root)
+            try:
+                vals[slot] = b ** arg[1]
+            except OverflowError as err:
+                raise EvalDomainError("power beyond the float range", node or root) from err
+        elif kind is _T_FUNC:
+            u = vals[arg[0]]
+            row = arg[1]
+            if row.domain is not None and row.domain[0](u):
+                raise EvalDomainError(row.domain[1], node or root)
+            try:
+                vals[slot] = row.mathf(u)
+            except (ValueError, OverflowError) as err:
+                raise EvalDomainError(str(err), node or root) from err
+        elif kind is _T_ATOM:
+            if arg in binding:
+                value = float(binding[arg])
+                if value != value:
+                    raise EvalDomainError(f"nan bound to {arg!r}", node or root)
+            elif arg == "pi":
+                value = math.pi
+            else:
+                raise UnboundVariableError(f"unbound variable {arg!r}", node or root)
+            vals[slot] = value
+        elif kind is _T_BAD_CONST:
+            x = node or root
+            try:
+                x.value.numerator / x.value.denominator
+            except OverflowError as err:
+                raise EvalDomainError("constant beyond the float range", x) from err
+        else:
+            raise TypeError(f"unknown node {arg!r}")
+    return vals[-1]
 
 
 def lambdify(e):

@@ -1,0 +1,73 @@
+"""tools/bench.py compare, on two small synthetic BENCH files (no benchmark runs)."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "bench.py")
+_SPEC = importlib.util.spec_from_file_location("bench_tool", _PATH)
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def _doc(medians):
+    """A BENCH file whose child side has the given medians per workload."""
+    return {"workloads": {w: {"summary": {m: {"child": {"median": v, "q1": v, "q3": v}}
+                                          for m, v in ms.items()}}
+                          for w, ms in medians.items()}}
+
+
+def _write(path, medians):
+    path.write_text(json.dumps(_doc(medians)), encoding="utf-8")
+    return str(path)
+
+
+def _rows(text):
+    return {tuple(line.split()[:2]): line for line in text.splitlines()[1:]}
+
+
+def test_compare_prints_ratios_and_flags_moves_beyond_the_bound(tmp_path, capsys):
+    old = _write(tmp_path / "old.json", {
+        "derive_pullback": {"work_per_s": 200.0, "wall_s": 0.08, "peak_rss_mb": 40.0},
+        "check_all": {"work_per_s": 600.0},
+    })
+    new = _write(tmp_path / "new.json", {
+        # +25 % work: better; wall_s +20 %: worse but inside 0.25; rss +12.5 %: beyond 0.1
+        "derive_pullback": {"work_per_s": 250.0, "wall_s": 0.096, "peak_rss_mb": 45.0},
+        "check_all": {"work_per_s": 420.0},  # -30 %: beyond 0.25
+        "yee_cart64": {"work_per_s": 1.0},   # only in NEW: not compared
+    })
+    assert bench.main(["compare", old, new]) == 1
+    rows = _rows(capsys.readouterr().out)
+    assert set(rows) == {("derive_pullback", "work_per_s"), ("derive_pullback", "wall_s"),
+                         ("derive_pullback", "peak_rss_mb"), ("check_all", "work_per_s")}
+    assert rows["derive_pullback", "work_per_s"].split()[4] == "1.2500"
+    assert rows["derive_pullback", "wall_s"].split()[4] == "1.2000"
+    assert "WORSE" not in rows["derive_pullback", "work_per_s"]
+    assert "WORSE" not in rows["derive_pullback", "wall_s"]
+    assert rows["derive_pullback", "peak_rss_mb"].endswith("WORSE beyond bound 0.1")
+    assert rows["check_all", "work_per_s"].endswith("WORSE beyond bound 0.25")
+
+
+def test_compare_within_bounds_exits_0(tmp_path, capsys):
+    medians = {"check_all": {"work_per_s": 600.0, "unit_ms_p90": 60.0}}
+    old = _write(tmp_path / "old.json", medians)
+    new = _write(tmp_path / "new.json", {"check_all": {"work_per_s": 590.0,
+                                                       "unit_ms_p90": 61.0}})
+    assert bench.main(["compare", old, new]) == 0
+    assert "WORSE" not in capsys.readouterr().out
+
+
+def test_summary_counts_pairs_won_in_each_metrics_direction():
+    metrics = {"work_per_s": ("higher", 0.25), "wall_s": ("lower", 0.25)}
+    pairs = [{"parent": {"metrics": {"work_per_s": p, "wall_s": 1 / p}},
+              "child": {"metrics": {"work_per_s": c, "wall_s": 1 / c}}}
+             for p, c in ((100, 120), (110, 105), (90, 130), (100, 100))]
+    summary = bench.summarize(pairs, metrics)
+    assert summary["work_per_s"]["child_won"] == summary["wall_s"]["child_won"] == 2
+    assert summary["work_per_s"]["parent"]["median"] == 100
+    assert summary["work_per_s"]["child"]["median"] == pytest.approx(112.5)
+    assert summary["work_per_s"]["child"]["q1"] <= 112.5 <= summary["work_per_s"]["child"]["q3"]

@@ -764,3 +764,29 @@ def test_nan_in_the_last_slab_is_reported_and_stops_the_step(field, monkeypatch)
     with pytest.raises(sv.InstabilityError) as exc:
         sv.step(state, spec)
     assert exc.value.step_index == 3
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4, 4, 4), (3, 1, 4, 4), (4, 4, 4)])
+def test_current_that_does_not_fit_the_spec_is_a_solver_error(shape):
+    spec = _cart_spec(4)
+    state = sv.init_grid(spec, "plane_wave")
+    with pytest.raises(sv.SolverError) as exc:
+        sv.step(state, spec, j_func=lambda t: np.ones(shape))
+    assert str(shape) in str(exc.value) and "(3, 4, 4, 4)" in str(exc.value)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (4, 4, 2), (3, 4, 4, 4), (5,)])
+def test_charge_density_that_does_not_broadcast_is_a_solver_error(shape):
+    spec = _cart_spec(4)
+    state = sv.init_grid(spec, "plane_wave")
+    with pytest.raises(sv.SolverError) as exc:
+        sv.diagnostics(state, spec, rho=np.ones(shape))
+    assert str(shape) in str(exc.value) and "(4, 4, 4)" in str(exc.value)
+
+
+@pytest.mark.parametrize("rho", [2.0, np.ones((4, 1, 1)), np.ones((4, 4, 4)), np.ones(4)])
+def test_charge_density_that_broadcasts_is_accepted(rho):
+    spec = _cart_spec(4)
+    state = sv.init_grid(spec, "plane_wave")
+    got = sv.diagnostics(state, spec, rho=rho)
+    assert got == sv.diagnostics(state, spec, rho=np.broadcast_to(rho, spec.shape).copy())
