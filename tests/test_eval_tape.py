@@ -121,34 +121,33 @@ VALUES = st.one_of(
 BINDINGS = st.dictionaries(st.sampled_from(NAMES), VALUES, min_size=3)
 
 
-def _builder(build, *args):
-    """A builder's node, or the constructor's when the builder refuses
-    (a constant outside a function's domain, 0^-1, a constant too long)."""
-    try:
-        return build(*args)
-    except sx.SymExprError:
-        return None
+# kind -> (builder, node constructor), each taking (children, exponent, function name)
+MAKERS = {
+    "add": (lambda kids, n, f: sx.add(*kids), lambda kids, n, f: Add(*kids)),
+    "mul": (lambda kids, n, f: sx.mul(*kids), lambda kids, n, f: Mul(*kids)),
+    "pow": (lambda kids, n, f: sx.pow_(kids[0], n), lambda kids, n, f: Pow(kids[0], n)),
+    "func": (lambda kids, n, f: sx.func(f, kids[0]), lambda kids, n, f: Func(f, kids[0])),
+}
 
 
 @st.composite
 def shared_trees(draw):
     """Each new node takes its children from the nodes drawn before it, by
-    identity, through a builder or a node constructor; the last is the root."""
+    identity, through a builder or a node constructor (also where a builder
+    refuses, as for a constant outside a function's domain); the last node
+    drawn is the root."""
     pool = list(draw(st.lists(st.sampled_from(LEAVES), min_size=2, max_size=4)))
     for _ in range(draw(st.integers(1, 10))):
         kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        kind = draw(st.sampled_from(("add", "mul", "pow", "func", "Add", "Mul", "Pow", "Func")))
-        n = draw(st.sampled_from((-2, -1, 2, 3)))
-        fname = draw(st.sampled_from(sx.FUNCTIONS))
-        node = {"add": lambda: _builder(sx.add, *kids),
-                "mul": lambda: _builder(sx.mul, *kids),
-                "pow": lambda: _builder(sx.pow_, kids[0], n),
-                "func": lambda: _builder(sx.func, fname, kids[0])}.get(kind, lambda: None)()
-        if node is None:
-            node = {"add": Add, "Add": Add, "mul": Mul, "Mul": Mul}.get(kind)
-            node = node(*kids) if node else (
-                Pow(kids[0], n) if kind.lower() == "pow" else Func(fname, kids[0]))
-        pool.append(node)
+        build, construct = MAKERS[draw(st.sampled_from(sorted(MAKERS)))]
+        args = kids, draw(st.sampled_from((-2, -1, 2, 3))), draw(st.sampled_from(sx.FUNCTIONS))
+        node = None
+        if draw(st.booleans()):
+            try:
+                node = build(*args)
+            except sx.SymExprError:
+                pass
+        pool.append(node if node is not None else construct(*args))
     return pool[-1]
 
 

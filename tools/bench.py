@@ -32,6 +32,8 @@ import subprocess
 import sys
 import time
 
+import numpy
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "child")
 
@@ -63,12 +65,12 @@ def rebuild_bytecode(checkout):
 
 
 def commit_of(checkout):
-    """{"dir", "commit", "dirty"}; commit and dirty are None outside git."""
+    """{"commit", "dirty"}; both are None outside a git checkout."""
     def git(*args):
         proc = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"dir": os.path.abspath(checkout), "commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status)}
 
 
@@ -80,13 +82,8 @@ def machine():
                         if line.startswith("model name")), None)
     except OSError:
         pass
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {"nproc": os.cpu_count(), "cpu_model": cpu or platform.processor() or None,
-            "python": platform.python_version(), "numpy": numpy_version}
+            "python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def quartiles(values):
