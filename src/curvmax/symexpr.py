@@ -418,7 +418,8 @@ def mul(*factors):
             canon = canon and f._canon
             b, n = (f.base, f.exponent) if t is Pow else (f, 1)
             if type(b) is Const:
-                v = b.value ** n
+                # through pow_, which refuses 0^-n and oversized constants
+                v = pow_(b, n).value
                 num *= v.numerator
                 den *= v.denominator
             else:

@@ -613,6 +613,15 @@ def test_zero_to_a_negative_power_is_a_symexpr_error():
     assert isinstance(exc.value, ZeroDivisionError)
 
 
+def test_mul_refuses_a_hand_built_zero_to_a_negative_power():
+    # a raw Pow node of a constant base is folded by mul as pow_ would fold it
+    with pytest.raises(sx.ZeroPowerError):
+        sx.mul(Pow(Const(0), -1), Var("x"))
+    with pytest.raises(sx.ConstantSizeError):
+        sx.mul(Pow(Const(10 ** 400), 20), Var("x"))
+    assert sx.mul(Pow(Const(2), -2), Var("x")) == sx.mul(Const(Fraction(1, 4)), Var("x"))
+
+
 # ---------------------------------------------------------------------------
 # The canonical mark: simplify gives a builder-made tree back as it is, and
 # a mark never hides a hand-built node that the builders would change.
