@@ -44,9 +44,11 @@ that small is one slab.  A slab reads one plane of its source beyond
 its rows, and only the first or last slab wraps periodically.  The
 +-1 sums along each of the last two axes are one pass over the slab
 flattened to 1-D, the neighbour one stride away, with the end plane saved
-first and put back (PEC) or wrapped (periodic).  Each value goes through
-the same operations in the same order as in a whole-array sweep, so
-results are bitwise those of whole-array sweeps.
+first and put back (PEC) or wrapped (periodic), both planes read from a
+table built once per axis.  ``diagnostics`` takes e.d, and the maximum
+and minimum of each stored field, over all three components at once.
+Each value goes through the same operations in the same order as in a
+whole-array sweep, so results are bitwise those of whole-array sweeps.
 
 Initial conditions are one table, ``INITIAL_CONDITIONS``, of nonzero
 components (field, component, axis, profile); one routine samples it at
@@ -72,7 +74,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -324,6 +325,12 @@ def _rows(x, lo, hi):
     return x[lo:hi] if np.ndim(x) == 3 and len(x) > 1 else x
 
 
+# The flat pass's boundary planes along axes 1 and 2, per offset: the end
+# plane, which has no neighbour inside the grid, and the plane it wraps to.
+_FLAT_PLANES = {(a, o): (_plane(a, -1 if o > 0 else 0), _plane(a, 0 if o > 0 else -1))
+                for a in (1, 2) for o in (1, -1)}
+
+
 def _add_shifted(out, w, axis, offset, op, spec, lo):
     """out op= w[n + offset] along ``axis`` (op is np.add or np.subtract),
     where ``out`` holds rows lo, lo + 1, ... of axis 0 of the result and
@@ -343,16 +350,17 @@ def _add_shifted(out, w, axis, offset, op, spec, lo):
     # One pass over the slab flattened to 1-D, the neighbour one stride away.
     # It runs each row's end plane into the next row, so that plane is saved.
     w = w[lo:lo + len(out)]
-    stride = math.prod(out.shape[axis + 1:])
+    stride = out.strides[axis] // out.itemsize
     head, tail = slice(None, -stride), slice(stride, None)
     dst, src = (head, tail) if offset > 0 else (tail, head)
-    end = _plane(axis, -1 if offset > 0 else 0)  # no neighbour inside the grid
+    end, wrap = _FLAT_PLANES[axis, offset]
     before = out[end].copy()
     flat = out.reshape(-1)
     assert np.may_share_memory(flat, out), "reshape copied: the update would be lost"
-    op(flat[dst], w.reshape(-1)[src], out=flat[dst])
+    o = flat[dst]
+    op(o, w.reshape(-1)[src], out=o)
     if periodic:
-        op(before, w[_plane(axis, 0 if offset > 0 else -1)], out=out[end])
+        op(before, w[wrap], out=out[end])
     else:
         out[end] = before
 
@@ -415,21 +423,17 @@ def _integral_arrays(state, spec, geo):
                  for x, s in zip((state.e, state.d, state.b), geo.scale))
 
 
+@lru_cache(maxsize=8)
 def _wall_sites(spec):
     """Index tuples of the tangential components on each PEC wall plane."""
-    return [(i, *_plane(a, 0)) for a in range(3) if spec.bc[a] == "pec"
-            for i in range(3) if i != a]
+    return tuple((i, *_plane(a, 0)) for a in range(3) if spec.bc[a] == "pec"
+                 for i in range(3) if i != a)
 
 
 def _apply_pec(e, spec):
     for site in _wall_sites(spec):
         e[site] = 0.0
     return e
-
-
-def _peak(x):
-    """max |x| up to the sign of a zero maximum; a nan propagates."""
-    return max(x.max(), -x.min())
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +562,34 @@ def diagnostics(state, spec, rho=None):
     slabs = _slabs(spec.shape)
     acc = np.empty((slabs[0][1], *spec.shape[1:]))
     # Per slab: the dot products of e.d and h.b along the last axis, and the
-    # running peaks of div b, div d - 4 pi rho and the nine stored components.
+    # extremes of div b, div d - 4 pi rho and the nine stored components.
     # The row dots are summed once at the end by numpy's pairwise sum, which
     # keeps the rounding error of np.sum(x * y); one np.vdot over 3 x 64^3
     # values sums in sequence and was off by 4e-14 relative on a plane wave,
     # against 2e-16 for this.
     ed, hb = np.empty((3, *spec.shape[:2])), np.empty((3, *spec.shape[:2]))
-    peaks = np.zeros(11)
-    for lo, hi in slabs:
+    ext = np.empty((len(slabs), 2, 11))
+    for (lo, hi), (top, bottom) in zip(slabs, ext):
         t = acc[:hi - lo]
+        np.einsum("cijk,cijk->cij", e[:, lo:hi], d[:, lo:hi], out=ed[:, lo:hi])
         for i in range(3):
-            np.einsum("ijk,ijk->ij", e[i, lo:hi], d[i, lo:hi], out=ed[i, lo:hi])
             np.multiply(b[i, lo:hi], _rows(geo.b_to_h[i], lo, hi), out=t)
             np.einsum("ijk,ijk->ij", t, b[i, lo:hi], out=hb[i, lo:hi])
         # b is driven by forward-difference curls, d by backward ones; the
         # matching divergence direction is what makes each defect telescope.
-        slab_peaks = [_peak(_divergence(b, 1, spec, t, lo))]
+        _divergence(b, 1, spec, t, lo)
+        top[0], bottom[0] = t.max(), t.min()
         _divergence(d, -1, spec, t, lo)
         if rho is not None:
             t -= (4.0 * math.pi * vol) * rho[lo:hi] * _rows(geo.sqrtg_node, lo, hi)
-        slab_peaks.append(_peak(t))
-        slab_peaks += [_peak(x[i, lo:hi]) for x in state._arrays for i in range(3)]
-        np.maximum(peaks, slab_peaks, out=peaks)  # np.maximum, unlike max, keeps a nan
+        top[1], bottom[1] = t.max(), t.min()
+        for f, x in enumerate(state._arrays):
+            x[:, lo:hi].max(axis=(1, 2, 3), out=top[2 + 3 * f:5 + 3 * f])
+            x[:, lo:hi].min(axis=(1, 2, 3), out=bottom[2 + 3 * f:5 + 3 * f])
     hb_sum = sum(float(np.sum(x)) for x in hb)  # per component, as it was always summed
     energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * cdt)
+    np.negative(ext[:, 1], out=ext[:, 1])
+    peaks = ext.max(axis=(0, 1))  # max |x| up to the sign of a zero; a nan propagates
     # max |x_i| / scale_i per component equals the maximum over the arrays
     # .e, .d, .b read: dividing by a positive scalar keeps the order of values.
     scale = [s for field in state._scale for s in field]
@@ -607,20 +615,6 @@ def _all_components(state, spec):
         ((f"H_{i + 1}", b[i] * (geo.h_coef[i] / sb[i])) for i in range(3)))
 
 
-def _cut_invariant_axes(x):
-    """``x`` with each axis along which it repeats its first plane, bit for
-    bit (so -0.0 and each nan payload are told apart), cut to that plane.
-    One line along the axis is compared before the whole array, so an
-    array with no symmetry is rejected after three short comparisons."""
-    for a in range(3):
-        bits = x.view(np.int64)
-        line = bits[tuple(slice(None) if b == a else 0 for b in range(3))]
-        first = _plane(a, slice(0, 1))
-        if (line == line[0]).all() and (bits == bits[first]).all():
-            x = x[first]
-    return x
-
-
 def write_snapshot_csv(stream, state, spec):
     """Cell-indexed CSV snapshot.
 
@@ -629,44 +623,60 @@ def write_snapshot_csv(stream, state, spec):
     cells, prints every value with ``%.12g``.  The bytes are those of
     formatting every cell, but the writer formats less:
 
-    - each axis's coordinates once, joined into a row prefix per cell;
-    - each component only along the axes it varies on: an axis along
-      which it repeats its first plane bit for bit (so -0.0 and nan
-      payloads stay exact) is cut to that plane, and a component cut to
-      one value is formatted once into the row template;
+    - each axis's coordinates once;
+    - each component only along the axes it varies on (one comparison of
+      the 12 components' bits per axis): an axis along which it repeats
+      its first plane bit for bit (so -0.0 and nan payloads stay exact)
+      is cut to that plane, and one cut to one value is formatted once
+      into the row template;
     - the component text of a row once per cell of the grid spanned by
-      the axes the components vary on, one x1 plane of it at a time; each
-      row is its coordinate prefix followed by the text it shares with
-      the other rows of that cell.
+      the axes the components vary on, one x1 plane of it at a time;
+    - the rows of each (x1, x2) pair as one ``str.join`` with the pair's
+      prefix ``pre`` as separator; if no component varies along x3, the
+      rows share one text ``t``: ``pre + (t + pre).join(x3) + t``.
     """
-    names, cells, varying = [], [], []
-    for name, comp in _all_components(state, spec):
+    names, comps = [], np.empty((12, *spec.shape))
+    for k, (name, comp) in enumerate(_all_components(state, spec)):
         names.append(name)
-        cut = _cut_invariant_axes(np.asarray(comp, dtype=np.float64))
+        comps[k] = comp
+    bits = comps.view(np.int64)
+    invariant = [np.all(bits == bits[(slice(None), *_plane(a, slice(0, 1)))], axis=(1, 2, 3))
+                 for a in range(3)]
+    cells, varying = [], []
+    for k, x in enumerate(comps):
+        cut = x[tuple(slice(0, 1) if inv[k] else slice(None) for inv in invariant)]
         if cut.size == 1:
             cells.append("%.12g" % cut.flat[0])
         else:
             cells.append("%.12g")
             varying.append(cut)
     stream.write("x1,x2,x3," + ",".join(names) + "\n")
-    line = "," + ",".join(cells) + "\n"
-    axes = [["%.12g" % x for x in axis.tolist()]
-            for axis in _site_axes(spec, (True, True, True))]
-    prefixes = map(",".join, itertools.product(*axes))
-    n1, *plane = spec.shape
+    x1s, x2s, x3s = [["%.12g" % x for x in axis.tolist()]
+                     for axis in _site_axes(spec, (True, True, True))]
     sub = np.broadcast_shapes((1, 1, 1), *(x.shape for x in varying))
     varying = [np.broadcast_to(x, sub) for x in varying]
+    # a row's text starts with its x3 coordinate if the texts vary along x3
+    line = ("%s," if sub[2] > 1 else ",") + ",".join(cells) + "\n"
+    x2s = [x2 + "," for x2 in x2s]
     for p in range(sub[0]):
         values = np.empty((sub[1] * sub[2], len(varying)))
         for k, x in enumerate(varying):
             values[:, k] = x[p].ravel()
-        texts = [line % tuple(row) for row in values.tolist()]
-        shared = np.broadcast_to(np.array(texts, dtype=object).reshape(sub[1:]), plane)
-        # sub[0] is 1 or n1, so the x1 planes that share plane p of the
+        if sub[2] > 1:
+            texts = [line % (x3, *row) for x3, row in zip(itertools.cycle(x3s), values.tolist())]
+            blocks = [texts[j:j + sub[2]] for j in range(0, len(texts), sub[2])]
+        else:
+            blocks = [line % tuple(row) for row in values.tolist()]
+        blocks *= spec.shape[1] // sub[1]  # sub[1] is 1 or N2
+        # sub[0] is 1 or N1, so the x1 planes that share plane p of the
         # texts are all of them or p alone
-        for _ in range(p, n1, sub[0]):
-            stream.write("".join(map(operator.add, itertools.islice(prefixes, shared.size),
-                                     shared.flat)))
+        for x1 in x1s[p::sub[0]]:
+            pres = [x1 + "," + x2 for x2 in x2s]
+            if sub[2] > 1:
+                rows = [pre + pre.join(texts) for pre, texts in zip(pres, blocks)]
+            else:
+                rows = [pre + (t + pre).join(x3s) + t for pre, t in zip(pres, blocks)]
+            stream.write("".join(rows))
 
 
 def write_snapshot_binary(stream, state, spec):

@@ -240,11 +240,11 @@ class FieldAtom(Expr):
     """Opaque field component u(args...) with an optional partial-derivative
     multi-index.  Derivative variables are kept sorted, so mixed partials
     commute structurally.  Evaluation looks the atom up by ``name``, which
-    leaves ``args`` out, so ``eval_expr`` refuses a tree holding two atoms
-    of one name with different ``args`` (``u(x) + u(y)``); a ``Var`` may
-    share an atom's name.  ``print_expr`` and ``lambdify`` also use the
-    name alone and are unchanged: they print ``u + u`` and read one
-    binding for both."""
+    leaves ``args`` out, so ``eval_expr`` and ``lambdify`` refuse a tree
+    holding two atoms of one name with different ``args`` (``u(x) +
+    u(y)``) with one EvalError naming the second atom; a ``Var`` may share
+    an atom's name.  ``print_expr`` also uses the name alone and is
+    unchanged: it prints ``u + u``."""
 
     __slots__ = ("base", "args", "derivs")
     _canon = True
@@ -852,12 +852,17 @@ def eval_expr(e, binding):
     that fails is the one named.
     """
     e = _wrap(e)
+    return _run(_tape_of(e), binding, e)
+
+
+def _tape_of(e):
+    """Root ``e``'s tape, compiled on first use and kept in its ``_tape`` slot."""
     try:
-        tape = e._tape
+        return e._tape
     except AttributeError:
         tape = _compile(e)
         object.__setattr__(e, "_tape", tape)
-    return _run(tape, binding, e)
+        return tape
 
 
 # tape instruction kinds; each instruction is (kind, operand, slot, node)
@@ -978,9 +983,16 @@ def lambdify(e):
     """Compile to a function of a dict of numpy arrays (or scalars).
 
     Out-of-domain points and constants beyond the float range yield
-    nan/inf rather than raising; callers mask.
+    nan/inf rather than raising; callers mask.  A tree holding two field
+    atoms of one name but different arguments raises the EvalError that
+    ``eval_expr`` raises, naming the same atom (see ``FieldAtom``).
     """
     e = _wrap(e)
+    _tape_of(e)
+    return _lambdify(e)
+
+
+def _lambdify(e):
     t = type(e)
     if t is Const:
         try:
@@ -994,10 +1006,10 @@ def lambdify(e):
             return lambda b: b.get("pi", math.pi)
         return lambda b: b[name]
     if t is Add:
-        fs = [lambdify(x) for x in e.terms]
+        fs = [_lambdify(x) for x in e.terms]
         return lambda b: sum(f(b) for f in fs)
     if t is Mul:
-        fs = [lambdify(x) for x in e.factors]
+        fs = [_lambdify(x) for x in e.factors]
 
         def _mul(b):
             out = fs[0](b)
@@ -1006,7 +1018,7 @@ def lambdify(e):
             return out
         return _mul
     if t is Pow:
-        fb = lambdify(e.base)
+        fb = _lambdify(e.base)
         n = e.exponent
         if n < 0:
             def _ipow(b):
@@ -1015,7 +1027,7 @@ def lambdify(e):
             return _ipow
         return lambda b: fb(b) ** n
     if t is Func:
-        f = lambdify(e.arg)
+        f = _lambdify(e.arg)
         g = _FUNCS[e.fname].ufunc
 
         def _func(b):

@@ -1,8 +1,11 @@
-"""tools/bench.py compare, on two small synthetic BENCH files (no benchmark runs)."""
+"""tools/bench.py: compare on two small synthetic BENCH files, and pairs with
+a stub runner (no benchmark runs)."""
 
+import importlib.metadata
 import importlib.util
 import json
 import os
+import types
 
 import pytest
 
@@ -71,3 +74,54 @@ def test_summary_counts_pairs_won_in_each_metrics_direction():
     assert summary["work_per_s"]["parent"]["median"] == 100
     assert summary["work_per_s"]["child"]["median"] == pytest.approx(112.5)
     assert summary["work_per_s"]["child"]["q1"] <= 112.5 <= summary["work_per_s"]["child"]["q3"]
+
+
+def _stub_runner(side, broken):
+    """A stand-in for a checkout's benchmarks/run.py: its runs report fixed
+    metrics, and the run of ``broken = (pair, side, fields)`` reports
+    ``fields`` instead of a clean result."""
+    calls = []
+
+    def run_workload(ns, workload, deadline):
+        calls.append(workload)
+        result = {"metrics": {m: (1.0, "") for m in bench.end_to_end_metrics()},
+                  "attempted": 10, "failed": 0, "correct": True, "info": {}}
+        if broken is not None and broken[:2] == (len(calls), side):
+            result.update(broken[2])
+        return result
+
+    return types.SimpleNamespace(DEADLINE_S=1.0, parse_args=lambda argv: argv,
+                                 run_workload=run_workload)
+
+
+def _pairs(tmp_path, monkeypatch, broken=None):
+    monkeypatch.setattr(bench, "load_runner",
+                        lambda checkout, name: _stub_runner(name.rsplit("_", 1)[1], broken))
+    monkeypatch.setattr(bench, "rebuild_bytecode", lambda checkout: None)
+    monkeypatch.setattr(bench, "commit_of", lambda checkout: {"commit": checkout, "dirty": False})
+    out = tmp_path / "BENCH_stub.json"
+    code = bench.main(["pairs", "parent_dir", "child_dir", "--workload", "yee_curv_io",
+                       "--n", "3", "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("pair, side, fields", [
+    (2, "child", {"correct": False}),
+    (1, "parent", {"failed": 3}),
+    (3, "child", {"failed": 1, "correct": False}),
+])
+def test_pairs_stops_at_a_broken_run(tmp_path, monkeypatch, capsys, pair, side, fields):
+    with pytest.raises(SystemExit) as exc:
+        _pairs(tmp_path, monkeypatch, (pair, side, fields))
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert f"yee_curv_io pair {pair} {side} " in message
+    assert not (tmp_path / "BENCH_stub.json").exists()
+
+
+def test_pairs_records_the_machine_with_its_click_version(tmp_path, monkeypatch, capsys):
+    code, out = _pairs(tmp_path, monkeypatch)
+    assert code == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["machine"]["click"] == importlib.metadata.version("click")
+    assert len(doc["workloads"]["yee_curv_io"]["pairs"]) == 3

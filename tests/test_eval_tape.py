@@ -260,14 +260,29 @@ def test_two_atoms_of_one_name_with_different_arguments_are_refused():
         eval_expr(e, {"u": 1.0})
     assert exc.value.subexpr is second
     assert "'u'" in str(exc.value)
-    # print_expr and lambdify still read the name alone
+    # print_expr still reads the name alone
     assert print_expr(sx.add(first, second)) == "u + u"
-    assert sx.lambdify(sx.add(first, second))({"u": 1.0}) == 2.0
+
+
+def test_lambdify_refuses_two_atoms_of_one_name_as_eval_expr_does():
+    first, second = FieldAtom("u", ("x",)), FieldAtom("u", ("y",))
+    e = sx.add(first, sx.mul(2, second), Var("u"))
+    with pytest.raises(sx.EvalError) as want:
+        eval_expr(e, {"u": 1.0})
+    with pytest.raises(sx.EvalError) as got:
+        sx.lambdify(sx.add(first, sx.mul(2, second), Var("u")))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.subexpr is want.value.subexpr is second
+    # equivalent compares through lambdify, so it no longer reads u(x) + u(y) as 2 u(x)
+    with pytest.raises(sx.EvalError):
+        sx.equivalent(sx.add(first, second), sx.mul(2, first))
 
 
 def test_a_variable_may_share_an_atoms_name():
     e = sx.add(FieldAtom("u", ("x",)), sx.mul(3, Var("u")), FieldAtom("u", ("x",)))
     assert eval_expr(e, {"u": 2.0}) == 10.0
+    assert sx.lambdify(e)({"u": 2.0}) == 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,31 @@ def test_snapshot_csv_matches_row_by_row_writer_property(grid, values, seed, fla
     _assert_same_text(got.getvalue(), want.getvalue())
 
 
+@pytest.mark.parametrize("odd", ["-0", "nan payload"])
+def test_snapshot_csv_keeps_a_component_whose_x3_lines_differ_in_one_bit_pattern(odd):
+    # every component repeats along x3, so the rows of an (x1, x2) block
+    # would share one text, but E_1 differs in one cell: a -0.0 among 0.0,
+    # or a nan of another payload among nans
+    spec = sv.GridSpec("cartesian", ((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)), (3, 4, 5))
+    rng = np.random.default_rng(11)
+    fields = np.broadcast_to(rng.normal(size=(3, 3, 3, 4, 1)), (3, 3, 3, 4, 5)).copy()
+    e1 = fields[0, 0]
+    if odd == "-0":
+        e1[...] = 0.0
+        e1[1, 2, 3] = -0.0
+    else:
+        e1[...] = math.nan
+        e1.view(np.int64)[1, 2, 3] = _NAN_BITS + 1
+    state = sv.GridField(*fields, t=0.0)
+    got, want = io.StringIO(), io.StringIO()
+    sv.write_snapshot_csv(got, state, spec)
+    _ref_write_snapshot_csv(want, state, spec)
+    _assert_same_text(got.getvalue(), want.getvalue())
+    if odd == "-0":
+        column = [line.split(",")[9] for line in got.getvalue().splitlines()[1:]]
+        assert column.count("-0") == 1 and column[(1 * 4 + 2) * 5 + 3] == "-0"
+
+
 # ---------------------------------------------------------------------------
 # Whole-array sweeps: step and diagnostics as they ran before the sweeps went
 # slab by slab, kept as the bitwise oracle of the slab kernels.
@@ -746,6 +771,31 @@ def test_slab_sweeps_are_bitwise_the_whole_array_sweeps(case, slab_cells, monkey
         # the input state, physical at n = 0 and integral after, is not written to
         assert [a.tobytes() for a in prev._arrays] == before
     assert sv.diagnostics(got, spec) == _whole_diagnostics(want, spec)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 100])
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+def test_the_slab_oracles_slab_sizes_split_every_grid(case, slab_cells, monkeypatch):
+    spec, _ = _SLAB_CASES[case]
+    monkeypatch.setattr(sv, "_SLAB_CELLS", slab_cells)
+    slabs = sv._slabs(spec.shape)
+    assert len(slabs) > 1
+    assert [lo for lo, _ in slabs[1:]] == [hi for _, hi in slabs[:-1]]
+    assert slabs[0][0] == 0 and slabs[-1][1] == spec.shape[0]
+    if slab_cells == 1:
+        assert all(hi - lo == 1 for lo, hi in slabs)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["e", "d", "b"])
+def test_an_infinity_in_one_component_gives_an_infinite_max_abs(field, value):
+    spec = _cart_spec(4)
+    state = sv.run(sv.init_grid(spec, "plane_wave"), spec, 2)
+    for i in range(3):
+        bad = np.array(getattr(state, field))
+        bad[i, 1, 2, 3] = value
+        diag = sv.diagnostics(dataclasses.replace(state, **{field: bad}), spec)
+        assert diag["max_abs"] == math.inf
 
 
 @pytest.mark.parametrize("field", ["e", "d", "b"])

@@ -11,7 +11,10 @@ alternate which side runs first.  Before every pair it deletes both sides'
 them again, so that neither side reads stale bytecode.  It writes, or adds
 the workload to, a JSON file holding the machine, both commits, the seed,
 every pair's metrics and, per end-to-end metric of ``BENCHMARK.json``, both
-sides' median and quartiles and the number of pairs the child won.
+sides' median and quartiles and the number of pairs the child won.  A run
+that reports ``correct: false`` or a failed unit stops it with exit 1 and
+one ``error:`` line naming the workload, the pair and the side; nothing is
+written then.
 
 ``compare`` prints, per workload and end-to-end metric, the child median of
 OLD, that of NEW and their ratio, and flags a move for the worse beyond the
@@ -22,6 +25,7 @@ end of ``pairs`` the same table compares the parent with the child.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -82,8 +86,13 @@ def machine():
                         if line.startswith("model name")), None)
     except OSError:
         pass
+    try:
+        click = importlib.metadata.version("click")
+    except importlib.metadata.PackageNotFoundError:
+        click = None
     return {"nproc": os.cpu_count(), "cpu_model": cpu or platform.processor() or None,
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "click": click}
 
 
 def quartiles(values):
@@ -135,6 +144,10 @@ def run_pairs(args):
             ns = run.parse_args(["--workload", args.workload, "--seed", str(args.seed),
                                  "--seconds", str(args.seconds)])
             result = run.run_workload(ns, args.workload, time.monotonic() + run.DEADLINE_S)
+            if not result["correct"] or result["failed"]:
+                raise SystemExit(f"error: {args.workload} pair {i + 1} {side} run is broken: "
+                                 f"correct {str(result['correct']).lower()}, "
+                                 f"failed {result['failed']} of {result['attempted']}")
             pair[side] = {"metrics": {k: v for k, (v, _) in result["metrics"].items()},
                           "attempted": result["attempted"], "failed": result["failed"],
                           "correct": result["correct"], "info": result["info"]}
