@@ -242,9 +242,10 @@ class FieldAtom(Expr):
     commute structurally.  Evaluation looks the atom up by ``name``, which
     leaves ``args`` out, so ``eval_expr`` and ``lambdify`` refuse a tree
     holding two atoms of one name with different ``args`` (``u(x) +
-    u(y)``) with one EvalError naming the second atom; a ``Var`` may share
-    an atom's name.  ``print_expr`` also uses the name alone and is
-    unchanged: it prints ``u + u``."""
+    u(y)``), with one EvalError naming the first atom, left to right,
+    whose ``args`` differ from those of the first atom of its name; a
+    ``Var`` may share an atom's name.  ``print_expr`` also uses the name
+    alone and is unchanged: it prints ``u + u``."""
 
     __slots__ = ("base", "args", "derivs")
     _canon = True
@@ -852,17 +853,19 @@ def eval_expr(e, binding):
     that fails is the one named.
     """
     e = _wrap(e)
-    return _run(_tape_of(e), binding, e)
-
-
-def _tape_of(e):
-    """Root ``e``'s tape, compiled on first use and kept in its ``_tape`` slot."""
     try:
-        return e._tape
+        tape = e._tape
     except AttributeError:
         tape = _compile(e)
         object.__setattr__(e, "_tape", tape)
-        return tape
+    return _run(tape, binding, e)
+
+
+def _claim_atom(atoms, x):
+    """Record field atom ``x`` in ``atoms`` (name -> first atom of that name);
+    EvalError naming ``x`` if that first atom has other arguments."""
+    if atoms.setdefault(x.name, x).args != x.args:
+        raise EvalError(f"field atom {x.name!r} also appears with other arguments", x)
 
 
 # tape instruction kinds; each instruction is (kind, operand, slot, node)
@@ -895,8 +898,8 @@ def _compile(root):
             op = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
         elif t is Var or t is FieldAtom:
             op = _T_ATOM, x.name
-            if t is FieldAtom and atoms.setdefault(op[1], x).args != x.args:
-                raise EvalError(f"field atom {op[1]!r} also appears with other arguments", x)
+            if t is FieldAtom:
+                _claim_atom(atoms, x)
         elif t is Const:
             op = None
             try:
@@ -987,12 +990,10 @@ def lambdify(e):
     atoms of one name but different arguments raises the EvalError that
     ``eval_expr`` raises, naming the same atom (see ``FieldAtom``).
     """
-    e = _wrap(e)
-    _tape_of(e)
-    return _lambdify(e)
+    return _lambdify(_wrap(e), {})
 
 
-def _lambdify(e):
+def _lambdify(e, atoms):
     t = type(e)
     if t is Const:
         try:
@@ -1001,15 +1002,17 @@ def _lambdify(e):
             v = math.inf if e.value > 0 else -math.inf
         return lambda b: v
     if t is Var or t is FieldAtom:
+        if t is FieldAtom:
+            _claim_atom(atoms, e)
         name = e.name
         if name == "pi":
             return lambda b: b.get("pi", math.pi)
         return lambda b: b[name]
     if t is Add:
-        fs = [_lambdify(x) for x in e.terms]
+        fs = [_lambdify(x, atoms) for x in e.terms]
         return lambda b: sum(f(b) for f in fs)
     if t is Mul:
-        fs = [_lambdify(x) for x in e.factors]
+        fs = [_lambdify(x, atoms) for x in e.factors]
 
         def _mul(b):
             out = fs[0](b)
@@ -1018,7 +1021,7 @@ def _lambdify(e):
             return out
         return _mul
     if t is Pow:
-        fb = _lambdify(e.base)
+        fb = _lambdify(e.base, atoms)
         n = e.exponent
         if n < 0:
             def _ipow(b):
@@ -1027,7 +1030,7 @@ def _lambdify(e):
             return _ipow
         return lambda b: fb(b) ** n
     if t is Func:
-        f = _lambdify(e.arg)
+        f = _lambdify(e.arg, atoms)
         g = _FUNCS[e.fname].ufunc
 
         def _func(b):

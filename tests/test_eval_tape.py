@@ -131,12 +131,12 @@ MAKERS = {
 
 
 @st.composite
-def shared_trees(draw):
+def shared_trees(draw, leaves=LEAVES):
     """Each new node takes its children from the nodes drawn before it, by
     identity, through a builder or a node constructor (also where a builder
     refuses, as for a constant outside a function's domain); the last node
     drawn is the root."""
-    pool = list(draw(st.lists(st.sampled_from(LEAVES), min_size=2, max_size=4)))
+    pool = list(draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=4)))
     for _ in range(draw(st.integers(1, 10))):
         kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
         build, construct = MAKERS[draw(st.sampled_from(sorted(MAKERS)))]
@@ -277,6 +277,25 @@ def test_lambdify_refuses_two_atoms_of_one_name_as_eval_expr_does():
     # equivalent compares through lambdify, so it no longer reads u(x) + u(y) as 2 u(x)
     with pytest.raises(sx.EvalError):
         sx.equivalent(sx.add(first, second), sx.mul(2, first))
+
+
+# two atoms named u that differ in their arguments, a variable named u too
+AMBIGUOUS_LEAVES = (FieldAtom("u", ("x",)), FieldAtom("u", ("y",)), FieldAtom("u", ("x",), ("x",)),
+                    FieldAtom("f", ("x", "y")), Var("u"), Var("x"), Const(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees(AMBIGUOUS_LEAVES))
+def test_lambdify_refuses_the_atom_eval_expr_refuses(e):
+    try:
+        eval_expr(e, {"u": 0.5, "x": 0.25, "f": 1.5, "d_x_u": 2.0})
+    except sx.EvalError as err:
+        if "also appears with other arguments" in str(err):
+            with pytest.raises(sx.EvalError) as got:
+                sx.lambdify(e)
+            assert str(got.value) == str(err) and got.value.subexpr is err.subexpr
+            return
+    sx.lambdify(e)
 
 
 def test_a_variable_may_share_an_atoms_name():
