@@ -144,6 +144,9 @@ def builtin_chart(name):
     return _BUILDERS[name]()
 
 
+_KEYS = ("name", "coords", "embedding", "domain")
+
+
 def parse_chart_file(text):
     """Parse the key-value chart definition format; returns list of Charts.
 
@@ -154,6 +157,10 @@ def parse_chart_file(text):
         coords = r, phi, z
         embedding = r*cos(phi), r*sin(phi), z
         domain = r:(0.1,2.0), phi:(0.0,6.28), z:(-1.0,1.0)
+
+    ChartError, naming the line, for an unknown key, a key given twice in
+    one section, a coordinate that is not a name or is given twice, and a
+    coordinate whose domain is given twice.
     """
     sections = []  # (key -> value, key -> (line, column) of the value)
     current = None
@@ -172,8 +179,14 @@ def parse_chart_file(text):
         if "=" not in line:
             raise ChartError(f"line {lineno}: expected key = value")
         key, _, value = raw.partition("=")
-        current[key.strip()] = value.strip()
-        where[key.strip()] = (lineno, len(raw) - len(value.lstrip()) + 1)
+        key = key.strip()
+        if key not in _KEYS:
+            raise ChartError(f"line {lineno}: unknown key {key!r}; known: {', '.join(_KEYS)}")
+        if key in current:
+            raise ChartError(f"line {lineno}: {key!r} given twice in one [chart] section "
+                             f"(first on line {where[key][0]})")
+        current[key] = value.strip()
+        where[key] = (lineno, len(raw) - len(value.lstrip()) + 1)
 
     charts = []
     for sec, where in sections:
@@ -181,6 +194,15 @@ def parse_chart_file(text):
             if req not in sec:
                 raise ChartError(f"chart section missing {req!r}")
         coords = tuple(c.strip() for c in sec["coords"].split(","))
+        for i, c in enumerate(coords):
+            try:
+                named = parse_expr(c) == sx.Var(c)
+            except sx.SymExprError:
+                named = False
+            if not named:  # the parser would not read it as that one variable
+                raise ChartError(f"line {where['coords'][0]}: coordinate {c!r} is not a name")
+            if c in coords[:i]:
+                raise ChartError(f"line {where['coords'][0]}: coordinate {c!r} given twice")
         lineno, col = where["embedding"]
         embedding = tuple(parse_expr(e, line=lineno, col=c)
                           for e, c in _split_top(sec["embedding"], col))
@@ -195,7 +217,11 @@ def parse_chart_file(text):
                     lo, hi = map(float, rng[1:-1].split(","))
                 except ValueError:
                     raise ChartError(f"bad domain spec {part!r}") from None
-                domain[cname.strip()] = (lo, hi)
+                cname = cname.strip()
+                if cname in domain:
+                    raise ChartError(f"line {where['domain'][0]}: domain of {cname!r} "
+                                     "given twice")
+                domain[cname] = (lo, hi)
         charts.append(Chart(sec["name"], coords, embedding, domain))
     return charts
 

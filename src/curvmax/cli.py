@@ -24,7 +24,7 @@ from . import solver as sv
 from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_chart,
                     lame_coefficients, metric_from_chart, parse_chart_file)
 from .checks import SUITES, run_suite
-from .diffops import curl, div, grad, laplacian
+from .diffops import DiffOpsError, curl, div, grad, laplacian
 from .maxwell3 import assemble_residuals, symbolic_fields, symbolic_sources
 from .symexpr import Expr, FieldAtom, SymExprError, free_vars, print_expr, to_latex
 
@@ -109,14 +109,21 @@ def _derive_operators(chart, m, fmt):
     return lines
 
 
+def _residuals(chart, m):
+    try:
+        return assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
+    except DiffOpsError as exc:  # a coordinate named like a field, t, c or pi
+        raise CliError(str(exc))
+
+
 def _derive_3vector(chart, m, fmt):
-    res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
+    res = _residuals(chart, m)
     return [(name, _fmt(e, fmt) + " = 0")
             for name, e in res.named().items()]
 
 
 def _derive_complex(chart, m, fmt):
-    res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
+    res = _residuals(chart, m)
     i_sym = "i\\," if fmt == "latex" else "i "
     lines = [("gauss (div of D + iB)",
               f"({_fmt(res.gauss_D, fmt)}) + {i_sym}({_fmt(res.gauss_B, fmt)}) = 0")]

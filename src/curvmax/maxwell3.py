@@ -14,6 +14,7 @@ comparison applies that documented flip, see ``golden_check``.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 
 from . import symexpr as sx
@@ -83,14 +84,33 @@ def _atoms(chart, base, variance):
                            variance, "holonomic")
 
 
+# a coordinate of one of these names would read the binding of the time t,
+# the light speed c, pi, or a field or source atom (derivatives included)
+_RESERVED = re.compile(r"t|c|pi|(d_\w+_)?(rho|[EHDBj]_[123])")
+
+
+def _refuse_reserved(chart):
+    for name in chart.coords:
+        if _RESERVED.fullmatch(name):
+            raise DiffOpsError(
+                f"coordinate {name!r} of chart {chart.name!r} is a name the 3-vector "
+                "equations reserve (t, c, pi, rho and the field and source components)")
+
+
 def symbolic_fields(chart):
-    """FieldSet3 of opaque field atoms in (t, chart coordinates)."""
+    """FieldSet3 of opaque field atoms in (t, chart coordinates).
+    DiffOpsError for a coordinate of a reserved name (see ``_RESERVED``)."""
+    _refuse_reserved(chart)
     return FieldSet3(E=_atoms(chart, "E", "covariant"), H=_atoms(chart, "H", "covariant"),
                      D=_atoms(chart, "D", "contravariant"),
                      B=_atoms(chart, "B", "contravariant"))
 
 
 def symbolic_sources(chart, c=None):
+    """Sources3 of opaque atoms in (t, chart coordinates); light speed
+    ``c``, by default the variable c.  DiffOpsError for a coordinate of a
+    reserved name, as ``symbolic_fields``."""
+    _refuse_reserved(chart)
     return Sources3(rho=FieldAtom("rho", ("t",) + chart.coords),
                     j=_atoms(chart, "j", "contravariant"), c=c if c is not None else Var("c"))
 

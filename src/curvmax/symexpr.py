@@ -17,8 +17,10 @@ A nested root such as sqrt(sqrt(x)) is kept as it is.
 
 Each elementary function is one row of ``_FUNCS`` (numpy ufunc, ``math``
 function, derivative, constant folds, LaTeX name, ``eval_expr`` domain
-check), which ``func``, ``diff``, ``eval_expr``, ``lambdify`` and
-``to_latex`` read; ``FUNCTIONS`` lists its keys.
+check), which ``func``, ``diff`` and ``to_latex`` read; the tape compiler
+puts the row in each function instruction, where ``eval_expr`` reads the
+``math`` function and domain check and ``lambdify`` the ufunc.
+``FUNCTIONS`` lists its keys.
 
 Each node computes its hash, its sort key and, once it is a term of a
 sum, its term split (coefficient, monomial and like-term key, which ``add``
@@ -34,9 +36,12 @@ subtree shared n times is worked on once.  Derivatives keep theirs longer:
 its own lifetime, and each operator of ``diffops`` takes all its
 derivatives through one, so a subtree shared between the trees it
 differentiates by one variable is differentiated once; ``diff`` is a fresh
-one.  ``eval_expr`` compiles each root it evaluates into a tape, kept on
-the root (``_tape``), so every later evaluation of that root at another
-binding runs the tape instead of walking the tree.
+one.  One tape serves both evaluators: the first ``eval_expr`` or
+``lambdify`` of a root compiles it into a tape kept on the root
+(``_tape``), and every later evaluation of that root, at any binding, runs
+the tape instead of walking the tree.  Only the runner differs:
+``eval_expr``'s takes floats, sums with ``math.fsum`` and raises naming
+the failing node; ``lambdify``'s takes numpy arrays and yields nan/inf.
 
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
@@ -240,12 +245,13 @@ class FieldAtom(Expr):
     """Opaque field component u(args...) with an optional partial-derivative
     multi-index.  Derivative variables are kept sorted, so mixed partials
     commute structurally.  Evaluation looks the atom up by ``name``, which
-    leaves ``args`` out, so ``eval_expr`` and ``lambdify`` refuse a tree
-    holding two atoms of one name with different ``args`` (``u(x) +
-    u(y)``), with one EvalError naming the first atom, left to right,
-    whose ``args`` differ from those of the first atom of its name; a
-    ``Var`` may share an atom's name.  ``print_expr`` also uses the name
-    alone and is unchanged: it prints ``u + u``."""
+    leaves ``args`` out, so the tape compiler that ``eval_expr`` and
+    ``lambdify`` share refuses a tree holding two atoms of one name with
+    different ``args`` (``u(x) + u(y)``), with one EvalError naming the
+    first atom, left to right, whose ``args`` differ from those of the
+    first atom of its name; a ``Var`` may share an atom's name.
+    ``print_expr`` also uses the name alone and is unchanged: it prints
+    ``u + u``."""
 
     __slots__ = ("base", "args", "derivs")
     _canon = True
@@ -844,13 +850,13 @@ def eval_expr(e, binding):
     offending subexpression, and EvalError for a tree holding two field
     atoms of one name but different arguments (see ``FieldAtom``).
 
-    The first call on a root compiles it into a tape, kept in its ``_tape``
-    slot: its distinct nodes (by identity) in left-to-right post-order,
-    each at its first occurrence, with constants converted to floats once.
-    Every call runs that tape with one value per distinct node, so a
-    subtree shared n times is evaluated once per call, and the nodes are
-    visited in the order a recursive walk would reach them: the first node
-    that fails is the one named.
+    The root's tape (see ``_compile``) is compiled by the first call of
+    ``eval_expr`` or ``lambdify`` on it and kept in its ``_tape`` slot:
+    its distinct nodes (by identity) in left-to-right post-order, each at
+    its first occurrence.  Every call runs it with one value per distinct
+    node, so a subtree shared n times is evaluated once per call, and the
+    nodes are visited in the order a recursive walk would reach them: the
+    first node that fails is the one named.
     """
     e = _wrap(e)
     try:
@@ -861,22 +867,18 @@ def eval_expr(e, binding):
     return _run(tape, binding, e)
 
 
-def _claim_atom(atoms, x):
-    """Record field atom ``x`` in ``atoms`` (name -> first atom of that name);
-    EvalError naming ``x`` if that first atom has other arguments."""
-    if atoms.setdefault(x.name, x).args != x.args:
-        raise EvalError(f"field atom {x.name!r} also appears with other arguments", x)
-
-
 # tape instruction kinds; each instruction is (kind, operand, slot, node)
 _T_MUL, _T_ADD, _T_POW, _T_FUNC, _T_ATOM, _T_BAD_CONST, _T_UNKNOWN = range(7)
 
 
 def _compile(root):
-    """(template, code) of ``root``'s tape: ``template`` holds one value
-    slot per distinct node, preset for constants, and ``code`` computes the
-    other slots in post-order.  ``code`` names the root's own node as None,
-    so that the tape held by the root does not hold the root."""
+    """(template, code) of ``root``'s tape, run by ``_run`` (``eval_expr``)
+    and ``_run_array`` (``lambdify``): ``template`` holds one value slot
+    per distinct node, preset for constants (a constant beyond the float
+    range to its signed infinity, marked by a ``_T_BAD_CONST`` instruction),
+    and ``code`` computes the other slots in post-order.  ``code`` names the
+    root's own node as None, so that the tape held by the root does not
+    hold the root."""
     slots = {}   # id(node) -> slot
     template = []
     code = []
@@ -898,13 +900,14 @@ def _compile(root):
             op = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
         elif t is Var or t is FieldAtom:
             op = _T_ATOM, x.name
-            if t is FieldAtom:
-                _claim_atom(atoms, x)
+            if t is FieldAtom and atoms.setdefault(x.name, x).args != x.args:
+                raise EvalError(f"field atom {x.name!r} also appears with other arguments", x)
         elif t is Const:
             op = None
             try:
                 value = x.value.numerator / x.value.denominator
             except OverflowError:
+                value = math.inf if x.value > 0 else -math.inf
                 op = _T_BAD_CONST, None
         else:
             op = _T_UNKNOWN, t
@@ -982,62 +985,52 @@ def _run(tape, binding, root):
     return vals[-1]
 
 
+def _run_array(tape, binding):
+    """``lambdify``'s runner: the tape's value over arrays, with no domain
+    check; a constant beyond the float range keeps its preset infinity."""
+    template, code = tape
+    vals = template[:]
+    for kind, arg, slot, _ in code:
+        if kind is _T_MUL:
+            out = vals[arg[0]]
+            for i in arg[1:]:
+                out = out * vals[i]
+            vals[slot] = out
+        elif kind is _T_ADD:
+            vals[slot] = sum([vals[i] for i in arg])
+        elif kind is _T_POW:
+            b, n = vals[arg[0]], arg[1]
+            if n < 0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals[slot] = np.float_power(b, n)
+            else:
+                vals[slot] = b ** n
+        elif kind is _T_FUNC:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vals[slot] = arg[1].ufunc(vals[arg[0]])
+        elif kind is _T_ATOM:
+            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
+        elif kind is _T_UNKNOWN:
+            raise TypeError(f"unknown node {arg!r}")
+    return vals[-1]
+
+
 def lambdify(e):
-    """Compile to a function of a dict of numpy arrays (or scalars).
+    """Compile to a function of a dict of numpy arrays (or scalars) that
+    runs the root's tape, the one ``eval_expr`` runs, through numpy.
 
     Out-of-domain points and constants beyond the float range yield
     nan/inf rather than raising; callers mask.  A tree holding two field
     atoms of one name but different arguments raises the EvalError that
     ``eval_expr`` raises, naming the same atom (see ``FieldAtom``).
     """
-    return _lambdify(_wrap(e), {})
-
-
-def _lambdify(e, atoms):
-    t = type(e)
-    if t is Const:
-        try:
-            v = float(e.value)
-        except OverflowError:
-            v = math.inf if e.value > 0 else -math.inf
-        return lambda b: v
-    if t is Var or t is FieldAtom:
-        if t is FieldAtom:
-            _claim_atom(atoms, e)
-        name = e.name
-        if name == "pi":
-            return lambda b: b.get("pi", math.pi)
-        return lambda b: b[name]
-    if t is Add:
-        fs = [_lambdify(x, atoms) for x in e.terms]
-        return lambda b: sum(f(b) for f in fs)
-    if t is Mul:
-        fs = [_lambdify(x, atoms) for x in e.factors]
-
-        def _mul(b):
-            out = fs[0](b)
-            for f in fs[1:]:
-                out = out * f(b)
-            return out
-        return _mul
-    if t is Pow:
-        fb = _lambdify(e.base, atoms)
-        n = e.exponent
-        if n < 0:
-            def _ipow(b):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.float_power(fb(b), n)
-            return _ipow
-        return lambda b: fb(b) ** n
-    if t is Func:
-        f = _lambdify(e.arg, atoms)
-        g = _FUNCS[e.fname].ufunc
-
-        def _func(b):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return g(f(b))
-        return _func
-    raise TypeError(f"unknown node {t!r}")
+    e = _wrap(e)
+    try:
+        tape = e._tape
+    except AttributeError:
+        tape = _compile(e)
+        object.__setattr__(e, "_tape", tape)
+    return lambda b: _run_array(tape, b)
 
 
 # ---------------------------------------------------------------------------

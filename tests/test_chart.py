@@ -138,3 +138,37 @@ def test_nested_square_root_chart_has_the_right_lame_coefficient():
     # d(u^(1/4))/du = u^(-3/4)/4
     assert sx.eval_expr(h_u, {"u": 16.0}) == pytest.approx(16.0 ** -0.75 / 4, rel=1e-15)
     assert equivalent(h_u, parse_expr("1/(4*sqrt(u)*sqrt(sqrt(u)))"), ch.domains())
+
+
+_GOOD = ["[chart]", "name = p", "coords = u, v, z", "embedding = u, v, z",
+         "domain = u:(0.1,2.0), v:(0.1,2.0)"]
+
+
+@pytest.mark.parametrize("line, replaced, message", [
+    # a misspelled key was dropped, and the domain fell back to the default
+    (5, "domian = u:(0.5,1.5)", "line 5: unknown key 'domian'"),
+    (6, "name = q", "line 6: 'name' given twice in one [chart] section (first on line 2)"),
+    (6, "domain = z:(-1.0,1.0)", "line 6: 'domain' given twice"),
+    (5, "domain = u:(0.1,2.0), u:(0.5,1.5)", "line 5: domain of 'u' given twice"),
+    (3, "coords = u, u, z", "line 3: coordinate 'u' given twice"),
+    (3, "coords = 1x, v, z", "line 3: coordinate '1x' is not a name"),
+    (3, "coords = u, v w, z", "line 3: coordinate 'v w' is not a name"),
+    (3, "coords = u, , z", "line 3: coordinate '' is not a name"),
+], ids=["unknown-key", "key-twice", "domain-key-twice", "domain-coordinate-twice",
+        "coordinate-twice", "digit-first", "space", "empty"])
+def test_chart_file_refuses_what_it_used_to_drop(line, replaced, message):
+    lines = list(_GOOD)
+    if line <= len(lines):
+        lines[line - 1] = replaced
+    else:
+        lines.append(replaced)
+    with pytest.raises(ChartError) as exc:
+        parse_chart_file("\n".join(lines))
+    assert str(exc.value).startswith(message)
+
+
+def test_chart_file_names_like_the_parser_reads_them():
+    text = "[chart]\nname = p\ncoords = _a, b2, zeta_1\nembedding = _a, b2, zeta_1\n"
+    (ch,) = parse_chart_file(text)
+    assert ch.coords == ("_a", "b2", "zeta_1")
+    assert [sx.print_expr(e) for e in ch.embedding] == list(ch.coords)

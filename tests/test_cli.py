@@ -197,6 +197,40 @@ def test_derive_chart_file_not_utf8_is_one_error_line(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("form", ["3vector", "complex"])
+@pytest.mark.parametrize("coord", ["t", "c", "pi", "rho", "D_3"])
+def test_derive_equations_refuse_a_reserved_coordinate(capsys, tmp_path, form, coord):
+    # coords u, v, t printed d_t_D_3 in Gauss's law, the time derivative of Ampere's
+    p = tmp_path / "chart.ini"
+    p.write_text(f"[chart]\nname = clash\ncoords = u, v, {coord}\n"
+                 f"embedding = u, v, {coord}\n")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p), "--form", form)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: coordinate '{coord}' of chart 'clash' is a name")
+    assert err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "derive", "--chart-file", str(p), "--form", "operators")
+    assert code == 0 and "chart clash" in out
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("coords = u, v, z\nembedding = u, v, z\ndomian = u:(0.5,1.5)\n",
+     "line 5: unknown key 'domian'"),
+    ("coords = u, v, z\nembedding = u, v, z\ncoords = u, v, w\n",
+     "line 5: 'coords' given twice"),
+    ("coords = u, v, z\nembedding = u, v, z\ndomain = u:(0.1,1), u:(0.5,1.5)\n",
+     "line 5: domain of 'u' given twice"),
+    ("coords = 1x, v, z\nembedding = v, v, z\n", "line 3: coordinate '1x' is not a name"),
+    ("coords = u, u, z\nembedding = u, u, z\n", "line 3: coordinate 'u' given twice"),
+], ids=["unknown-key", "key-twice", "domain-twice", "not-a-name", "coordinate-twice"])
+def test_derive_chart_file_refuses_what_it_used_to_drop(capsys, tmp_path, lines, message):
+    p = tmp_path / "chart.ini"
+    p.write_text("[chart]\nname = bad\n" + lines)
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: invalid chart file: {message}")
+    assert err.count("\n") == 1
+
+
 def test_derive_requires_exactly_one_chart_source(capsys):
     code, _, err = run_cli(capsys, "derive")
     assert code == 2 and err.startswith("error:")

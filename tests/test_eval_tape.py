@@ -1,8 +1,10 @@
-"""The evaluation tape of ``eval_expr`` and the derivative memo of ``partials``.
+"""The evaluation tape of ``eval_expr`` and ``lambdify``, and the derivative
+memo of ``partials``.
 
 Each is compared with a test-local copy of what it replaced: the recursive
-evaluator, which walked the whole tree on every call, and the operators
-that took each derivative through a ``diff`` call of its own.
+evaluator, which walked the whole tree on every call, the closure compiler
+behind ``lambdify``, and the operators that took each derivative through a
+``diff`` call of its own.
 """
 
 import gc
@@ -11,6 +13,7 @@ import os
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -412,3 +415,147 @@ def test_partials_after_its_inputs_are_dropped_still_differentiates_fresh_trees(
         gc.collect()
         fresh = sx.add(sx.mul(k + 3, sx.cos(sx.mul(x, x))), sx.pow_(sx.sin(x), 3))
         assert d(fresh, "x") == diff(fresh, "x")
+
+
+# ---------------------------------------------------------------------------
+# lambdify runs the same tape over arrays: the closure compiler it replaced
+# ---------------------------------------------------------------------------
+
+def _closure(e, atoms):
+    """The closure compiler ``lambdify`` used before it ran the tape."""
+    t = type(e)
+    if t is Const:
+        try:
+            v = float(e.value)
+        except OverflowError:
+            v = math.inf if e.value > 0 else -math.inf
+        return lambda b: v
+    if t is Var or t is FieldAtom:
+        if t is FieldAtom and atoms.setdefault(e.name, e).args != e.args:
+            raise sx.EvalError(f"field atom {e.name!r} also appears with other arguments", e)
+        name = e.name
+        if name == "pi":
+            return lambda b: b.get("pi", math.pi)
+        return lambda b: b[name]
+    if t is Add:
+        fs = [_closure(x, atoms) for x in e.terms]
+        return lambda b: sum(f(b) for f in fs)
+    if t is Mul:
+        fs = [_closure(x, atoms) for x in e.factors]
+
+        def _mul(b):
+            out = fs[0](b)
+            for f in fs[1:]:
+                out = out * f(b)
+            return out
+        return _mul
+    if t is Pow:
+        fb = _closure(e.base, atoms)
+        n = e.exponent
+        if n < 0:
+            def _ipow(b):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return np.float_power(fb(b), n)
+            return _ipow
+        return lambda b: fb(b) ** n
+    if t is Func:
+        f = _closure(e.arg, atoms)
+        g = sx._FUNCS[e.fname].ufunc
+
+        def _func(b):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return g(f(b))
+        return _func
+    raise TypeError(f"unknown node {t!r}")
+
+
+def _outcome(call):
+    """('value', the bytes of the float result) or ('error', its type)."""
+    try:
+        return "value", np.asarray(call(), dtype=float).tobytes()
+    except Exception as err:  # noqa: BLE001 - every error kind is compared
+        return "error", type(err)
+
+
+# the tape leaves, plus two atoms named u with different arguments and a variable u
+ARRAY_LEAVES = LEAVES + (FieldAtom("u", ("x",)), FieldAtom("u", ("y",)), Var("u"))
+ARRAY_VALUES = st.one_of(
+    # inside every function's domain, outside some, and the special values
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 1.5, -2.5, 4.0, 1e-300, 1e200,
+                     -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+ARRAY_BINDINGS = st.dictionaries(
+    st.sampled_from(NAMES + ("u",)),
+    st.one_of(st.lists(ARRAY_VALUES, min_size=3, max_size=3).map(np.array), ARRAY_VALUES),
+    min_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_trees(ARRAY_LEAVES), st.lists(ARRAY_BINDINGS, min_size=1, max_size=3))
+def test_lambdify_gives_the_closures_bytes_and_errors(e, bindings):
+    try:
+        want = _closure(e, {})
+    except sx.EvalError as err:
+        with pytest.raises(sx.EvalError) as got:
+            sx.lambdify(e)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err) and got.value.subexpr is err.subexpr
+        return
+    f = sx.lambdify(e)
+    with np.errstate(all="ignore"):
+        for binding in bindings:
+            # pi bound, then unbound (math.pi)
+            for b in (binding, {k: v for k, v in binding.items() if k != "pi"}):
+                assert _outcome(lambda: f(b)) == _outcome(lambda: want(b))
+
+
+def test_an_overflowing_constant_is_inf_over_arrays_and_an_error_pointwise():
+    for order in ("eval first", "lambdify first"):
+        big, x = Const(-(10 ** 400)), Var("x")
+        e = Add(Mul(big, x), big)
+        if order == "lambdify first":
+            assert sx.lambdify(e)({"x": np.array([1.0, 2.0])}).tolist() == [-math.inf] * 2
+        with pytest.raises(sx.EvalDomainError, match="constant beyond the float range") as exc:
+            eval_expr(e, {"x": 1.0})
+        assert exc.value.subexpr is big
+        assert type(exc.value.__cause__) is OverflowError
+        assert sx.lambdify(e)({"x": np.array([1.0, 2.0])}).tolist() == [-math.inf] * 2
+        assert sx.lambdify(big)({}) == -math.inf
+        with pytest.raises(sx.EvalDomainError, match="constant beyond the float range"):
+            eval_expr(big, {})
+
+
+def test_eval_expr_and_lambdify_of_one_root_compile_it_once(monkeypatch):
+    compiled = []
+    real = sx._compile
+
+    def counting(root):
+        compiled.append(root)
+        return real(root)
+    monkeypatch.setattr(sx, "_compile", counting)
+    point = {"r": 1.0, "theta": 0.5, "phi": 0.25}
+    for first, then in ((sx.lambdify, eval_expr), (eval_expr, sx.lambdify)):
+        e = _spherical_div()
+        first(e) if first is sx.lambdify else first(e, point)
+        assert [r for r in compiled if r is e] == [e]
+        f = sx.lambdify(e)
+        value = eval_expr(e, point)
+        assert f(point) == pytest.approx(value, rel=1e-12)
+        assert [r for r in compiled if r is e] == [e]
+
+
+def test_dropping_a_lambdified_tree_leaves_nothing_for_the_collector():
+    x = Var("x")
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (_spherical_div, lambda: sx.add(sx.sin(x), sx.pow_(sx.sin(x), 2))):
+            e = build()
+            f = sx.lambdify(e)
+            f({"x": np.array([0.5, 1.0]), "r": 1.0, "theta": 0.4, "phi": 1.0})
+            assert gc.collect() == 0
+            del e, f
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from curvmax import symexpr as sx
-from curvmax.chart import builtin_chart, metric_from_chart
+from curvmax.chart import Chart, builtin_chart, metric_from_chart
+from curvmax.diffops import DiffOpsError
 from curvmax.maxwell3 import (RESIDUAL_NAMES, assemble_residuals, eval_residuals,
                               golden_check, golden_equations, symbolic_fields,
                               symbolic_sources)
@@ -142,3 +143,25 @@ def test_corrupted_golden_detected(tmp_path, monkeypatch):
     assert not report.passed
     failing = [n for n, ok in report.results.items() if not ok]
     assert failing, "corruption must name at least one failing equation"
+
+
+RESERVED = ["t", "c", "pi", "rho", "E_1", "H_2", "D_3", "B_1", "j_2", "d_t_D_3", "d_u_rho"]
+
+
+@pytest.mark.parametrize("name", RESERVED)
+def test_a_coordinate_may_not_take_a_name_the_equations_use(name):
+    # a coordinate t made d_t_D_3 both the spatial and the time derivative
+    u, v = sx.Var("u"), sx.Var("v")
+    chart = Chart("clash", ("u", "v", name), (u, v, sx.Var(name)))
+    for build in (symbolic_fields, symbolic_sources):
+        with pytest.raises(DiffOpsError, match=f"coordinate '{name}' of chart 'clash'"):
+            build(chart)
+
+
+@pytest.mark.parametrize("name", ["tt", "cc", "rho2", "E_4", "E1", "j_12", "phi", "d_t"])
+def test_names_near_the_reserved_ones_are_coordinates(name):
+    u, v = sx.Var("u"), sx.Var("v")
+    chart = Chart("near", ("u", "v", name), (u, v, sx.Var(name)))
+    res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart),
+                             metric_from_chart(chart))
+    assert len(res.named()) == 8
