@@ -885,36 +885,37 @@ def _compile(root):
     atoms = {}   # field-atom name -> first atom of that name
 
     def visit(x):
-        slot = slots.get(id(x))
+        k = id(x)
+        slot = slots.get(k)
         if slot is not None:
             return slot
         t = type(x)
-        value = None
-        if t is Mul:
-            op = _T_MUL, tuple(map(visit, x.factors))
-        elif t is Add:
-            op = _T_ADD, tuple(map(visit, x.terms))
-        elif t is Pow:
-            op = _T_POW, (visit(x.base), x.exponent)
-        elif t is Func:
-            op = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
-        elif t is Var or t is FieldAtom:
-            op = _T_ATOM, x.name
-            if t is FieldAtom and atoms.setdefault(x.name, x).args != x.args:
-                raise EvalError(f"field atom {x.name!r} also appears with other arguments", x)
-        elif t is Const:
-            op = None
+        value = kind = None
+        if t is Const:
             try:
                 value = x.value.numerator / x.value.denominator
             except OverflowError:
                 value = math.inf if x.value > 0 else -math.inf
-                op = _T_BAD_CONST, None
+                kind, arg = _T_BAD_CONST, None
+        elif t is Var or t is FieldAtom:
+            name = x.name
+            kind, arg = _T_ATOM, name
+            if t is FieldAtom and atoms.setdefault(name, x).args != x.args:
+                raise EvalError(f"field atom {name!r} also appears with other arguments", x)
+        elif t is Mul:
+            kind, arg = _T_MUL, tuple(map(visit, x.factors))
+        elif t is Add:
+            kind, arg = _T_ADD, tuple(map(visit, x.terms))
+        elif t is Pow:
+            kind, arg = _T_POW, (visit(x.base), x.exponent)
+        elif t is Func:
+            kind, arg = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
         else:
-            op = _T_UNKNOWN, t
-        slot = slots[id(x)] = len(template)
+            kind, arg = _T_UNKNOWN, t
+        slot = slots[k] = len(template)
         template.append(value)
-        if op is not None:
-            code.append((*op, slot, None if x is root else x))
+        if kind is not None:
+            code.append((kind, arg, slot, None if x is root else x))
         return slot
 
     try:
@@ -991,7 +992,9 @@ def _run_array(tape, binding):
     template, code = tape
     vals = template[:]
     for kind, arg, slot, _ in code:
-        if kind is _T_MUL:
+        if kind is _T_ATOM:
+            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
+        elif kind is _T_MUL:
             out = vals[arg[0]]
             for i in arg[1:]:
                 out = out * vals[i]
@@ -1008,8 +1011,6 @@ def _run_array(tape, binding):
         elif kind is _T_FUNC:
             with np.errstate(invalid="ignore", divide="ignore"):
                 vals[slot] = arg[1].ufunc(vals[arg[0]])
-        elif kind is _T_ATOM:
-            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
         elif kind is _T_UNKNOWN:
             raise TypeError(f"unknown node {arg!r}")
     return vals[-1]
