@@ -26,7 +26,12 @@ __all__ = [
 
 
 class ChartError(Exception):
-    pass
+    """``key`` names the chart-file key whose value is at fault, when
+    there is one, so that ``parse_chart_file`` can give its line."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -41,20 +46,22 @@ class Chart:
     def __post_init__(self):
         n = len(self.coords)
         if n != 3:
-            raise ChartError(f"chart dimension must be 3, got {n}")
+            raise ChartError(f"chart dimension must be 3, got {n}", "coords")
         if len(self.embedding) != n:
-            raise ChartError("embedding arity must match coordinate count")
+            raise ChartError("embedding arity must match coordinate count", "embedding")
         allowed = set(self.coords)
         for e in self.embedding:
             extra = sx.free_vars(e) - allowed
             if extra:
-                raise ChartError(f"embedding uses non-coordinate variables {sorted(extra)}")
+                raise ChartError(f"embedding uses non-coordinate variables {sorted(extra)}",
+                                 "embedding")
         for c, (lo, hi) in self.domain.items():
             if c not in allowed:
-                raise ChartError(f"domain given for {c!r}, which is not a coordinate")
+                raise ChartError(f"domain given for {c!r}, which is not a coordinate",
+                                 "domain")
             if not -math.inf < lo < hi < math.inf:
                 raise ChartError(f"domain of {c!r} must be finite with min < max, "
-                                 f"got ({lo}, {hi})")
+                                 f"got ({lo}, {hi})", "domain")
 
     def domains(self):
         """Sampling domains for `equivalent`, defaulted where undeclared."""
@@ -158,11 +165,15 @@ def parse_chart_file(text):
         embedding = r*cos(phi), r*sin(phi), z
         domain = r:(0.1,2.0), phi:(0.0,6.28), z:(-1.0,1.0)
 
-    ChartError, naming the line, for an unknown key, a key given twice in
-    one section, a coordinate that is not a name or is given twice, and a
-    coordinate whose domain is given twice.
+    Every ChartError names a line: that of the ``[chart]`` header for a
+    missing key, else that of the key whose value is at fault (a
+    coordinate that is not a name or is given twice, other than three
+    coordinates, an embedding in other variables, a malformed domain
+    entry, a domain given twice, for a non-coordinate, or not finite with
+    min < max), or that of an unknown key or a key given twice in one
+    section.
     """
-    sections = []  # (key -> value, key -> (line, column) of the value)
+    sections = []  # (key -> value, key -> (line, column) of the value, header line)
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -170,7 +181,7 @@ def parse_chart_file(text):
             continue
         if line == "[chart]":
             current, where = {}, {}
-            sections.append((current, where))
+            sections.append((current, where, lineno))
             continue
         if line.startswith("["):
             raise ChartError(f"line {lineno}: unknown section {line}")
@@ -189,10 +200,10 @@ def parse_chart_file(text):
         where[key] = (lineno, len(raw) - len(value.lstrip()) + 1)
 
     charts = []
-    for sec, where in sections:
+    for sec, where, header in sections:
         for req in ("name", "coords", "embedding"):
             if req not in sec:
-                raise ChartError(f"chart section missing {req!r}")
+                raise ChartError(f"line {header}: chart section missing {req!r}")
         coords = tuple(c.strip() for c in sec["coords"].split(","))
         for i, c in enumerate(coords):
             try:
@@ -216,13 +227,17 @@ def parse_chart_file(text):
                         raise ValueError
                     lo, hi = map(float, rng[1:-1].split(","))
                 except ValueError:
-                    raise ChartError(f"bad domain spec {part!r}") from None
+                    raise ChartError(f"line {where['domain'][0]}: bad domain spec "
+                                     f"{part!r}") from None
                 cname = cname.strip()
                 if cname in domain:
                     raise ChartError(f"line {where['domain'][0]}: domain of {cname!r} "
                                      "given twice")
                 domain[cname] = (lo, hi)
-        charts.append(Chart(sec["name"], coords, embedding, domain))
+        try:
+            charts.append(Chart(sec["name"], coords, embedding, domain))
+        except ChartError as err:
+            raise ChartError(f"line {where[err.key][0]}: {err}") from None
     return charts
 
 

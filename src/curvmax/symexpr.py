@@ -9,7 +9,9 @@ fold rationals, collect like terms and factors, order children
 deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
 substitute build only through them.  ``simplify`` (``substitute`` with no
 bindings) is needed only for trees assembled by hand with the node
-constructors.  All coordinate variables are assumed to range over the open
+constructors.  A canonical term times a constant needs no re-merge: ``mul``
+scales the term's leading coefficient (``_scale``), and the general merge,
+which every other product takes, is the reference it must agree with.  All coordinate variables are assumed to range over the open
 domains declared by their charts; the sqrt builder uses positivity of its
 argument there (sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)), and
 ``chart.metric_from_chart`` checks that assumption on each chart's domain.
@@ -42,6 +44,11 @@ one.  One tape serves both evaluators: the first ``eval_expr`` or
 the tape instead of walking the tree.  Only the runner differs:
 ``eval_expr``'s takes floats, sums with ``math.fsum`` and raises naming
 the failing node; ``lambdify``'s takes numpy arrays and yields nan/inf.
+Over arrays that may broadcast to 2**15 elements or more, ``lambdify``
+runs a program made once from the tape that folds each child of a sum or
+product in as soon as it is computed, works in place on arrays it made
+itself and drops each value after its last read, so that it holds no
+more arrays than a recursive walk would.
 
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
@@ -405,12 +412,27 @@ def _unit(base, exp):
 
 
 def mul(*factors):
+    """Canonical product.  A constant times one canonical term, in either
+    order, needs no re-merge: ``_scale`` scales the term.  Every other
+    product takes the general merge below, which is the reference
+    ``_scale`` must agree with (``mul(c, x, ONE)`` always takes it)."""
+    if len(factors) == 2:
+        a, b = factors
+        if not isinstance(a, Expr):
+            a = _wrap(a)
+        if not isinstance(b, Expr):
+            b = _wrap(b)
+        if type(b) is Const:
+            a, b = b, a
+        if type(a) is Const and b._canon:
+            return _scale(a, b)
+        factors = (a, b)
     # the coefficient is kept as an integer numerator and denominator and
     # becomes one Fraction at the end
     num = den = 1
     units = {}
     canon = True
-    todo = [_wrap(f) for f in reversed(factors)]
+    todo = [f if isinstance(f, Expr) else _wrap(f) for f in reversed(factors)]
     while todo:
         f = todo.pop()
         t = type(f)
@@ -434,15 +456,40 @@ def mul(*factors):
     if num == 0:
         return ZERO
     parts = [_unit(b, n) for b, n in units.items() if n != 0]
-    parts.sort(key=_key)
     if not parts:
         return Const(Fraction(num, den))
+    if len(parts) > 1:
+        parts.sort(key=_key)
     if num != den:
         parts.insert(0, Const(Fraction(num, den)))
     if len(parts) == 1:
         return parts[0]
     node = Mul(*parts)
     return _mark(node) if canon else node
+
+
+def _scale(c, x):
+    """``c * x`` for a constant ``c`` and a canonical term ``x``: the node
+    the general merge of ``mul`` builds, equal to it and marked as it is.
+    The units of a canonical term are already collected and sorted, so
+    only the leading coefficient changes."""
+    v = c.value
+    if v == 1:
+        return x
+    t = type(x)
+    if t is Const:
+        v *= x.value
+        return Const(v) if v else ZERO
+    if not v:
+        return ZERO
+    units = x.factors if t is Mul else (x,)
+    if type(units[0]) is Const:  # a canonical product's coefficient leads
+        v *= units[0].value
+        units = units[1:]
+        if v == 1:
+            return units[0] if len(units) == 1 else _mark(Mul(*units))
+        c = Const(v)
+    return _mark(Mul(c, *units))
 
 
 _FRACTION_ONE = Fraction(1)
@@ -563,12 +610,12 @@ def add(*terms):
         _pythagoras(combined)
     parts = [node if node is not None else _term_build(c, m)
              for c, m, node in combined.values()]
-    parts = [p for p in parts if p != ZERO]
-    parts.sort(key=_key)
+    parts = [p for p in parts if type(p) is not Const or p.value]
     if not parts:
         return ZERO
     if len(parts) == 1:
         return parts[0]
+    parts.sort(key=_key)
     node = Add(*parts)
     return _mark(node) if canon else node
 
@@ -757,7 +804,7 @@ def _diff(e, v, memo):
         parts = []
         for i, f in enumerate(e.factors):
             df = _diff(f, v, memo)
-            if df != ZERO:
+            if df is not ZERO:
                 parts.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
         out = add(*parts)
     elif t is Pow:
@@ -765,7 +812,7 @@ def _diff(e, v, memo):
     elif t is Func:
         u = e.arg
         du = _diff(u, v, memo)
-        out = ZERO if du == ZERO else mul(_FUNCS[e.fname].deriv(u), du)
+        out = ZERO if du is ZERO else mul(_FUNCS[e.fname].deriv(u), du)
     else:
         raise TypeError(f"unknown node {t!r}")
     memo[id(e)] = out
@@ -859,12 +906,16 @@ def eval_expr(e, binding):
     first node that fails is the one named.
     """
     e = _wrap(e)
+    return _run(_tape_of(e), binding, e)
+
+
+def _tape_of(root):
     try:
-        tape = e._tape
+        return root._tape
     except AttributeError:
-        tape = _compile(e)
-        object.__setattr__(e, "_tape", tape)
-    return _run(tape, binding, e)
+        tape = _compile(root)
+        object.__setattr__(root, "_tape", tape)
+        return tape
 
 
 # tape instruction kinds; each instruction is (kind, operand, slot, node)
@@ -872,13 +923,14 @@ _T_MUL, _T_ADD, _T_POW, _T_FUNC, _T_ATOM, _T_BAD_CONST, _T_UNKNOWN = range(7)
 
 
 def _compile(root):
-    """(template, code) of ``root``'s tape, run by ``_run`` (``eval_expr``)
-    and ``_run_array`` (``lambdify``): ``template`` holds one value slot
-    per distinct node, preset for constants (a constant beyond the float
-    range to its signed infinity, marked by a ``_T_BAD_CONST`` instruction),
-    and ``code`` computes the other slots in post-order.  ``code`` names the
-    root's own node as None, so that the tape held by the root does not
-    hold the root."""
+    """[template, code, None] of ``root``'s tape, run by ``_run``
+    (``eval_expr``) and ``_run_array`` (``lambdify``): ``template`` holds
+    one value slot per distinct node, preset for constants (a constant
+    beyond the float range to its signed infinity, marked by a
+    ``_T_BAD_CONST`` instruction), and ``code`` computes the other slots
+    in post-order.  ``code`` names the root's own node as None, so that
+    the tape held by the root does not hold the root.  The last item is
+    ``_run_lean``'s program (``_array_program``), made by its first call."""
     slots = {}   # id(node) -> slot
     template = []
     code = []
@@ -922,11 +974,11 @@ def _compile(root):
         visit(root)
     finally:
         del visit  # it refers to itself: leave no cycle behind
-    return template, code
+    return [template, code, None]
 
 
 def _run(tape, binding, root):
-    template, code = tape
+    template, code, _ = tape
     vals = template[:]
     for kind, arg, slot, node in code:
         if kind is _T_MUL:
@@ -988,8 +1040,12 @@ def _run(tape, binding, root):
 
 def _run_array(tape, binding):
     """``lambdify``'s runner: the tape's value over arrays, with no domain
-    check; a constant beyond the float range keeps its preset infinity."""
-    template, code = tape
+    check; a constant beyond the float range keeps its preset infinity.
+    A binding whose arrays may broadcast to ``_LEAN_ELEMENTS`` or more
+    runs ``_run_lean`` instead."""
+    if _may_be_large(binding):
+        return _run_lean(tape, binding)
+    template, code, _ = tape
     vals = template[:]
     for kind, arg, slot, _ in code:
         if kind is _T_ATOM:
@@ -1016,21 +1072,161 @@ def _run_array(tape, binding):
     return vals[-1]
 
 
+# numpy reuses a temporary array in place from 256 KiB on; from that size
+# (in float64) on, lambdify holds as few arrays as it can
+_LEAN_ELEMENTS = 2 ** 15
+
+
+def _may_be_large(binding):
+    """Whether the binding's values may broadcast to ``_LEAN_ELEMENTS``
+    or more: the largest size to the power of the most dimensions bounds
+    the broadcast size, and is that size for one-dimensional arrays."""
+    size = ndim = 0
+    for v in binding.values():
+        if type(v) is np.ndarray:  # anything else counts as one number
+            if v.size > size:
+                size = v.size
+            if v.ndim > ndim:
+                ndim = v.ndim
+    return size ** ndim >= _LEAN_ELEMENTS
+
+
+def _run_lean(tape, binding):
+    """``_run_array`` over large arrays: it runs ``_array_program``'s
+    program of the tape (made by its first call and kept on the tape), so
+    it holds no more arrays than a recursive walk would, and gives the
+    same bytes as ``_run_array``."""
+    if tape[2] is None:
+        tape[2] = _array_program(tape)
+    template, _, program = tape
+    vals = template[:]
+    for kind, arg, slot, dead in program:
+        if kind is _T_ATOM:
+            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
+        elif kind is _T_MUL or kind is _T_ADD:
+            own, ops = arg
+            if kind is _T_MUL or own:
+                out, ops = vals[ops[0]], ops[1:]
+            else:
+                out, own = 0, True  # sum() starts at 0
+            for i in ops:
+                out = _accumulate(kind, out, vals[i], own)
+                own = True
+            vals[slot] = out
+        elif kind is _T_POW:
+            b, n = vals[arg[0]], arg[1]
+            if n < 0:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals[slot] = np.float_power(b, n)
+            else:
+                vals[slot] = b ** n
+        elif kind is _T_FUNC:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vals[slot] = arg[1].ufunc(vals[arg[0]])
+        elif kind is _T_UNKNOWN:
+            raise TypeError(f"unknown node {arg!r}")
+        for i in dead:
+            vals[i] = None
+    return vals[-1]
+
+
+def _array_program(tape):
+    """``_run_lean``'s program for a tape: its instructions in the same
+    order, as (kind, operand, slot, dead), ``dead`` being the slots whose
+    last read that instruction is, which ``_run_lean`` frees after it.
+
+    A sum or product folds its operands left to right in steps, each run
+    as soon as its operands are computed: a child is folded in before the
+    next child is computed, as a recursive walk would, so the children
+    are never all held at once.  A step is (kind, (own, operands), slot,
+    dead); its last step is the node's own instruction.  A step that goes
+    on from the node's partial value lists the node's slot first.  ``own``
+    tells that the first operand's array may be overwritten: it is that
+    partial value, or the value of a product's first operand that the
+    tape computed and this step reads last."""
+    template, code, _ = tape
+    at = None      # slot -> its instruction, made when a node has three operands
+    after = {}     # instruction -> the steps of later nodes run after it
+    seen = set()   # slots that a later entry reads
+    pending = {}   # slot -> the entry of the product step that may overwrite it
+    single = set() # slots a one-factor product takes: it is that same array
+    out = []       # the program, backwards
+    j = len(code)
+    for kind, arg, slot, _ in reversed(code):
+        j -= 1
+        n = 0
+        if kind is _T_MUL or kind is _T_ADD:
+            n = len(arg)
+            if n > 2:
+                if at is None:
+                    at = {ins[2]: i for i, ins in enumerate(code)}
+                chunk, pos = [], -1
+                for s in arg:
+                    p = at.get(s, -1)   # constants are ready from the start
+                    if p > pos:
+                        if pos >= 0 and len(chunk) >= 2:
+                            after.setdefault(pos, []).append((kind, chunk, slot))
+                            chunk = [slot]
+                        pos = p
+                    chunk.append(s)
+                arg = chunk
+            elif n == 1 and kind is _T_MUL:
+                single.add(arg[0])
+        if pending:
+            k = pending.pop(slot, None)
+            if k is not None and slot not in single and (
+                    kind is _T_ADD or kind is _T_POW or kind is _T_FUNC or n > 1):
+                step = out[k]  # an array made here, read last by that step
+                out[k] = (step[0], (True, step[1][1]), step[2], step[3])
+        todo = [] if kind is _T_BAD_CONST else [(kind, arg, slot)]  # its infinity stands
+        if after:
+            steps = after.pop(j, None)
+            if steps:
+                todo = steps[::-1] + todo
+        for kind, arg, slot in todo:
+            if kind is _T_MUL or kind is _T_ADD:
+                first = arg[0] if arg else None
+                if (kind is _T_MUL and first != slot and first not in seen
+                        and arg.count(first) == 1):
+                    pending[first] = len(out)
+                reads, arg = arg, (first == slot, tuple(arg))
+            elif kind is _T_POW or kind is _T_FUNC:
+                reads = arg[:1]
+            else:
+                out.append((kind, arg, slot, ()))
+                continue
+            dead = []
+            for s in reads:
+                if s != slot and s not in seen and template[s] is None:
+                    seen.add(s)
+                    dead.append(s)
+            out.append((kind, arg, slot, dead))
+    out.reverse()
+    return out
+
+
+def _accumulate(kind, out, v, own):
+    """``out * v`` or ``out + v``; into ``out`` itself when it is an array
+    that may be overwritten (``own``) and the result fits it."""
+    if own and type(out) is np.ndarray:
+        try:
+            return (np.multiply if kind is _T_MUL else np.add)(out, v, out=out, casting="no")
+        except (TypeError, ValueError):  # another dtype, or a wider shape
+            pass
+    return out * v if kind is _T_MUL else out + v
+
+
 def lambdify(e):
     """Compile to a function of a dict of numpy arrays (or scalars) that
-    runs the root's tape, the one ``eval_expr`` runs, through numpy.
+    runs the root's tape, the one ``eval_expr`` runs, through numpy
+    (``_run_array``).
 
     Out-of-domain points and constants beyond the float range yield
     nan/inf rather than raising; callers mask.  A tree holding two field
     atoms of one name but different arguments raises the EvalError that
     ``eval_expr`` raises, naming the same atom (see ``FieldAtom``).
     """
-    e = _wrap(e)
-    try:
-        tape = e._tape
-    except AttributeError:
-        tape = _compile(e)
-        object.__setattr__(e, "_tape", tape)
+    tape = _tape_of(_wrap(e))
     return lambda b: _run_array(tape, b)
 
 

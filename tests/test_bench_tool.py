@@ -78,14 +78,19 @@ def test_summary_counts_pairs_won_in_each_metrics_direction():
 
 def _stub_runner(side, broken):
     """A stand-in for a checkout's benchmarks/run.py: its runs report fixed
-    metrics, and the run of ``broken = (pair, side, fields)`` reports
-    ``fields`` instead of a clean result."""
+    metrics (the child's work_per_s 10 % above the parent's, rising by 1 %
+    a run) and reference loop (the child's 2 ms slower), and the run of
+    ``broken = (pair, side, fields)`` reports ``fields`` instead of a clean
+    result."""
     calls = []
 
     def run_workload(ns, workload, deadline):
         calls.append(workload)
-        result = {"metrics": {m: (1.0, "") for m in bench.end_to_end_metrics()},
-                  "attempted": 10, "failed": 0, "correct": True, "info": {}}
+        metrics = {m: (1.0, "") for m in bench.end_to_end_metrics()}
+        work = (110.0 if side == "child" else 100.0) * (1 + 0.01 * len(calls))
+        metrics["work_per_s"] = (work, "1/s")
+        result = {"metrics": metrics, "attempted": 10, "failed": 0, "correct": True,
+                  "info": {"reference_loop_ms": 12.0 if side == "child" else 10.0}}
         if broken is not None and broken[:2] == (len(calls), side):
             result.update(broken[2])
         return result
@@ -125,3 +130,46 @@ def test_pairs_records_the_machine_with_its_click_version(tmp_path, monkeypatch,
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["machine"]["click"] == importlib.metadata.version("click")
     assert len(doc["workloads"]["yee_curv_io"]["pairs"]) == 3
+
+
+def test_pairs_records_the_gain_rule_and_the_reference_loop(tmp_path, monkeypatch, capsys):
+    code, out = _pairs(tmp_path, monkeypatch)
+    assert code == 0
+    summary = json.loads(out.read_text(encoding="utf-8"))["workloads"]["yee_curv_io"]["summary"]
+    # work_per_s: won 3 of 3, medians 111 against 102 beyond the parent's spread
+    assert summary["work_per_s"]["child_won"] == 3 and summary["work_per_s"]["gain_holds"]
+    assert not summary["wall_s"]["gain_holds"]  # every pair a tie
+    assert summary["reference_loop_ms"]["parent"]["median"] == 10.0
+    assert summary["reference_loop_ms"]["child"]["median"] == 12.0
+    printed = capsys.readouterr().out
+    assert "work_per_s     3/3    yes" in printed and "wall_s         0/3    no" in printed
+    assert "reference loop median ms: parent 10, child 12" in printed
+
+
+def _synthetic(parent, child, better="higher"):
+    pairs = [{side: {"metrics": {"m": v}, "info": {}} for side, v in zip(("parent", "child"), pc)}
+             for pc in zip(parent, child)]
+    return bench.summarize(pairs, {"m": (better, 0.25)})
+
+
+@pytest.mark.parametrize("parent, child, holds", [
+    # ten of ten won, medians 10 apart against a parent spread of 4.5
+    (range(100, 110), range(110, 120), True),
+    # nine of ten won (one tie): still nine tenths
+    (range(100, 110), [100] + list(range(111, 120)), True),
+    # eight of ten won
+    (range(100, 110), [99, 100] + list(range(112, 120)), False),
+    # ten of ten won, but by less than the parent's spread
+    (range(100, 110), range(101, 111), False),
+], ids=["all-won", "nine-won", "eight-won", "inside-spread"])
+def test_gain_rule_needs_nine_tenths_and_a_move_beyond_the_parent_spread(parent, child,
+                                                                          holds):
+    assert _synthetic(parent, child)["m"]["gain_holds"] is holds
+    # the same runs with lower better: a gain for the child exactly when
+    # the mirrored numbers gave one
+    mirror = _synthetic([-v for v in parent], [-v for v in child], better="lower")
+    assert mirror["m"]["gain_holds"] is holds
+
+
+def test_summary_leaves_out_the_reference_loop_when_a_run_lacks_it():
+    assert "reference_loop_ms" not in _synthetic([1.0, 2.0], [1.5, 2.5])

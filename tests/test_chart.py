@@ -167,6 +167,24 @@ def test_chart_file_refuses_what_it_used_to_drop(line, replaced, message):
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize("lines, message", [
+    (_GOOD[:4] + ["domain = v:(0.1,2.0), u:(0.1)"], "line 5: bad domain spec 'u:(0.1)'"),
+    (_GOOD[:4] + ["domain = q:(0.1,1.0)"],
+     "line 5: domain given for 'q', which is not a coordinate"),
+    (_GOOD[:4] + ["domain = u:(0.1,inf)"],
+     "line 5: domain of 'u' must be finite with min < max, got (0.1, inf)"),
+    (["[chart]", "name = p", "coords = u, v", "embedding = u, v"],
+     "line 3: chart dimension must be 3, got 2"),
+    (_GOOD + ["", "# the second chart", "[chart]", "name = q", "embedding = u, v, z"],
+     "line 8: chart section missing 'coords'"),
+], ids=["bad-domain-entry", "domain-of-non-coordinate", "infinite-bound",
+        "two-coordinates", "missing-key"])
+def test_chart_file_errors_name_the_line(lines, message):
+    with pytest.raises(ChartError) as exc:
+        parse_chart_file("\n".join(lines))
+    assert str(exc.value) == message
+
+
 def test_chart_file_names_like_the_parser_reads_them():
     text = "[chart]\nname = p\ncoords = _a, b2, zeta_1\nembedding = _a, b2, zeta_1\n"
     (ch,) = parse_chart_file(text)

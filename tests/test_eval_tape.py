@@ -11,6 +11,7 @@ import gc
 import math
 import os
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -508,6 +509,8 @@ def test_lambdify_gives_the_closures_bytes_and_errors(e, bindings):
             # pi bound, then unbound (math.pi)
             for b in (binding, {k: v for k, v in binding.items() if k != "pi"}):
                 assert _outcome(lambda: f(b)) == _outcome(lambda: want(b))
+                # the runner lambdify takes for large arrays, on these small ones
+                assert _outcome(lambda: sx._run_lean(e._tape, b)) == _outcome(lambda: want(b))
 
 
 def test_an_overflowing_constant_is_inf_over_arrays_and_an_error_pointwise():
@@ -543,6 +546,36 @@ def test_eval_expr_and_lambdify_of_one_root_compile_it_once(monkeypatch):
         value = eval_expr(e, point)
         assert f(point) == pytest.approx(value, rel=1e-12)
         assert [r for r in compiled if r is e] == [e]
+
+
+def _peak_above_inputs(f, binding):
+    """Bytes that ``f(binding)`` allocates at its peak, beyond what was
+    allocated before the call (the inputs)."""
+    f(binding)  # compiled, and any lazy numpy set-up done
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(binding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak - base
+
+
+def test_lambdify_holds_no_more_arrays_than_the_closure():
+    # the tape shares sin(theta) where the closure computes it twice, so it
+    # matches the closure's peak only by folding each child in as it is made
+    # and freeing every array after its last read
+    e = _spherical_div()
+    rng = np.random.default_rng(7)
+    binding = {c: rng.uniform(0.5, 1.5, (64, 64, 64)) for c in ("r", "theta", "phi")}
+    array = binding["r"].nbytes  # 2 MB
+    closure = _peak_above_inputs(_closure(e, {}), binding)
+    tape = _peak_above_inputs(sx.lambdify(e), binding)
+    assert closure <= 4 * array + array // 16
+    assert tape <= closure + array // 16
+    assert np.array_equal(sx.lambdify(e)(binding), _closure(e, {})(binding))
 
 
 def test_dropping_a_lambdified_tree_leaves_nothing_for_the_collector():

@@ -623,6 +623,66 @@ def test_mul_refuses_a_hand_built_zero_to_a_negative_power():
 
 
 # ---------------------------------------------------------------------------
+# Scaling: mul of a constant and one canonical term scales the term without
+# the general merge, which mul(c, x, ONE) always takes; both build one node.
+# ---------------------------------------------------------------------------
+
+# a constant as long as Python prints, so that scaling a term whose
+# coefficient is 10 or more gives one too long to print
+_BIG = 10 ** (LIMIT - 1) if LIMIT else 10 ** 50
+SCALES = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7),
+                          _BIG]).flatmap(lambda v: st.sampled_from([v, Const(v)]))
+
+
+@st.composite
+def canonical_terms(draw):
+    """Builder-made terms: atoms, constants, sums, powers, functions, and
+    products with and without a coefficient (some of 10 or more)."""
+    x = draw(builder_exprs(2))
+    c = draw(st.sampled_from([None, -1, Fraction(3, 2), 12, _BIG]))
+    if c is not None:
+        try:
+            x = sx.mul(c, x, sx.ONE)
+        except sx.ConstantSizeError:
+            pass
+    return x
+
+
+def _built(build):
+    """What a builder call gives: the node with its printed form and mark,
+    or the type and message of the error it raises."""
+    try:
+        e = build()
+    except sx.SymExprError as err:
+        return "error", type(err), str(err)
+    return "node", e, print_expr(e), e._canon
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCALES, canonical_terms())
+@example(_BIG, Const(12))
+@example(Fraction(1, 12), sx.mul(12, Var("x")))
+def test_scaling_a_canonical_term_equals_the_general_merge(c, x):
+    assert x._canon
+    for args in ((c, x), (x, c)):
+        assert _built(lambda: sx.mul(*args)) == _built(lambda: sx.mul(*args, sx.ONE))
+
+
+@pytest.mark.parametrize("c, text, want", [
+    (2, "3*x", "6*x"), (Fraction(1, 2), "2*x*y", "x*y"), (-1, "x + y", "-(x + y)"),
+    (0, "x", "0"), (1, "x^2", "x^2"),
+])
+def test_scaling_fixed_results(c, text, want):
+    x = parse_expr(text)
+    for args in ((c, x), (x, c)):
+        got = sx.mul(*args)
+        assert print_expr(got) == want and got._canon
+        assert got == sx.mul(*args, sx.ONE)
+    assert sx.mul(1, x) is x
+    assert sx.mul(0, x) is sx.ZERO
+
+
+# ---------------------------------------------------------------------------
 # The canonical mark: simplify gives a builder-made tree back as it is, and
 # a mark never hides a hand-built node that the builders would change.
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ alternate which side runs first.  Before every pair it deletes both sides'
 them again, so that neither side reads stale bytecode.  It writes, or adds
 the workload to, a JSON file holding the machine, both commits, the seed,
 every pair's metrics and, per end-to-end metric of ``BENCHMARK.json``, both
-sides' median and quartiles and the number of pairs the child won.  A run
+sides' median and quartiles, the number of pairs the child won and whether
+a gain holds by the rule of ``gain_holds``, and each side's median
+reference-loop time (see ``summarize``), which shows when the machine's
+clock ran at another speed for one side.  A run
 that reports ``correct: false`` or a failed unit stops it with exit 1 and
 one ``error:`` line naming the workload, the pair and the side; nothing is
 written then.
@@ -19,7 +22,8 @@ written then.
 ``compare`` prints, per workload and end-to-end metric, the child median of
 OLD, that of NEW and their ratio, and flags a move for the worse beyond the
 metric's bound in ``BENCHMARK.json``; it exits 1 when it flags one.  At the
-end of ``pairs`` the same table compares the parent with the child.
+end of ``pairs`` the same table compares the parent with the child, and
+the gain rule and the reference loop of each metric follow it.
 """
 
 from __future__ import annotations
@@ -102,8 +106,21 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def gain_holds(row):
+    """The child wins at least nine tenths of the pairs (ties count for
+    neither side), and its median is better than the parent's by more
+    than the parent's quartile spread."""
+    sign = 1 if row["better"] == "higher" else -1
+    parent, child = row["parent"], row["child"]
+    return (10 * row["child_won"] >= 9 * row["pairs"]
+            and sign * (child["median"] - parent["median"]) > parent["q3"] - parent["q1"])
+
+
 def summarize(pairs, metrics):
-    """Per metric: each side's median and quartiles, and pairs won by the child."""
+    """Per metric: each side's median and quartiles, pairs won by the
+    child and ``gain_holds``; under ``reference_loop_ms``, each side's
+    median and quartiles of the runs' ``info.reference_loop_ms`` (the
+    benchmark's fixed reference loop), when every run reports it."""
     out = {}
     for name, (better, bound) in metrics.items():
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -115,8 +132,29 @@ def summarize(pairs, metrics):
         row["child_won"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"],
                                                                      values["child"]))
         row["pairs"] = len(pairs)
+        row["gain_holds"] = gain_holds(row)
         out[name] = row
+    refs = {side: [p[side].get("info", {}).get("reference_loop_ms") for p in pairs]
+            for side in SIDES}
+    if all(v is not None for side in SIDES for v in refs[side]):
+        out["reference_loop_ms"] = {side: dict(zip(("q1", "median", "q3"), quartiles(refs[side])))
+                                    for side in SIDES}
     return out
+
+
+def gain_lines(summary):
+    """Per metric, pairs won and whether the gain rule holds; then the
+    reference loop of each side."""
+    lines = [f"{'metric':12s} {'won':>7s}  gain holds"]
+    for name, row in summary.items():
+        if "gain_holds" in row:
+            lines.append(f"{name:12s} {row['child_won']:3d}/{row['pairs']:<3d}  "
+                         f"{'yes' if row['gain_holds'] else 'no'}")
+    ref = summary.get("reference_loop_ms")
+    if ref is not None:
+        lines.append(f"reference loop median ms: parent {ref['parent']['median']:.4g}, "
+                     f"child {ref['child']['median']:.4g}")
+    return lines
 
 
 def run_pairs(args):
@@ -155,12 +193,13 @@ def run_pairs(args):
         print(f"pair {i + 1}/{args.n} {args.workload} work_per_s parent "
               f"{pair['parent']['metrics']['work_per_s']:.6g} child "
               f"{pair['child']['metrics']['work_per_s']:.6g}", flush=True)
-    doc["workloads"][args.workload] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
+    summary = summarize(pairs, metrics)
+    doc["workloads"][args.workload] = {"pairs": pairs, "summary": summary}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
     _, lines = compare_medians(medians(doc, "parent"), medians(doc, "child"), metrics)
-    print("\n".join(lines))
+    print("\n".join(lines + gain_lines(summary)))
     return 0
 
 
