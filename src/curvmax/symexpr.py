@@ -1145,44 +1145,36 @@ def _array_program(tape):
     partial value, or the value of a product's first operand that the
     tape computed and this step reads last."""
     template, code, _ = tape
-    at = None      # slot -> its instruction, made when a node has three operands
+    at = {ins[2]: j for j, ins in enumerate(code)}  # slot -> its instruction
     after = {}     # instruction -> the steps of later nodes run after it
     seen = set()   # slots that a later entry reads
     pending = {}   # slot -> the entry of the product step that may overwrite it
     single = set() # slots a one-factor product takes: it is that same array
     out = []       # the program, backwards
-    j = len(code)
-    for kind, arg, slot, _ in reversed(code):
-        j -= 1
-        n = 0
-        if kind is _T_MUL or kind is _T_ADD:
-            n = len(arg)
-            if n > 2:
-                if at is None:
-                    at = {ins[2]: i for i, ins in enumerate(code)}
-                chunk, pos = [], -1
-                for s in arg:
-                    p = at.get(s, -1)   # constants are ready from the start
-                    if p > pos:
-                        if pos >= 0 and len(chunk) >= 2:
-                            after.setdefault(pos, []).append((kind, chunk, slot))
-                            chunk = [slot]
-                        pos = p
-                    chunk.append(s)
-                arg = chunk
-            elif n == 1 and kind is _T_MUL:
-                single.add(arg[0])
-        if pending:
-            k = pending.pop(slot, None)
-            if k is not None and slot not in single and (
-                    kind is _T_ADD or kind is _T_POW or kind is _T_FUNC or n > 1):
-                step = out[k]  # an array made here, read last by that step
-                out[k] = (step[0], (True, step[1][1]), step[2], step[3])
-        todo = [] if kind is _T_BAD_CONST else [(kind, arg, slot)]  # its infinity stands
-        if after:
-            steps = after.pop(j, None)
-            if steps:
-                todo = steps[::-1] + todo
+    for j in range(len(code) - 1, -1, -1):
+        kind, arg, slot, _ = code[j]
+        n = len(arg) if kind is _T_MUL or kind is _T_ADD else 0
+        if n > 2:
+            chunk, pos = [], -1
+            for s in arg:
+                p = at.get(s, -1)   # constants are ready from the start
+                if p > pos:
+                    if pos >= 0 and len(chunk) >= 2:
+                        after.setdefault(pos, []).append((kind, chunk, slot))
+                        chunk = [slot]
+                    pos = p
+                chunk.append(s)
+            arg = chunk
+        elif n == 1 and kind is _T_MUL:
+            single.add(arg[0])
+        k = pending.pop(slot, None)
+        if k is not None and slot not in single and (
+                kind is _T_ADD or kind is _T_POW or kind is _T_FUNC or n > 1):
+            step = out[k]  # an array made here, read last by that step
+            out[k] = (step[0], (True, step[1][1]), step[2], step[3])
+        todo = after.pop(j, [])[::-1]
+        if kind is not _T_BAD_CONST:  # its preset infinity stands
+            todo.append((kind, arg, slot))
         for kind, arg, slot in todo:
             if kind is _T_MUL or kind is _T_ADD:
                 first = arg[0] if arg else None
