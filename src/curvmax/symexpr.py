@@ -44,11 +44,11 @@ one.  One tape serves both evaluators: the first ``eval_expr`` or
 the tape instead of walking the tree.  Only the runner differs:
 ``eval_expr``'s takes floats, sums with ``math.fsum`` and raises naming
 the failing node; ``lambdify``'s takes numpy arrays and yields nan/inf.
-Over arrays that may broadcast to 2**15 elements or more, ``lambdify``
-runs a program made once from the tape that folds each child of a sum or
-product in as soon as it is computed, works in place on arrays it made
-itself and drops each value after its last read, so that it holds no
-more arrays than a recursive walk would.
+``lambdify`` runs a program made from the tape by its first call and
+kept with it: the program folds each child of a sum or product in as soon
+as it is computed, works in place on arrays it made itself and drops each
+value after its last read, so that it holds no more arrays than a
+recursive walk would.
 
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
@@ -930,7 +930,8 @@ def _compile(root):
     ``_T_BAD_CONST`` instruction), and ``code`` computes the other slots
     in post-order.  ``code`` names the root's own node as None, so that
     the tape held by the root does not hold the root.  The last item is
-    ``_run_lean``'s program (``_array_program``), made by its first call."""
+    ``_run_array``'s program (``_array_program``), made by its first
+    call, so that a root only ``eval_expr`` runs never pays for it."""
     slots = {}   # id(node) -> slot
     template = []
     code = []
@@ -1041,61 +1042,13 @@ def _run(tape, binding, root):
 def _run_array(tape, binding):
     """``lambdify``'s runner: the tape's value over arrays, with no domain
     check; a constant beyond the float range keeps its preset infinity.
-    A binding whose arrays may broadcast to ``_LEAN_ELEMENTS`` or more
-    runs ``_run_lean`` instead."""
-    if _may_be_large(binding):
-        return _run_lean(tape, binding)
-    template, code, _ = tape
-    vals = template[:]
-    for kind, arg, slot, _ in code:
-        if kind is _T_ATOM:
-            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
-        elif kind is _T_MUL:
-            out = vals[arg[0]]
-            for i in arg[1:]:
-                out = out * vals[i]
-            vals[slot] = out
-        elif kind is _T_ADD:
-            vals[slot] = sum([vals[i] for i in arg])
-        elif kind is _T_POW:
-            b, n = vals[arg[0]], arg[1]
-            if n < 0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals[slot] = np.float_power(b, n)
-            else:
-                vals[slot] = b ** n
-        elif kind is _T_FUNC:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals[slot] = arg[1].ufunc(vals[arg[0]])
-        elif kind is _T_UNKNOWN:
-            raise TypeError(f"unknown node {arg!r}")
-    return vals[-1]
 
-
-# numpy reuses a temporary array in place from 256 KiB on; from that size
-# (in float64) on, lambdify holds as few arrays as it can
-_LEAN_ELEMENTS = 2 ** 15
-
-
-def _may_be_large(binding):
-    """Whether the binding's values may broadcast to ``_LEAN_ELEMENTS``
-    or more: the largest size to the power of the most dimensions bounds
-    the broadcast size, and is that size for one-dimensional arrays."""
-    size = ndim = 0
-    for v in binding.values():
-        if type(v) is np.ndarray:  # anything else counts as one number
-            if v.size > size:
-                size = v.size
-            if v.ndim > ndim:
-                ndim = v.ndim
-    return size ** ndim >= _LEAN_ELEMENTS
-
-
-def _run_lean(tape, binding):
-    """``_run_array`` over large arrays: it runs ``_array_program``'s
-    program of the tape (made by its first call and kept on the tape), so
-    it holds no more arrays than a recursive walk would, and gives the
-    same bytes as ``_run_array``."""
+    It runs the tape's array program (``_array_program``, made by the
+    first call and kept as the tape's last item), so it gives the bytes a
+    recursive walk gives and holds no more arrays than one: a step of a
+    sum or product updates in place an array it may overwrite, when the
+    result fits it, and each computed value is dropped after its last
+    read."""
     if tape[2] is None:
         tape[2] = _array_program(tape)
     template, _, program = tape
@@ -1110,7 +1063,14 @@ def _run_lean(tape, binding):
             else:
                 out, own = 0, True  # sum() starts at 0
             for i in ops:
-                out = _accumulate(kind, out, vals[i], own)
+                if own and type(out) is np.ndarray:
+                    try:
+                        out = (np.multiply if kind is _T_MUL else np.add)(
+                            out, vals[i], out=out, casting="no")
+                        continue
+                    except (TypeError, ValueError):  # another dtype, or a wider shape
+                        pass
+                out = out * vals[i] if kind is _T_MUL else out + vals[i]
                 own = True
             vals[slot] = out
         elif kind is _T_POW:
@@ -1131,81 +1091,83 @@ def _run_lean(tape, binding):
 
 
 def _array_program(tape):
-    """``_run_lean``'s program for a tape: its instructions in the same
-    order, as (kind, operand, slot, dead), ``dead`` being the slots whose
-    last read that instruction is, which ``_run_lean`` frees after it.
+    """``_run_array``'s program for a tape: its instructions in the same
+    order, as (kind, operand, slot, dead), ``dead`` being the computed
+    slots whose last read that instruction is, which ``_run_array`` frees
+    after it.
 
-    A sum or product folds its operands left to right in steps, each run
-    as soon as its operands are computed: a child is folded in before the
-    next child is computed, as a recursive walk would, so the children
+    A sum or product folds its operands in left to right, in steps each
+    run as soon as its operands are computed: a child is folded in before
+    the next child is computed, as a recursive walk would, so the children
     are never all held at once.  A step is (kind, (own, operands), slot,
-    dead); its last step is the node's own instruction.  A step that goes
-    on from the node's partial value lists the node's slot first.  ``own``
-    tells that the first operand's array may be overwritten: it is that
-    partial value, or the value of a product's first operand that the
-    tape computed and this step reads last."""
+    dead); the node's last step is its own instruction, and a step that
+    goes on from the node's partial value lists the node's slot first.
+    ``own`` tells that the first operand's array may be overwritten: it is
+    that partial value, or a product's first operand that the tape made
+    itself and that this step reads last.  Made in one backward pass."""
     template, code, _ = tape
-    at = {ins[2]: j for j, ins in enumerate(code)}  # slot -> its instruction
+    at = None      # slot -> its instruction, for sums and products of 3 or more
     after = {}     # instruction -> the steps of later nodes run after it
-    seen = set()   # slots that a later entry reads
+    seen = set()   # computed slots that a later entry reads
     pending = {}   # slot -> the entry of the product step that may overwrite it
     single = set() # slots a one-factor product takes: it is that same array
     out = []       # the program, backwards
+
+    def emit(kind, arg, slot):
+        if kind is _T_POW or kind is _T_FUNC:
+            s = arg[0]
+            if s in seen or template[s] is not None:
+                out.append((kind, arg, slot, ()))
+            else:
+                seen.add(s)
+                out.append((kind, arg, slot, (s,)))
+            return
+        first = arg[0] if arg else None
+        if kind is _T_MUL and first != slot and first not in seen and arg.count(first) == 1:
+            pending[first] = len(out)
+        dead = []
+        for s in arg:
+            if s not in seen and template[s] is None and s != slot:
+                seen.add(s)
+                dead.append(s)
+        out.append((kind, (first == slot, tuple(arg)), slot, dead))
+
     for j in range(len(code) - 1, -1, -1):
         kind, arg, slot, _ = code[j]
-        n = len(arg) if kind is _T_MUL or kind is _T_ADD else 0
-        if n > 2:
-            chunk, pos = [], -1
-            for s in arg:
-                p = at.get(s, -1)   # constants are ready from the start
-                if p > pos:
-                    if pos >= 0 and len(chunk) >= 2:
-                        after.setdefault(pos, []).append((kind, chunk, slot))
-                        chunk = [slot]
-                    pos = p
-                chunk.append(s)
-            arg = chunk
-        elif n == 1 and kind is _T_MUL:
-            single.add(arg[0])
-        k = pending.pop(slot, None)
-        if k is not None and slot not in single and (
-                kind is _T_ADD or kind is _T_POW or kind is _T_FUNC or n > 1):
-            step = out[k]  # an array made here, read last by that step
-            out[k] = (step[0], (True, step[1][1]), step[2], step[3])
-        todo = after.pop(j, [])[::-1]
-        if kind is not _T_BAD_CONST:  # its preset infinity stands
-            todo.append((kind, arg, slot))
-        for kind, arg, slot in todo:
-            if kind is _T_MUL or kind is _T_ADD:
-                first = arg[0] if arg else None
-                if (kind is _T_MUL and first != slot and first not in seen
-                        and arg.count(first) == 1):
-                    pending[first] = len(out)
-                reads, arg = arg, (first == slot, tuple(arg))
-            elif kind is _T_POW or kind is _T_FUNC:
-                reads = arg[:1]
-            else:
-                out.append((kind, arg, slot, ()))
-                continue
-            dead = []
-            for s in reads:
-                if s != slot and s not in seen and template[s] is None:
-                    seen.add(s)
-                    dead.append(s)
-            out.append((kind, arg, slot, dead))
+        if kind is _T_MUL or kind is _T_ADD:
+            n = len(arg)
+            if n > 2:
+                if at is None:
+                    at = {ins[2]: i for i, ins in enumerate(code)}
+                chunk, pos = [], -1
+                for s in arg:
+                    p = at.get(s, -1)  # constants are ready from the start
+                    if p > pos:
+                        if pos >= 0 and len(chunk) >= 2:
+                            after.setdefault(pos, []).append((kind, chunk, slot))
+                            chunk = [slot]
+                        pos = p
+                    chunk.append(s)
+                arg = chunk
+            elif n == 1 and kind is _T_MUL:
+                single.add(arg[0])
+            made = kind is _T_ADD or n > 1
+        else:
+            made = kind is _T_POW or kind is _T_FUNC
+        if made and pending:
+            k = pending.pop(slot, None)
+            if k is not None and slot not in single:
+                step = out[k]  # an array made here, read last by that step
+                out[k] = (step[0], (True, step[1][1]), step[2], step[3])
+        if after:
+            for step in reversed(after.pop(j, ())):
+                emit(*step)
+        if kind is _T_ATOM or kind is _T_UNKNOWN:
+            out.append((kind, arg, slot, ()))
+        elif kind is not _T_BAD_CONST:  # its preset infinity stands
+            emit(kind, arg, slot)
     out.reverse()
     return out
-
-
-def _accumulate(kind, out, v, own):
-    """``out * v`` or ``out + v``; into ``out`` itself when it is an array
-    that may be overwritten (``own``) and the result fits it."""
-    if own and type(out) is np.ndarray:
-        try:
-            return (np.multiply if kind is _T_MUL else np.add)(out, v, out=out, casting="no")
-        except (TypeError, ValueError):  # another dtype, or a wider shape
-            pass
-    return out * v if kind is _T_MUL else out + v
 
 
 def lambdify(e):

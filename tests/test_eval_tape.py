@@ -509,8 +509,6 @@ def test_lambdify_gives_the_closures_bytes_and_errors(e, bindings):
             # pi bound, then unbound (math.pi)
             for b in (binding, {k: v for k, v in binding.items() if k != "pi"}):
                 assert _outcome(lambda: f(b)) == _outcome(lambda: want(b))
-                # the runner lambdify takes for large arrays, on these small ones
-                assert _outcome(lambda: sx._run_lean(e._tape, b)) == _outcome(lambda: want(b))
 
 
 def test_an_overflowing_constant_is_inf_over_arrays_and_an_error_pointwise():
