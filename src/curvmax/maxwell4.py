@@ -25,7 +25,7 @@ the northwest-to-southeast convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -67,16 +67,18 @@ class Metric4:
     ``g_lo``/``g_hi`` are 4x4 nested tuples of Expr or numbers, ``det`` and
     ``sqrt_minus_g`` match their entry type.  Symbolic metrics must be
     diagonal; full numeric matrices are inverted with numpy.
+    ``is_symbolic`` (some entry of ``g_lo`` is an Expr) is found once, when
+    the metric is built.
     """
 
     g_lo: tuple
     g_hi: tuple
     det: object
     sqrt_minus_g: object
+    is_symbolic: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_symbolic(self):
-        return _is_sym(self.g_lo)
+    def __post_init__(self):
+        object.__setattr__(self, "is_symbolic", _is_sym(self.g_lo))
 
     @classmethod
     def minkowski(cls):
@@ -146,11 +148,13 @@ _DUAL_KIND = {"F": "dualF", "dualF": "F", "G": "dualG", "dualG": "G"}
 
 @dataclass(frozen=True)
 class FieldTensor4:
-    """Antisymmetric 4x4 tensor with both indices lower or both upper."""
+    """Antisymmetric 4x4 tensor with both indices lower or both upper.
+    ``is_symbolic`` (some entry is an Expr) is found once, when it is built."""
 
     matrix: tuple
     variance: str  # "lower" | "upper"
     kind: str
+    is_symbolic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variance not in ("lower", "upper"):
@@ -161,6 +165,7 @@ class FieldTensor4:
         if len(m) != 4 or any(len(r) != 4 for r in m):
             raise Maxwell4Error("field tensor must be 4x4")
         sym = _is_sym(m)
+        object.__setattr__(self, "is_symbolic", sym)
         # rounding noise of a numeric tensor grows with its entries
         tol = None if sym else 1e-12 * max(1.0, *(abs(x) for row in m for x in row))
         for a in range(4):
@@ -170,10 +175,6 @@ class FieldTensor4:
                 if bad:
                     raise Maxwell4Error(
                         f"field tensor must be antisymmetric (entries {a},{b})")
-
-    @property
-    def is_symbolic(self):
-        return _is_sym(self.matrix)
 
     def as_array(self):
         if self.is_symbolic:
@@ -232,9 +233,9 @@ def _sum_products(pairs, sym):
     return sx.add(*terms) if sym else sum(terms)
 
 
-def _contract_two(t, g_mat):
+def _contract_two(t, g, g_mat):
     m = t.matrix
-    sym = _is_sym(m) or _is_sym(g_mat)
+    sym = t.is_symbolic or g.is_symbolic
     return tuple(tuple(
         _sum_products([(g_mat[a][c] * g_mat[b][d], m[c][d])
                        for c in range(4) for d in range(4)
@@ -246,14 +247,14 @@ def raise4(t, g):
     """T^{alpha beta} = g^{alpha gamma} g^{beta delta} T_{gamma delta}."""
     if t.variance != "lower":
         raise Maxwell4Error("raise4 expects a both-lower tensor")
-    return FieldTensor4(_contract_two(t, g.g_hi), "upper", t.kind)
+    return FieldTensor4(_contract_two(t, g, g.g_hi), "upper", t.kind)
 
 
 def lower4(t, g):
     """T_{alpha beta} = g_{alpha gamma} g_{beta delta} T^{gamma delta}."""
     if t.variance != "upper":
         raise Maxwell4Error("lower4 expects a both-upper tensor")
-    return FieldTensor4(_contract_two(t, g.g_lo), "lower", t.kind)
+    return FieldTensor4(_contract_two(t, g, g.g_lo), "lower", t.kind)
 
 
 #: The 24 nonzero entries (a, b, c, d, [abcd]) of the 4-D permutation symbol,

@@ -44,11 +44,12 @@ one.  One tape serves both evaluators: the first ``eval_expr`` or
 the tape instead of walking the tree.  Only the runner differs:
 ``eval_expr``'s takes floats, sums with ``math.fsum`` and raises naming
 the failing node; ``lambdify``'s takes numpy arrays and yields nan/inf.
-``lambdify`` runs a program made from the tape by its first call and
-kept with it: the program folds each child of a sum or product in as soon
-as it is computed, works in place on arrays it made itself and drops each
-value after its last read, so that it holds no more arrays than a
-recursive walk would.
+``lambdify``'s runner walks the tape depth-first from the root, through a
+slot -> instruction table and each slot's read count that its first call
+keeps with the tape: it folds each child of a sum or product in as soon as
+it is computed, works in place on arrays it made itself that nothing else
+reads and keeps a value several parents read until its last read, so that
+it holds no more arrays than a recursive walk would.
 
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
@@ -930,8 +931,9 @@ def _compile(root):
     ``_T_BAD_CONST`` instruction), and ``code`` computes the other slots
     in post-order.  ``code`` names the root's own node as None, so that
     the tape held by the root does not hold the root.  The last item is
-    ``_run_array``'s program (``_array_program``), made by its first
-    call, so that a root only ``eval_expr`` runs never pays for it."""
+    ``_run_array``'s table of the tape (each slot's instruction, its read
+    count and whether it makes a new value), made by its first call, so
+    that a root only ``eval_expr`` runs never pays for it."""
     slots = {}   # id(node) -> slot
     template = []
     code = []
@@ -1043,142 +1045,94 @@ def _run_array(tape, binding):
     """``lambdify``'s runner: the tape's value over arrays, with no domain
     check; a constant beyond the float range keeps its preset infinity.
 
-    It runs the tape's array program (``_array_program``, made by the
-    first call and kept as the tape's last item), so it gives the bytes a
-    recursive walk gives and holds no more arrays than one: a step of a
-    sum or product updates in place an array it may overwrite, when the
-    result fits it, and each computed value is dropped after its last
-    read."""
-    if tape[2] is None:
-        tape[2] = _array_program(tape)
-    template, _, program = tape
-    vals = template[:]
-    for kind, arg, slot, dead in program:
-        if kind is _T_ATOM:
-            vals[slot] = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
-        elif kind is _T_MUL or kind is _T_ADD:
-            own, ops = arg
-            if kind is _T_MUL or own:
-                out, ops = vals[ops[0]], ops[1:]
-            else:
-                out, own = 0, True  # sum() starts at 0
-            for i in ops:
-                if own and type(out) is np.ndarray:
-                    try:
-                        out = (np.multiply if kind is _T_MUL else np.add)(
-                            out, vals[i], out=out, casting="no")
-                        continue
-                    except (TypeError, ValueError):  # another dtype, or a wider shape
-                        pass
-                out = out * vals[i] if kind is _T_MUL else out + vals[i]
-                own = True
-            vals[slot] = out
-        elif kind is _T_POW:
-            b, n = vals[arg[0]], arg[1]
-            if n < 0:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals[slot] = np.float_power(b, n)
-            else:
-                vals[slot] = b ** n
-        elif kind is _T_FUNC:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals[slot] = arg[1].ufunc(vals[arg[0]])
-        elif kind is _T_UNKNOWN:
-            raise TypeError(f"unknown node {arg!r}")
-        for i in dead:
-            vals[i] = None
-    return vals[-1]
-
-
-def _array_program(tape):
-    """``_run_array``'s program for a tape: its instructions in the same
-    order, as (kind, operand, slot, dead), ``dead`` being the computed
-    slots whose last read that instruction is, which ``_run_array`` frees
-    after it.
-
-    A sum or product folds its operands in left to right, in steps each
-    run as soon as its operands are computed: a child is folded in before
-    the next child is computed, as a recursive walk would, so the children
-    are never all held at once.  A step is (kind, (own, operands), slot,
-    dead); the node's last step is its own instruction, and a step that
-    goes on from the node's partial value lists the node's slot first.
-    ``own`` tells that the first operand's array may be overwritten: it is
-    that partial value, or a product's first operand that the tape made
-    itself and that this step reads last.  Made in one backward pass."""
-    template, code, _ = tape
-    at = None      # slot -> its instruction, for sums and products of 3 or more
-    after = {}     # instruction -> the steps of later nodes run after it
-    seen = set()   # computed slots that a later entry reads
-    pending = {}   # slot -> the entry of the product step that may overwrite it
-    single = set() # slots a one-factor product takes: it is that same array
-    out = []       # the program, backwards
-
-    def emit(kind, arg, slot):
-        if kind is _T_POW or kind is _T_FUNC:
-            s = arg[0]
-            if s in seen or template[s] is not None:
-                out.append((kind, arg, slot, ()))
-            else:
-                seen.add(s)
-                out.append((kind, arg, slot, (s,)))
-            return
-        first = arg[0] if arg else None
-        if kind is _T_MUL and first != slot and first not in seen and arg.count(first) == 1:
-            pending[first] = len(out)
-        dead = []
-        for s in arg:
-            if s not in seen and template[s] is None and s != slot:
-                seen.add(s)
-                dead.append(s)
-        out.append((kind, (first == slot, tuple(arg)), slot, dead))
-
-    for j in range(len(code) - 1, -1, -1):
-        kind, arg, slot, _ = code[j]
-        if kind is _T_MUL or kind is _T_ADD:
-            n = len(arg)
-            if n > 2:
-                if at is None:
-                    at = {ins[2]: i for i, ins in enumerate(code)}
-                chunk, pos = [], -1
+    It walks the tape depth-first from the root, as a recursive walk of the
+    tree would, so it gives that walk's bytes and holds no more arrays than
+    it: each operand of a sum (from 0, as ``sum()`` does) or a product (from
+    its first operand) is folded in as soon as it is computed and then
+    dropped, and a value several parents read is kept until its last read.
+    A fold updates in place only an array this call made that nothing else
+    reads: a sum's partial value, or a product's, or a product's first
+    operand when that product is its one reader.  The whole walk ignores
+    divide and invalid, so that nan and inf pass without a RuntimeWarning;
+    overflow still warns.  The first call stores the tape's slot ->
+    instruction table, each slot's read count and whether its instruction
+    makes a new value as the tape's last item, in one pass over ``code``."""
+    template, code, table = tape
+    if table is None:
+        at, reads, made = [None] * len(template), [0] * len(template), [False] * len(template)
+        for ins in code:
+            kind, arg, slot, _ = ins
+            at[slot] = ins
+            if kind is _T_MUL or kind is _T_ADD:
                 for s in arg:
-                    p = at.get(s, -1)  # constants are ready from the start
-                    if p > pos:
-                        if pos >= 0 and len(chunk) >= 2:
-                            after.setdefault(pos, []).append((kind, chunk, slot))
-                            chunk = [slot]
-                        pos = p
-                    chunk.append(s)
-                arg = chunk
-            elif n == 1 and kind is _T_MUL:
-                single.add(arg[0])
-            made = kind is _T_ADD or n > 1
+                    reads[s] += 1
+                made[slot] = kind is _T_ADD or len(arg) > 1  # one factor: that same value
+            elif kind is _T_POW or kind is _T_FUNC:
+                reads[arg[0]] += 1
+                made[slot] = True
+        table = tape[2] = (at, reads, made)
+    at, reads, made = table
+    held = {}  # slot read by several parents -> [its value, reads left]
+
+    def walk(s):
+        v = template[s]
+        if v is not None:
+            return v
+        n = reads[s]
+        if n > 1:
+            h = held.get(s)
+            if h is not None:
+                h[1] -= 1
+                if not h[1]:
+                    del held[s]
+                return h[0]
+        kind, arg, _, _ = at[s]
+        if kind is _T_MUL or kind is _T_ADD:
+            if kind is _T_MUL:
+                v, own, ops = walk(arg[0]), reads[arg[0]] == 1 and made[arg[0]], arg[1:]
+            else:
+                v, own, ops = 0, True, arg  # sum() starts at 0
+            for i in ops:
+                w = walk(i)
+                if own and type(v) is np.ndarray:
+                    try:
+                        v = (np.multiply if kind is _T_MUL else np.add)(v, w, out=v, casting="no")
+                    except (TypeError, ValueError):  # another dtype, or a wider shape
+                        v = v * w if kind is _T_MUL else v + w
+                else:
+                    v, own = (v * w if kind is _T_MUL else v + w), True
+                del w
+        elif kind is _T_ATOM:
+            v = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
+        elif kind is _T_POW:
+            v = walk(arg[0])
+            v = np.float_power(v, arg[1]) if arg[1] < 0 else v ** arg[1]
+        elif kind is _T_FUNC:
+            v = arg[1].ufunc(walk(arg[0]))
         else:
-            made = kind is _T_POW or kind is _T_FUNC
-        if made and pending:
-            k = pending.pop(slot, None)
-            if k is not None and slot not in single:
-                step = out[k]  # an array made here, read last by that step
-                out[k] = (step[0], (True, step[1][1]), step[2], step[3])
-        if after:
-            for step in reversed(after.pop(j, ())):
-                emit(*step)
-        if kind is _T_ATOM or kind is _T_UNKNOWN:
-            out.append((kind, arg, slot, ()))
-        elif kind is not _T_BAD_CONST:  # its preset infinity stands
-            emit(kind, arg, slot)
-    out.reverse()
-    return out
+            raise TypeError(f"unknown node {arg!r}")
+        if n > 1:
+            held[s] = [v, n - 1]
+        return v
+
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return walk(len(template) - 1)
+    finally:
+        del walk  # it refers to itself: leave no cycle behind
 
 
 def lambdify(e):
     """Compile to a function of a dict of numpy arrays (or scalars) that
-    runs the root's tape, the one ``eval_expr`` runs, through numpy
+    walks the root's tape, the one ``eval_expr`` runs, through numpy
     (``_run_array``).
 
     Out-of-domain points and constants beyond the float range yield
-    nan/inf rather than raising; callers mask.  A tree holding two field
-    atoms of one name but different arguments raises the EvalError that
-    ``eval_expr`` raises, naming the same atom (see ``FieldAtom``).
+    nan/inf rather than raising, and so do sums and products that make nan
+    out of infinities, with no RuntimeWarning; callers mask.  Overflow
+    still warns.  A tree holding two field atoms of one name but different
+    arguments raises the EvalError that ``eval_expr`` raises, naming the
+    same atom (see ``FieldAtom``).
     """
     tape = _tape_of(_wrap(e))
     return lambda b: _run_array(tape, b)
@@ -1207,9 +1161,11 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     for name in names:
         lo, hi = domains.get(name, DEFAULT_DOMAIN)
         binding[name] = rng.uniform(lo, hi, size=n)
-    fa, fb = lambdify(a), lambdify(b)
-    va = np.broadcast_to(np.asarray(fa(binding), dtype=float), (n,))
-    vb = np.broadcast_to(np.asarray(fb(binding), dtype=float), (n,))
+    # a side with free names gives its samples as they are; only a side
+    # with none gives a scalar, broadcast to them
+    va, vb = (v if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (n,)
+              else np.broadcast_to(np.asarray(v, dtype=float), (n,))
+              for v in (lambdify(a)(binding), lambdify(b)(binding)))
     fin_a, fin_b = np.isfinite(va), np.isfinite(vb)
     if np.count_nonzero(~fin_a & ~fin_b) > n // 2:
         raise IllConditionedError(

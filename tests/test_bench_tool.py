@@ -99,14 +99,14 @@ def _stub_runner(side, broken):
                                  run_workload=run_workload)
 
 
-def _pairs(tmp_path, monkeypatch, broken=None):
+def _pairs(tmp_path, monkeypatch, broken=None, options=(), workload="yee_curv_io"):
     monkeypatch.setattr(bench, "load_runner",
                         lambda checkout, name: _stub_runner(name.rsplit("_", 1)[1], broken))
     monkeypatch.setattr(bench, "rebuild_bytecode", lambda checkout: None)
     monkeypatch.setattr(bench, "commit_of", lambda checkout: {"commit": checkout, "dirty": False})
     out = tmp_path / "BENCH_stub.json"
-    code = bench.main(["pairs", "parent_dir", "child_dir", "--workload", "yee_curv_io",
-                       "--n", "3", "--out", str(out)])
+    code = bench.main(["pairs", "parent_dir", "child_dir", "--workload", workload,
+                       "--n", "3", "--out", str(out), *options])
     return code, out
 
 
@@ -144,6 +144,24 @@ def test_pairs_records_the_gain_rule_and_the_reference_loop(tmp_path, monkeypatc
     printed = capsys.readouterr().out
     assert "work_per_s     3/3    yes" in printed and "wall_s         0/3    no" in printed
     assert "reference loop median ms: parent 10, child 12" in printed
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--seed", "2"), "holds runs at seed 1, not 2"),
+    (("--seconds", "10"), "holds runs at seconds 20.0, not 10.0"),
+])
+def test_pairs_refuses_a_file_of_another_seed_or_run_length(tmp_path, monkeypatch, capsys,
+                                                             options, message):
+    _, out = _pairs(tmp_path, monkeypatch)
+    before = out.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        _pairs(tmp_path, monkeypatch, options=options, workload="check_all")
+    assert str(exc.value.code) == f"error: {out} {message}"
+    assert out.read_text(encoding="utf-8") == before
+    # the same seed and run length add the workload
+    assert _pairs(tmp_path, monkeypatch, workload="check_all")[0] == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc["workloads"]) == {"yee_curv_io", "check_all"} and doc["seed"] == 1
 
 
 def _synthetic(parent, child, better="higher"):

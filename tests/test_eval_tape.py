@@ -506,9 +506,30 @@ def test_lambdify_gives_the_closures_bytes_and_errors(e, bindings):
     f = sx.lambdify(e)
     with np.errstate(all="ignore"):
         for binding in bindings:
+            bound = {k: v.tobytes() for k, v in binding.items() if isinstance(v, np.ndarray)}
             # pi bound, then unbound (math.pi)
             for b in (binding, {k: v for k, v in binding.items() if k != "pi"}):
                 assert _outcome(lambda: f(b)) == _outcome(lambda: want(b))
+                # a bound array is read, never updated in place
+                assert {k: binding[k].tobytes() for k in bound} == bound
+
+
+@pytest.mark.parametrize("build, values", [
+    (lambda x, y: sx.mul(x, y), (math.inf, 0.0)),
+    (lambda x, y: sx.add(x, y), (math.inf, -math.inf)),
+    (lambda x, y: sx.mul(sx.exp(x), y), (math.inf, 0.0)),  # folded in place
+], ids=["inf*0", "inf-inf", "exp(inf)*0"])
+def test_lambdify_gives_nan_from_infinities_without_a_warning(build, values):
+    # the suite turns every RuntimeWarning into an error
+    f = sx.lambdify(build(Var("x"), Var("y")))
+    out = f({"x": np.array([values[0], 1.0]), "y": np.array([values[1], 2.0])})
+    assert math.isnan(out[0]) and math.isfinite(out[1])
+
+
+def test_lambdify_still_warns_of_overflow():
+    f = sx.lambdify(sx.mul(Var("x"), Var("y")))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        f({"x": np.array([1e200]), "y": np.array([1e200])})
 
 
 def test_an_overflowing_constant_is_inf_over_arrays_and_an_error_pointwise():

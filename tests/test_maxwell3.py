@@ -19,6 +19,10 @@ def test_golden_equations(chart_name):
     report = golden_check(chart_name, seed=17)
     assert report.passed, "\n".join(report.lines())
     assert set(report.results) == set(RESIDUAL_NAMES)
+    # the stored Ampere forms carry the opposite time-derivative sign, and
+    # only they pass by the flip
+    assert {name for name, flag in report.sign_flag.items() if flag} == {
+        "ampere_1", "ampere_2", "ampere_3"}
 
 
 def test_golden_is_deterministic_given_seed():
