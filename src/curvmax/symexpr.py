@@ -1049,7 +1049,8 @@ def _run_array(tape, binding):
     tree would, so it gives that walk's bytes and holds no more arrays than
     it: each operand of a sum (from 0, as ``sum()`` does) or a product (from
     its first operand) is folded in as soon as it is computed and then
-    dropped, and a value several parents read is kept until its last read.
+    dropped, and a computed value several parents read is kept until its
+    last read (a bound one is read from ``binding`` each time).
     A fold updates in place only an array this call made that nothing else
     reads: a sum's partial value, or a product's, or a product's first
     operand when that product is its one reader.  The whole walk ignores
@@ -1078,6 +1079,9 @@ def _run_array(tape, binding):
         v = template[s]
         if v is not None:
             return v
+        kind, arg, _, _ = at[s]
+        if kind is _T_ATOM:
+            return binding.get("pi", math.pi) if arg == "pi" else binding[arg]
         n = reads[s]
         if n > 1:
             h = held.get(s)
@@ -1086,7 +1090,6 @@ def _run_array(tape, binding):
                 if not h[1]:
                     del held[s]
                 return h[0]
-        kind, arg, _, _ = at[s]
         if kind is _T_MUL or kind is _T_ADD:
             if kind is _T_MUL:
                 v, own, ops = walk(arg[0]), reads[arg[0]] == 1 and made[arg[0]], arg[1:]
@@ -1102,8 +1105,6 @@ def _run_array(tape, binding):
                 else:
                     v, own = (v * w if kind is _T_MUL else v + w), True
                 del w
-        elif kind is _T_ATOM:
-            v = binding.get("pi", math.pi) if arg == "pi" else binding[arg]
         elif kind is _T_POW:
             v = walk(arg[0])
             v = np.float_power(v, arg[1]) if arg[1] < 0 else v ** arg[1]
@@ -1151,7 +1152,9 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     IllConditionedError; a point where only one side fails gives False.
     """
     a, b = _wrap(a), _wrap(b)
-    names = sorted(free_vars(a) | free_vars(b))
+    fa, fb = lambdify(a), lambdify(b)
+    # the free names are those of the tapes' atom instructions
+    names = sorted({arg for e in (a, b) for kind, arg, _, _ in _tape_of(e)[1] if kind is _T_ATOM})
     if not names:
         va, vb = eval_expr(a, {}), eval_expr(b, {})
         return abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb))
@@ -1165,7 +1168,7 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     # with none gives a scalar, broadcast to them
     va, vb = (v if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (n,)
               else np.broadcast_to(np.asarray(v, dtype=float), (n,))
-              for v in (lambdify(a)(binding), lambdify(b)(binding)))
+              for v in (fa(binding), fb(binding)))
     fin_a, fin_b = np.isfinite(va), np.isfinite(vb)
     if np.count_nonzero(~fin_a & ~fin_b) > n // 2:
         raise IllConditionedError(
