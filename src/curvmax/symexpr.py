@@ -1050,8 +1050,8 @@ def _run_array(tape, binding):
     it: each operand of a sum (from 0, as ``sum()`` does) or a product (from
     its first operand) is folded in as soon as it is computed and then
     dropped, and a computed value several parents read is kept until its
-    last read (a bound one is read from ``binding`` each time).
-    A fold updates in place only an array this call made that nothing else
+    last read (a bound value is read from ``binding`` at each read).  A
+    fold updates in place only an array this call made that nothing else
     reads: a sum's partial value, or a product's, or a product's first
     operand when that product is its one reader.  The whole walk ignores
     divide and invalid, so that nan and inf pass without a RuntimeWarning;
