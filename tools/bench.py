@@ -10,13 +10,13 @@ alternate which side runs first.  Before every pair it deletes both sides'
 ``__pycache__`` directories under ``src/`` and ``benchmarks/`` and compiles
 them again, so that neither side reads stale bytecode.  It writes, or adds
 the workload to, a JSON file holding the machine, both commits, the seed,
-the run length, every pair's metrics and, per end-to-end metric of ``BENCHMARK.json``, both
-sides' median and quartiles, the number of pairs the child won and whether
-a gain holds by the rule of ``gain_holds``, and each side's median
-reference-loop time (see ``summarize``), which shows when the machine's
-clock ran at another speed for one side.  A file that
-holds another commit, seed or run length is refused with one ``error:``
-line, so that every workload in it was run alike.  A run
+the run length, every pair's metrics and, per end-to-end metric of
+``BENCHMARK.json``, both sides' median and quartiles, the number of pairs
+the child won and whether a gain holds by the rule of ``gain_holds``, and
+each side's median reference-loop time (see ``summarize``), which shows
+when the machine's clock ran at another speed for one side.  An existing
+file that holds another commit, seed or run length is refused with one
+``error:`` line, so that every workload in a file was run alike.  A run
 that reports ``correct: false`` or a failed unit stops it with exit 1 and
 one ``error:`` line naming the workload, the pair and the side; nothing is
 written then.
