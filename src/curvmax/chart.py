@@ -10,7 +10,9 @@ orthonormal: g_{i'i'} = 1.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from .symexpr import Expr, diff, parse_expr, print_expr
 
 __all__ = [
     "Chart", "MetricData", "Jacobian", "ComponentVector", "ChartError",
-    "builtin_chart", "BUILTIN_CHARTS", "parse_chart_file", "jacobian",
-    "metric_from_chart", "lame_coefficients", "convert_basis",
+    "builtin_chart", "builtin_metric", "BUILTIN_CHARTS", "parse_chart_file",
+    "jacobian", "metric_from_chart", "lame_coefficients", "convert_basis",
     "raise_index", "lower_index",
 ]
 
@@ -36,7 +38,7 @@ class ChartError(Exception):
 
 @dataclass(frozen=True)
 class Chart:
-    """Named coordinate system with a Cartesian embedding."""
+    """Named coordinate system with a Cartesian embedding; read-only ``domain``."""
 
     name: str
     coords: tuple[str, ...]
@@ -44,6 +46,7 @@ class Chart:
     domain: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", types.MappingProxyType(dict(self.domain)))
         n = len(self.coords)
         if n != 3:
             raise ChartError(f"chart dimension must be 3, got {n}", "coords")
@@ -149,6 +152,12 @@ def builtin_chart(name):
     if name not in _BUILDERS:
         raise ChartError(f"unknown built-in chart {name!r}")
     return _BUILDERS[name]()
+
+
+@lru_cache(maxsize=None)
+def builtin_metric(name):
+    """``metric_from_chart(builtin_chart(name))``, built once per process."""
+    return metric_from_chart(builtin_chart(name))
 
 
 _KEYS = ("name", "coords", "embedding", "domain")

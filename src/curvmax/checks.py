@@ -4,12 +4,15 @@ Each check returns CheckResult entries; the paper suite replays the stored
 reference equations and literal metric forms, the properties suite runs
 fast cross-module invariants (operator oracles, dual involution, spinor
 roundtrip, transform properties, solver conservation).
+Seed-free symbolic inputs (metrics, golden parses, residuals, derived trees)
+are built once per process with their tapes; sampling and verdicts are not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,9 +20,8 @@ from . import symexpr as sx
 from . import maxwell4 as m4
 from . import rs_momentum as rs
 from . import solver as sv
-from .chart import (ComponentVector, builtin_chart, convert_basis,
-                    lame_coefficients, metric_from_chart)
-from .diffops import curl, div, grad, grad_nh, laplacian
+from .chart import ComponentVector, builtin_metric, convert_basis, lame_coefficients
+from .diffops import curl, div, grad, grad_nh
 from .maxwell3 import golden_check
 from .symexpr import Var, equivalent, parse_expr
 
@@ -45,17 +47,17 @@ def _seeded(seed):
 # Paper suite: stored reference equations and closed-form literals
 # ---------------------------------------------------------------------------
 
-def _golden(seed, metrics):
+def _golden(seed):
     out = []
     for chart in ("cylindrical", "spherical"):
-        report = golden_check(chart, seed=seed, metric=metrics[chart])
+        report = golden_check(chart, seed=seed)
         for name, ok in report.results.items():
             note = "sign flag applied" if report.sign_flag.get(name) else ""
             out.append(CheckResult(f"golden {chart} {name}", ok, note))
     return out
 
 
-def _metric_literals(seed, metrics):
+def _metric_literals(seed):
     out = []
     cases = {
         "cylindrical": (("1", "r^2", "1"), "r", ("1", "r", "1")),
@@ -63,7 +65,7 @@ def _metric_literals(seed, metrics):
                       ("1", "r", "r*sin(theta)")),
     }
     for chart_name, (diag, sqrtg, lame) in cases.items():
-        m = metrics[chart_name]
+        m = builtin_metric(chart_name)
         ok = all(m.g_lo[i][i] == parse_expr(diag[i]) for i in range(3))
         ok &= all(m.g_lo[i][j] == sx.ZERO for i in range(3) for j in range(3) if i != j)
         ok &= m.sqrt_abs_g == parse_expr(sqrtg)
@@ -73,46 +75,54 @@ def _metric_literals(seed, metrics):
     return out
 
 
-def _paper_suite(seed, metrics):
-    return _golden(seed, metrics) + _metric_literals(seed, metrics)
+def _paper_suite(seed):
+    return _golden(seed) + _metric_literals(seed)
 
 
 # ---------------------------------------------------------------------------
 # Properties suite
 # ---------------------------------------------------------------------------
 
-def _vector_calculus_identities(seed, metrics):
+@lru_cache(maxsize=None)
+def _identity_trees(chart_name):
+    m = builtin_metric(chart_name)
+    phi = parse_expr({"cartesian": "x*sin(y)*z",
+                      "cylindrical": "r^2*sin(phi)*z",
+                      "spherical": "r*sin(theta)*cos(phi)"}[chart_name])
+    w = ComponentVector(tuple(parse_expr(t) for t in
+                              {"cartesian": ("y*z", "x^2", "sin(y)"),
+                               "cylindrical": ("z*sin(phi)", "r^2", "r*z"),
+                               "spherical": ("sin(theta)", "r*cos(phi)", "r^2"),
+                               }[chart_name]),
+                        "covariant", "holonomic")
+    return curl(grad(phi, m.chart), m), div(curl(w, m), m)
+
+
+def _vector_calculus_identities(seed):
     out = []
     for chart_name in ("cartesian", "cylindrical", "spherical"):
-        m = metrics[chart_name]
-        chart = m.chart
-        phi = parse_expr({"cartesian": "x*sin(y)*z",
-                          "cylindrical": "r^2*sin(phi)*z",
-                          "spherical": "r*sin(theta)*cos(phi)"}[chart_name])
-        ok_cg = all(c == sx.ZERO for c in curl(grad(phi, chart), m))
-        w = ComponentVector(tuple(parse_expr(t) for t in
-                                  {"cartesian": ("y*z", "x^2", "sin(y)"),
-                                   "cylindrical": ("z*sin(phi)", "r^2", "r*z"),
-                                   "spherical": ("sin(theta)", "r*cos(phi)", "r^2"),
-                                   }[chart_name]),
-                            "covariant", "holonomic")
-        ok_dc = equivalent(div(curl(w, m), m), sx.ZERO, dict(chart.domains()),
+        curl_grad, div_curl = _identity_trees(chart_name)
+        ok_cg = all(c == sx.ZERO for c in curl_grad)
+        ok_dc = equivalent(div_curl, sx.ZERO, builtin_metric(chart_name).domains(),
                            seed=seed)
         out.append(CheckResult(f"curl(grad)=0 and div(curl)=0 on {chart_name}",
                                bool(ok_cg and ok_dc)))
     return out
 
 
-def _nonholonomic_consistency(seed, metrics):
+@lru_cache(maxsize=None)
+def _gradients(chart_name):
+    m = builtin_metric(chart_name)
+    u, v, w = map(Var, m.chart.coords)
+    return grad_nh(u * v * w, m), convert_basis(grad(u * v * w, m.chart), m, "nonholonomic")
+
+
+def _nonholonomic_consistency(seed):
     out = []
     for chart_name in ("cylindrical", "spherical"):
-        m = metrics[chart_name]
-        chart = m.chart
-        phi = Var(chart.coords[0]) * Var(chart.coords[1]) * Var(chart.coords[2])
-        via_nh = grad_nh(phi, m)
-        via_conv = convert_basis(grad(phi, chart), m, "nonholonomic")
-        ok = all(equivalent(a, b, dict(chart.domains()), seed=seed)
-                 for a, b in zip(via_nh, via_conv))
+        domains = builtin_metric(chart_name).domains()
+        ok = all(equivalent(a, b, domains, seed=seed)  # grad_nh against converted grad
+                 for a, b in zip(*_gradients(chart_name)))
         out.append(CheckResult(f"nonholonomic gradient consistency {chart_name}",
                                bool(ok)))
     return out
@@ -186,15 +196,15 @@ def _solver_conservation(seed):
                         diag["div_B"] <= 1e-12, f"div B {diag['div_B']:.2e}")]
 
 
-def _properties_suite(seed, metrics):
-    return (_vector_calculus_identities(seed, metrics)
-            + _nonholonomic_consistency(seed, metrics)
+def _properties_suite(seed):
+    return (_vector_calculus_identities(seed)
+            + _nonholonomic_consistency(seed)
             + _four_tensor(seed) + _spinor(seed) + _complex_momentum(seed)
             + _solver_conservation(seed))
 
 
-def _all_suite(seed, metrics):
-    return _paper_suite(seed, metrics) + _properties_suite(seed, metrics)
+def _all_suite(seed):
+    return _paper_suite(seed) + _properties_suite(seed)
 
 
 SUITES = {
@@ -204,16 +214,8 @@ SUITES = {
 }
 
 
-class _RunMetrics(dict):
-    """Built-in chart name -> its metric, built on first use within one run."""
-
-    def __missing__(self, chart_name):
-        m = self[chart_name] = metric_from_chart(builtin_chart(chart_name))
-        return m
-
-
 def run_suite(name, seed=None):
     """Results for a named suite ('paper', 'properties', or 'all')."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose {', '.join(SUITES)}")
-    return SUITES[name](seed, _RunMetrics())
+    return SUITES[name](seed)

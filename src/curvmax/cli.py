@@ -21,12 +21,12 @@ import numpy as np
 
 from . import maxwell4 as m4
 from . import solver as sv
-from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_chart,
+from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_metric,
                     lame_coefficients, metric_from_chart, parse_chart_file)
 from .checks import SUITES, run_suite
 from .diffops import DiffOpsError, curl, div, grad, laplacian
 from .maxwell3 import assemble_residuals, symbolic_fields, symbolic_sources
-from .symexpr import Expr, FieldAtom, SymExprError, free_vars, print_expr, to_latex
+from .symexpr import FieldAtom, SymExprError, free_vars, print_expr, to_latex
 
 LATEX_PREAMBLE = "\\documentclass{article}\n\\usepackage{amsmath}\n\\begin{document}\n"
 LATEX_POSTAMBLE = "\\end{document}\n"
@@ -40,12 +40,12 @@ class CliError(click.ClickException):
         self.exit_code = exit_code
 
 
-def _load_chart(chart, chart_file):
+def _load_metric(chart, chart_file):
     if (chart is None) == (chart_file is None):
         raise CliError("exactly one of --chart or --chart-file is required")
     if chart is not None:
         try:
-            return builtin_chart(chart)
+            return builtin_metric(chart)
         except ChartError:
             raise CliError(f"unknown built-in chart {chart!r}; "
                            f"known: {', '.join(BUILTIN_CHARTS)}")
@@ -58,7 +58,10 @@ def _load_chart(chart, chart_file):
         raise CliError(f"invalid chart file: {exc}")
     if len(charts) != 1:
         raise CliError(f"chart file must define exactly one chart, found {len(charts)}")
-    return charts[0]
+    try:
+        return metric_from_chart(charts[0])
+    except (ChartError, SymExprError) as exc:
+        raise CliError(f"cannot derive metric: {exc}")
 
 
 def _metric_is_constant(m):
@@ -198,14 +201,10 @@ _FORMS = {
               type=click.Choice(("text", "latex")), show_default=True)
 def derive(chart, chart_file, form, fmt):
     """Print symbolic operators or equation sets for a chart."""
-    ch = _load_chart(chart, chart_file)
-    try:
-        m = metric_from_chart(ch)
-    except (ChartError, SymExprError) as exc:
-        raise CliError(f"cannot derive metric: {exc}")
-    lines = _FORMS[form](ch, m, fmt)
+    m = _load_metric(chart, chart_file)
+    lines = _FORMS[form](m.chart, m, fmt)
     if fmt != "latex":
-        click.echo(f"# chart {ch.name}, form {form}")
+        click.echo(f"# chart {m.chart.name}, form {form}")
     _emit(lines, fmt)
 
 
@@ -420,8 +419,7 @@ def transform(target, chart, input, out):
     lame_at = None
     if target == "nonholonomic":
         try:
-            ch = builtin_chart(chart)
-            m = metric_from_chart(ch)
+            m = builtin_metric(chart)
         except (ChartError, SymExprError) as exc:
             raise CliError(str(exc))
         if m.lame is None:
@@ -431,7 +429,7 @@ def transform(target, chart, input, out):
         hs = [lambdify(hk) for hk in lame_coefficients(m)]
 
         def lame_at(point):
-            binding = dict(zip(ch.coords, point))
+            binding = dict(zip(m.chart.coords, point))
             h = [hk(binding) for hk in hs]
             if not all(x > 0 for x in h):
                 raise ValueError("a Lame coefficient is not positive at this point")

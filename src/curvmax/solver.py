@@ -80,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chart import builtin_chart, metric_from_chart
+from .chart import builtin_metric
 from .diffops import CYCLIC
 from .symexpr import lambdify
 
@@ -246,11 +246,10 @@ def _read_only(arr):
 @lru_cache(maxsize=8)
 @np.errstate(all="ignore")  # overflow leaves inf or nan, which the checks reject
 def _geometry(spec):
-    chart = builtin_chart(spec.chart)
-    m = metric_from_chart(chart)
+    m = builtin_metric(spec.chart)
     if m.lame is None:
         raise SolverError("solver supports orthogonal charts only")
-    coords = list(chart.coords)
+    coords = list(m.chart.coords)
 
     def sample(expr, half):
         grids = np.meshgrid(*_site_axes(spec, half), indexing="ij", sparse=True)

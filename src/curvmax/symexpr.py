@@ -114,7 +114,7 @@ class UnknownFunctionError(ParseError):
 
 class EvalError(SymExprError):
     def __init__(self, msg, subexpr):
-        super().__init__(f"{msg} in {print_expr(subexpr)}")
+        super().__init__(f"{msg} in {_print(subexpr)}")
         self.subexpr = subexpr
 
 
@@ -180,7 +180,7 @@ class Expr:
         raise NotImplementedError
 
     def __repr__(self):
-        return f"<{type(self).__name__} {print_expr(self)}>"
+        return f"<{type(self).__name__} {_print(self)}>"
 
     # arithmetic sugar; results are canonical given canonical operands
     def __add__(self, other):
@@ -258,8 +258,8 @@ class FieldAtom(Expr):
     different ``args`` (``u(x) + u(y)``), with one EvalError naming the
     first atom, left to right, whose ``args`` differ from those of the
     first atom of its name; a ``Var`` may share an atom's name.
-    ``print_expr`` also uses the name alone and is unchanged: it prints
-    ``u + u``."""
+    ``print_expr`` and ``to_latex`` also use the name alone, so they refuse
+    such a tree with the same error rather than print ``u + u``."""
 
     __slots__ = ("base", "args", "derivs")
     _canon = True
@@ -1269,6 +1269,7 @@ class _Parser:
 
     def __init__(self, text, line, col):
         self.toks = _Tokenizer(text, line, col)
+        self.vars = {}  # one Var per name, so that a tape loads each name once
 
     def parse(self):
         e = self.expr()
@@ -1338,7 +1339,7 @@ class _Parser:
                     return func(lit, arg)
                 except ConstantDomainError as err:
                     raise ParseError(str(err), line, col) from None
-            return Var(lit)
+            return self.vars.setdefault(lit, Var(lit))
         raise ParseError(f"unexpected {lit or kind!r}", line, col)
 
 
@@ -1372,7 +1373,7 @@ def _print_const(v):
 
 
 def _paren_for_mul(x):
-    s = print_expr(x)
+    s = _print(x)
     if isinstance(x, Add) or (isinstance(x, Const) and (x.value < 0 or x.value.denominator != 1)):
         return f"({s})"
     return s
@@ -1385,19 +1386,22 @@ def _join_terms(printer, terms):
 
 
 def print_expr(e):
-    """Plain-text form that reparses to the same tree."""
+    """Plain-text form that reparses to the same tree (see ``FieldAtom``)."""
     e = _wrap(e)
+    _tape_of(e)
+    return _print(e)
+
+
+def _print(e):
     t = type(e)
     if t is Const:
         return _print_const(e.value)
-    if t is Var:
-        return e.name
-    if t is FieldAtom:
+    if t is Var or t is FieldAtom:
         return e.name
     if t is Func:
-        return f"{e.fname}({print_expr(e.arg)})"
+        return f"{e.fname}({_print(e.arg)})"
     if t is Pow:
-        b = print_expr(e.base)
+        b = _print(e.base)
         if not isinstance(e.base, (Var, FieldAtom, Func)):
             b = f"({b})"
         return f"{b}^{e.exponent}"
@@ -1412,7 +1416,7 @@ def print_expr(e):
             sign = "-"
         return sign + "*".join(_paren_for_mul(f) for f in factors)
     if t is Add:
-        return _join_terms(print_expr, e.terms)
+        return _join_terms(_print, e.terms)
     raise TypeError(f"unknown node {t!r}")
 
 
@@ -1437,6 +1441,11 @@ def _latex_sub(sub):
 
 def to_latex(e):
     e = _wrap(e)
+    _tape_of(e)
+    return _latex(e)
+
+
+def _latex(e):
     t = type(e)
     if t is Const:
         v = e.value
@@ -1453,15 +1462,15 @@ def to_latex(e):
         return base
     if t is Func:
         if e.fname == "sqrt":
-            return rf"\sqrt{{{to_latex(e.arg)}}}"
-        return rf"{_FUNCS[e.fname].latex}\left({to_latex(e.arg)}\right)"
+            return rf"\sqrt{{{_latex(e.arg)}}}"
+        return rf"{_FUNCS[e.fname].latex}\left({_latex(e.arg)}\right)"
     if t is Pow:
         if e.exponent < 0:
-            return rf"\frac{{1}}{{{to_latex(pow_(e.base, -e.exponent))}}}"
-        b = to_latex(e.base)
+            return rf"\frac{{1}}{{{_latex(pow_(e.base, -e.exponent))}}}"
+        b = _latex(e.base)
         if isinstance(e.base, Func) and e.base.fname != "sqrt":
             # \sin^{2}\left(...\right) style
-            return rf"{_FUNCS[e.base.fname].latex}^{{{e.exponent}}}\left({to_latex(e.base.arg)}\right)"
+            return rf"{_FUNCS[e.base.fname].latex}^{{{e.exponent}}}\left({_latex(e.base.arg)}\right)"
         if not isinstance(e.base, (Var, FieldAtom)):
             b = rf"\left({b}\right)"
         return rf"{b}^{{{e.exponent}}}"
@@ -1479,7 +1488,7 @@ def to_latex(e):
         def render(parts):
             out = []
             for p in parts:
-                s = to_latex(p)
+                s = _latex(p)
                 if isinstance(p, Add):
                     s = rf"\left({s}\right)"
                 out.append(s)
@@ -1496,5 +1505,5 @@ def to_latex(e):
             body = ((cnum + " ") if cnum else "") + render(num)
         return sign + body
     if t is Add:
-        return _join_terms(to_latex, e.terms)
+        return _join_terms(_latex, e.terms)
     raise TypeError(f"unknown node {t!r}")

@@ -6,7 +6,7 @@ import pytest
 
 from curvmax import symexpr as sx
 from curvmax.chart import (Chart, ChartError, ComponentVector, builtin_chart,
-                           convert_basis, jacobian, lame_coefficients,
+                           builtin_metric, convert_basis, jacobian, lame_coefficients,
                            lower_index, metric_from_chart, parse_chart_file,
                            raise_index)
 from curvmax.symexpr import FieldAtom, equivalent, parse_expr, simplify
@@ -124,6 +124,28 @@ def test_lame_coefficient_must_be_positive_on_domain():
 def test_unknown_builtin_chart():
     with pytest.raises(ChartError):
         builtin_chart("toroidal")
+
+
+def test_chart_domain_is_read_only():
+    with pytest.raises(TypeError):
+        builtin_metric("cylindrical").chart.domain["r"] = (-1.0, 1.0)
+    given = {"u": (0.1, 2.0)}
+    u, v, w = sx.Var("u"), sx.Var("v"), sx.Var("w")
+    chart = Chart("mine", ("u", "v", "w"), (u, v, w), given)
+    given["u"] = (-1.0, 1.0)
+    with pytest.raises(TypeError):
+        chart.domain["u"] = (-1.0, 1.0)
+    assert chart.domains()["u"] == (0.1, 2.0)
+
+
+def test_builtin_metric_is_built_once_and_equals_a_fresh_build():
+    m = builtin_metric("spherical")
+    assert builtin_metric("spherical") is m
+    fresh = metric_from_chart(builtin_chart("spherical"))
+    assert (m.g_lo, m.g_hi, m.sqrt_abs_g, m.lame) == (fresh.g_lo, fresh.g_hi,
+                                                      fresh.sqrt_abs_g, fresh.lame)
+    with pytest.raises(ChartError, match="unknown built-in chart"):
+        builtin_metric("toroidal")
 
 
 def test_chart_dimension_validation():

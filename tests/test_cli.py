@@ -252,19 +252,56 @@ def test_check_all_green_build(capsys):
 
 
 def test_check_all_builds_each_chart_metric_once(capsys, monkeypatch):
-    import curvmax.checks
-    import curvmax.maxwell3
-    from curvmax.chart import metric_from_chart
+    # the built-in metrics are kept for the process: two runs build each once
+    import curvmax.chart
+    from curvmax.chart import builtin_metric, metric_from_chart
     built = []
 
     def counted(chart):
         built.append(chart.name)
         return metric_from_chart(chart)
 
-    for module in (curvmax.checks, curvmax.maxwell3):
-        monkeypatch.setattr(module, "metric_from_chart", counted)
-    code, _, _ = run_cli(capsys, "check", "--suite", "all", "--seed", "7")
-    assert code == 0 and sorted(built) == ["cartesian", "cylindrical", "spherical"]
+    monkeypatch.setattr(curvmax.chart, "metric_from_chart", counted)
+    builtin_metric.cache_clear()
+    for seed in ("7", "8"):
+        code, _, _ = run_cli(capsys, "check", "--suite", "all", "--seed", seed)
+        assert code == 0
+    assert sorted(built) == ["cartesian", "cylindrical", "spherical"]
+
+
+def _clear_check_caches():
+    import curvmax.chart
+    import curvmax.checks
+    import curvmax.maxwell3
+    for cached in (curvmax.chart.builtin_metric, curvmax.maxwell3._parse_golden,
+                   curvmax.maxwell3._builtin_residuals, curvmax.maxwell3._flip_ampere,
+                   curvmax.checks._identity_trees, curvmax.checks._gradients):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("suite", ["all", "paper", "properties"])
+def test_check_output_is_the_same_with_the_caches_cold_or_warm(capsys, suite):
+    for seed in range(10):
+        _clear_check_caches()
+        cold = run_cli(capsys, "check", "--suite", suite, "--seed", str(seed))
+        warm = run_cli(capsys, "check", "--suite", suite, "--seed", str(seed))
+        assert cold == warm and cold[0] == 0
+
+
+def test_check_reads_an_edited_golden_file_in_the_same_process(capsys, tmp_path,
+                                                               monkeypatch):
+    data = ir.files("curvmax").joinpath("data")
+    for name in ("golden_cylindrical.txt", "golden_spherical.txt"):
+        (tmp_path / name).write_text(data.joinpath(name).read_text())
+    monkeypatch.setenv("CURVMAX_GOLDEN_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "check", "--seed", "3")
+    assert code == 0 and "FAIL" not in out
+    path = tmp_path / "golden_cylindrical.txt"
+    path.write_text(path.read_text().replace("faraday_1 = ", "faraday_1 = 1 + ", 1))
+    code, out, _ = run_cli(capsys, "check", "--seed", "3")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
+        "FAIL golden cylindrical faraday_1"]
 
 
 @pytest.mark.parametrize("use_env", [False, True])

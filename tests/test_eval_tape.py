@@ -264,8 +264,29 @@ def test_two_atoms_of_one_name_with_different_arguments_are_refused():
         eval_expr(e, {"u": 1.0})
     assert exc.value.subexpr is second
     assert "'u'" in str(exc.value)
-    # print_expr still reads the name alone
-    assert print_expr(sx.add(first, second)) == "u + u"
+    # the printers go by the name alone, so they refuse the same tree
+    for printer in (print_expr, sx.to_latex):
+        with pytest.raises(sx.EvalError) as got:
+            printer(sx.add(first, sx.mul(2, second), Var("u")))
+        assert str(got.value) == str(exc.value) and got.value.subexpr is second
+
+
+def test_printing_two_atoms_of_one_name_does_not_give_a_tree_that_reparses_otherwise():
+    # u(x) + u(y) printed as "u + u" would reparse as 2*u
+    e = sx.add(FieldAtom("u", ("x",)), FieldAtom("u", ("y",)))
+    for printer in (print_expr, sx.to_latex):
+        with pytest.raises(sx.EvalError, match="field atom 'u' also appears"):
+            printer(e)
+    # one atom of a name in several places, or a variable of that name, still prints
+    u = FieldAtom("u", ("x",))
+    assert print_expr(sx.add(u, sx.mul(Var("u"), sx.sin(u)))) == "u + u*sin(u)"
+    assert repr(e) == "<Add u + u>"
+
+
+def test_a_parse_loads_each_variable_once():
+    tape = sx._tape_of(sx.parse_expr("x*y + sin(x)"))
+    atoms = [arg for kind, arg, _, _ in tape[1] if kind is sx._T_ATOM]
+    assert sorted(atoms) == ["x", "y"]
 
 
 def test_lambdify_refuses_two_atoms_of_one_name_as_eval_expr_does():

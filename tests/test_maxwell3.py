@@ -31,13 +31,32 @@ def test_golden_is_deterministic_given_seed():
     assert a.results == b.results and a.sign_flag == b.sign_flag
 
 
-def test_golden_check_takes_a_built_metric():
-    m = metric_from_chart(builtin_chart("spherical"))
-    a = golden_check("spherical", seed=5, metric=m)
+def test_two_golden_checks_agree_and_build_one_metric(monkeypatch):
+    import curvmax.chart
+    import curvmax.maxwell3
+    built = []
+
+    def counted(chart):
+        built.append(chart.name)
+        return metric_from_chart(chart)
+
+    monkeypatch.setattr(curvmax.chart, "metric_from_chart", counted)
+    curvmax.chart.builtin_metric.cache_clear()
+    curvmax.maxwell3._builtin_residuals.cache_clear()
+    a = golden_check("spherical", seed=5)
     b = golden_check("spherical", seed=5)
-    assert a.results == b.results and a.sign_flag == b.sign_flag
-    with pytest.raises(ValueError, match="'spherical' given for 'cylindrical'"):
-        golden_check("cylindrical", seed=5, metric=m)
+    assert a == b and a.passed
+    assert built == ["spherical"]
+
+
+def test_a_changed_golden_dict_does_not_reach_the_next_check():
+    eqs = golden_equations("cylindrical")
+    assert eqs is not golden_equations("cylindrical")
+    eqs["faraday_1"] = sx.ZERO
+    del eqs["gauss_B"]
+    report = golden_check("cylindrical", seed=5)
+    assert report.passed and set(report.results) == set(RESIDUAL_NAMES)
+    assert set(golden_equations("cylindrical")) == set(RESIDUAL_NAMES)
 
 
 def test_golden_files_cover_all_equations():
