@@ -343,8 +343,9 @@ def _write_binary(state, spec):
     sv.write_snapshot_binary(io.BytesIO(), state, spec)
 
 
-@pytest.mark.parametrize("entry", [sv.step, sv.diagnostics, _write_csv, _write_binary],
-                         ids=["step", "diagnostics", "csv", "binary"])
+@pytest.mark.parametrize("entry", [sv.step, sv.diagnostics, sv.energy_invariant,
+                                   _write_csv, _write_binary],
+                         ids=["step", "diagnostics", "energy_invariant", "csv", "binary"])
 def test_state_arrays_that_do_not_fit_the_spec_are_a_solver_error(entry):
     spec = _cart_spec(4)
     for state in _misshapen_states(spec):
@@ -840,3 +841,87 @@ def test_charge_density_that_broadcasts_is_accepted(rho):
     state = sv.init_grid(spec, "plane_wave")
     got = sv.diagnostics(state, spec, rho=rho)
     assert got == sv.diagnostics(state, spec, rho=np.broadcast_to(rho, spec.shape).copy())
+
+
+# ---------------------------------------------------------------------------
+# The discrete energy Q that the leapfrog conserves exactly
+# ---------------------------------------------------------------------------
+
+_ENERGY_SHELLS = {
+    "cylindrical": sv.GridSpec("cylindrical", _CYL_EXTENTS, (12, 12, 16), cfl=0.9,
+                               bc=("pec", "periodic", "pec")),
+    "spherical": sv.GridSpec("spherical", _SHELL_EXTENTS, (12, 12, 16), cfl=0.9,
+                             bc=("pec", "pec", "periodic")),
+}
+
+
+def _random_e_state(spec, seed):
+    """A random E, zero on the PEC walls as ``step`` leaves it, with the D of
+    the medium and no B."""
+    geo = sv._geometry(spec)
+    e = sv._apply_pec(np.random.default_rng(seed).normal(size=(3, *spec.shape)), spec)
+    d = np.stack([geo.sqrtg_edge[i] * spec.epsilon * e[i] / geo.g_edge[i] for i in range(3)])
+    return sv.GridField(e=e, d=d, b=np.zeros_like(e), t=0.0)
+
+
+@pytest.mark.parametrize("chart", sorted(_ENERGY_SHELLS))
+def test_energy_invariant_is_constant_while_the_reported_energy_swings(chart):
+    spec = _ENERGY_SHELLS[chart]
+    state = _random_e_state(spec, 3)
+    q0 = sv.energy_invariant(state, spec)
+    qs, energies = [], []
+    for _ in range(500):
+        state = sv.step(state, spec)
+        qs.append(sv.energy_invariant(state, spec))
+        energies.append(sv.diagnostics(state, spec)["energy"])
+    assert q0 > 0
+    assert max(abs(q - q0) for q in qs) <= 1e-13 * q0
+    assert (max(energies) - min(energies)) / q0 > 0.01
+
+
+def test_energy_invariant_is_energy_less_the_forward_curl_term():
+    spec = _ENERGY_SHELLS["spherical"]
+    geo = sv._geometry(spec)
+    for state in (_random_e_state(spec, 4), sv.run(_random_e_state(spec, 4), spec, 7)):
+        e, _, _ = _whole_integral(state, geo)
+        ce = _whole_circulate(np.zeros(e.shape), e, 1, spec, np.empty(e.shape))
+        term = sum(_whole_dot(ce[i] * geo.b_to_h[i], ce[i]) for i in range(3))
+        want = sv.diagnostics(state, spec)["energy"] - term / (8 * math.pi * spec.c * geo.dt)
+        assert sv.energy_invariant(state, spec) == pytest.approx(want, rel=1e-14)
+
+
+def test_energy_invariant_of_a_physical_state_equals_that_of_its_integral_twin():
+    spec = _ENERGY_SHELLS["cylindrical"]
+    integral = sv.run(sv.init_grid(spec, "azimuthal_mode"), spec, 9)
+    physical = sv.GridField(e=integral.e, d=integral.d, b=integral.b, t=integral.t)
+    assert physical._scale != integral._scale
+    assert sv.energy_invariant(physical, spec) == pytest.approx(
+        sv.energy_invariant(integral, spec), rel=1e-14)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 100])
+def test_energy_invariant_does_not_depend_on_the_slab_size(slab_cells, monkeypatch):
+    spec = _ENERGY_SHELLS["spherical"]
+    state = sv.run(_random_e_state(spec, 5), spec, 3)
+    want = sv.energy_invariant(state, spec)
+    monkeypatch.setattr(sv, "_SLAB_CELLS", slab_cells)
+    assert len(sv._slabs(spec.shape)) > 1
+    assert sv.energy_invariant(state, spec) == want
+
+
+def test_check_fails_a_backward_curl_without_its_periodic_wrap(monkeypatch, capsys):
+    from curvmax.cli import main
+
+    shifted = sv._add_shifted
+
+    def unwrapped(out, w, axis, offset, op, spec, lo):
+        if axis == 2 and offset < 0:  # the backward curl treats axis 3 as PEC
+            spec = dataclasses.replace(spec, bc=(*spec.bc[:2], "pec"))
+        return shifted(out, w, axis, offset, op, spec, lo)
+
+    monkeypatch.setattr(sv, "_add_shifted", unwrapped)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "all", "--seed", "3"])
+    assert exc.value.code == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL solver energy invariant (20 steps)")
