@@ -620,9 +620,11 @@ def energy_invariant(state, spec):
 
     Q = 2 sum e~.d~ + sum h~.b~ - sum (M_h C+e~).(C+e~), with M_h the b~
     closure and C+ the forward curl, divided by 8 pi c dt.  It is
-    ``diagnostics()["energy"]`` minus the last term, and ``step`` keeps it
-    constant to rounding (see the module docstring).  A state whose arrays
-    do not fit the spec is a SolverError.
+    ``diagnostics()["energy"]`` minus the last term.  ``step`` keeps it
+    constant to rounding (see the module docstring) from any state whose
+    e~ is the closure of its d~, zero on the PEC walls, as in every state
+    ``init_grid`` or ``step`` returns.  A state whose arrays do not fit the spec is a
+    SolverError.
     """
     geo = _geometry(spec)
     e, d, b = _integral_arrays(state, spec, geo)
