@@ -7,8 +7,9 @@ with Hodge duals, complex field vectors, momentum space, two-component
 spinors); verifies them against stored closed forms; and time-steps the
 3-vector form on staggered structured grids.
 
-Heavy submodules (solver, momentum space) are imported lazily by the CLI;
-import them explicitly as ``curvmax.solver`` / ``curvmax.rs_momentum``.
+``import curvmax`` loads only ``symexpr``, ``chart``, ``diffops`` and
+``maxwell3``; the CLI imports the rest.  Import the other submodules
+explicitly, e.g. ``curvmax.solver`` or ``curvmax.rs_momentum``.
 """
 
 from .chart import builtin_chart, metric_from_chart, parse_chart_file

@@ -515,38 +515,16 @@ def spinor_maxwell_residual(phi_func, j4_func, point, c=1.0, h=1e-4):
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-def _entry_text(x, latex):
-    if isinstance(x, Expr):
-        return sx.to_latex(x) if latex else sx.print_expr(x)
-    if isinstance(x, complex):
-        if x.imag == 0:
-            x = x.real
-        else:
-            return f"{x.real:g}{x.imag:+g}i"
-    return f"{x:g}"
-
-
-def _rows_of(obj):
-    if isinstance(obj, FieldTensor4):
-        return obj.matrix
-    if isinstance(obj, EMSpinor):
-        return tuple(map(tuple, obj.phi))
-    if isinstance(obj, Metric4):
-        return obj.g_lo
-    return tuple(tuple(r) for r in obj)
-
-
-def matrix_text(obj):
-    """Aligned plain-text rendering of a tensor, spinor, or raw matrix."""
-    rows = [[_entry_text(x, latex=False) for x in row] for row in _rows_of(obj)]
+def matrix_text(t):
+    """Aligned plain-text rendering of a symbolic FieldTensor4."""
+    rows = [[sx.print_expr(x) for x in row] for row in t.matrix]
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     return "\n".join(
         "[ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]"
         for row in rows)
 
 
-def matrix_latex(obj):
-    """pmatrix rendering of a tensor, spinor, or raw matrix."""
-    rows = [" & ".join(_entry_text(x, latex=True) for x in row)
-            for row in _rows_of(obj)]
+def matrix_latex(t):
+    """pmatrix rendering of a symbolic FieldTensor4."""
+    rows = [" & ".join(map(sx.to_latex, row)) for row in t.matrix]
     return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}"

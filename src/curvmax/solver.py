@@ -9,15 +9,15 @@ The solver works in finite-integration variables (Weiland 1977; Teixeira
 & Chew 1999).  With grid spacings h_i, cell volume V = h1 h2 h3 and time
 step dt, the state holds
 
-    edge integrals  e~_i = (c dt / 2) h_i e_i,
+    edge integrals  e~_i = (dt / 2) h_i e_i,
     face fluxes     b~_i = (V / h_i) b_i  and  d~_i = (V / h_i) d_i.
 
 In these variables every curl and divergence is a sum of +-1 slices of
-neighbouring values, and all of the metric, the medium, the spacings and
-c dt sit in the two pointwise constitutive closures,
+neighbouring values, and all of the metric, the spacings and dt sit in
+the two pointwise constitutive closures,
 
-    h~_i = (c dt h_i^2 / V) g_ii / (sqrt(g) mu) b~_i        (faces),
-    e~_i = (c dt h_i^2 / 2V) g_ii / (sqrt(g) eps) d~_i      (edges),
+    h~_i = (dt h_i^2 / V) g_ii / sqrt(g) b~_i        (faces),
+    e~_i = (dt h_i^2 / 2V) g_ii / sqrt(g) d~_i       (edges),
 
 evaluated with the metric factors of each staggered site.  One step is
 the half/full/half leapfrog split
@@ -26,12 +26,13 @@ the half/full/half leapfrog split
     b~ -= curl+ e~_new,
 
 where curl+ uses forward and curl- backward incidence sums.  The metric
-enters only through the closures, so the chart acts as a fixed medium
-(Ward & Pendry 1996).  The closure and current coefficients are computed
-once per GridSpec, together with the time step; every geometry array
-keeps the broadcast shape of the coordinates it depends on -- (1, 1, 1)
-on the Cartesian chart, (N1, 1, 1) on the cylindrical one, (N1, N2, 1) on
-the spherical one -- and is read-only, because all callers share it.
+enters only through the closures, so the chart acts as the only medium
+(Ward & Pendry 1996): runs are in vacuum, with c = 1.  The closure and
+current coefficients are computed once per GridSpec, together with the
+time step; every geometry array keeps the broadcast shape of the
+coordinates it depends on -- (1, 1, 1) on the Cartesian chart, (N1, 1, 1)
+on the cylindrical one, (N1, N2, 1) on the spherical one -- and is
+read-only, because all callers share it.
 Because the divergences are the same +-1 sums, div b~ telescopes to zero
 exactly and charge continuity holds to machine precision; ``diagnostics``
 divides only the final maxima by V.
@@ -77,7 +78,7 @@ those scalars into a new read-only array; it is not cached on the state,
 because holding both forms would double the memory of a run.
 
 The time step is the metric-weighted CFL limit dt = cfl * min over cells
-of (sum_i g^{ii} / h_i^2)^{-1/2} / c.
+of (sum_i g^{ii} / h_i^2)^{-1/2}.
 
 Boundary conditions per axis: periodic, or PEC (tangential E treated as
 zero beyond the boundary planes of the difference stencils).
@@ -127,16 +128,13 @@ class InstabilityError(SolverError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Static description of a structured grid run."""
+    """Static description of a structured grid run in vacuum, c = 1."""
 
     chart: str
     extents: tuple  # ((min,max),)*3 in chart coordinates
     shape: tuple    # (N1, N2, N3)
     cfl: float = 0.5
     bc: tuple = ("periodic", "periodic", "periodic")
-    epsilon: float = 1.0
-    mu: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
         # tuples, so that a spec built from lists can key _geometry's cache
@@ -160,8 +158,6 @@ class GridSpec:
             raise SolverError("CFL number must lie in (0, 1]")
         if any(b not in ("periodic", "pec") for b in self.bc):
             raise SolverError("boundary conditions are 'periodic' or 'pec'")
-        if not all(0.0 < v < math.inf for v in (self.epsilon, self.mu, self.c)):
-            raise SolverError("epsilon, mu and c must be finite and positive")
 
     @property
     def spacing(self):
@@ -243,7 +239,7 @@ class _Geometry:
     sqrtg_edge: tuple       # sqrt(g) at edge-i sites
     sqrtg_face: tuple       # sqrt(g) at face-i sites
     sqrtg_node: np.ndarray  # sqrt(g) at nodes, where the divergence of d lives
-    h_coef: tuple           # g_ii / (sqrt(g) mu) at face-i sites: H_i = h_coef[i] b_i
+    h_coef: tuple           # g_ii / sqrt(g) at face-i sites: H_i = h_coef[i] b_i
     d_to_e: tuple           # e~_i = d_to_e[i] d~_i at edge-i sites
     b_to_h: tuple           # h~_i = b_to_h[i] b~_i at face-i sites
     j_coef: tuple           # d~_i -= j_coef[i] j_i at edge-i sites
@@ -282,20 +278,19 @@ def _geometry(spec):
     speed2 = float(np.max(sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))))
     if not 0.0 < speed2 < math.inf:
         raise SolverError("the grid's metric and spacing give no finite time step")
-    dt = spec.cfl / (spec.c * math.sqrt(speed2))
-    cdt, vol = spec.c * dt, h[0] * h[1] * h[2]
-    edge = tuple(0.5 * cdt * h[i] for i in range(3))  # e~_i = edge[i] e_i
-    flux = tuple(vol / h[i] for i in range(3))        # b~_i = flux[i] b_i, same for d
-    h_coef = [g_face[i] / (sqrtg_face[i] * spec.mu) for i in range(3)]
+    dt, vol = spec.cfl / math.sqrt(speed2), h[0] * h[1] * h[2]
+    edge = tuple(0.5 * dt * h[i] for i in range(3))  # e~_i = edge[i] e_i
+    flux = tuple(vol / h[i] for i in range(3))       # b~_i = flux[i] b_i, same for d
+    h_coef = [g_face[i] / sqrtg_face[i] for i in range(3)]
     geo = _Geometry(
         g_edge=tuple(_read_only(a) for a in g_edge),
         sqrtg_edge=tuple(_read_only(a) for a in sqrtg_edge),
         sqrtg_face=tuple(_read_only(a) for a in sqrtg_face),
         sqrtg_node=_read_only(sqrtg_node),
         h_coef=tuple(_read_only(a) for a in h_coef),
-        d_to_e=tuple(_read_only(g_edge[i] / (sqrtg_edge[i] * spec.epsilon)
-                                * (edge[i] / flux[i])) for i in range(3)),
-        b_to_h=tuple(_read_only(h_coef[i] * (cdt * h[i] / flux[i])) for i in range(3)),
+        d_to_e=tuple(_read_only(g_edge[i] / sqrtg_edge[i] * (edge[i] / flux[i]))
+                     for i in range(3)),
+        b_to_h=tuple(_read_only(h_coef[i] * (dt * h[i] / flux[i])) for i in range(3)),
         j_coef=tuple(_read_only((4.0 * math.pi * dt * flux[i]) * sqrtg_edge[i])
                      for i in range(3)),
         scale=(edge, flux, flux),
@@ -309,7 +304,8 @@ def _geometry(spec):
 
 
 def time_step(spec):
-    """Metric-weighted CFL time step for the spec."""
+    """Metric-weighted CFL time step of the spec: cfl times the minimum over
+    cells of (sum_i g^{ii} / h_i^2)^{-1/2}."""
     return _geometry(spec).dt
 
 
@@ -453,9 +449,9 @@ def _apply_pec(e, spec):
 # ---------------------------------------------------------------------------
 
 def _plane_wave(spec, x3, t):
-    """cos(k (x3 - c t)), one wavelength across the extent of axis 3."""
+    """cos(k (x3 - t)), one wavelength across the extent of axis 3."""
     lo, hi = spec.extents[2]
-    return np.cos(2.0 * math.pi / (hi - lo) * (x3 - spec.c * t))
+    return np.cos(2.0 * math.pi / (hi - lo) * (x3 - t))
 
 
 # Each initial condition lists its nonzero components (field, i, a, profile):
@@ -463,7 +459,7 @@ def _plane_wave(spec, x3, t):
 # x of axis a at that component's sites, constant along the other axes.
 INITIAL_CONDITIONS = {
     "zero": (),
-    # plane wave along axis 3: E_2 = cos(k(x3 - ct)), B^1 = -E_2
+    # plane wave along axis 3: E_2 = cos(k(x3 - t)), B^1 = -E_2
     "plane_wave": (("e", 1, 2, _plane_wave),
                    ("b", 0, 2, lambda spec, x, t: -_plane_wave(spec, x, t))),
     # cylindrical test mode: E_z = cos(2 phi), no initial B
@@ -489,7 +485,7 @@ def init_grid(spec, initial="zero"):
     geo = _geometry(spec)
     e, b = _initial_fields(spec, initial, 0.0)
     _apply_pec(e, spec)
-    d = np.stack([geo.sqrtg_edge[i] * spec.epsilon * e[i] / geo.g_edge[i] for i in range(3)])
+    d = np.stack([geo.sqrtg_edge[i] * e[i] / geo.g_edge[i] for i in range(3)])
     b = np.stack([geo.sqrtg_face[i] * b[i] for i in range(3)])
     return GridField(e=e, d=d, b=b, t=0.0)
 
@@ -556,7 +552,7 @@ def diagnostics(state, spec, rho=None):
     """Energy, Gauss-law defects, and max |field| of a state.
 
     Energy is (1/8pi) sum (E.D + B.H) sqrt(g) dV with the staggered
-    midpoint quadrature, that is (sum e~.d~ / (c dt/2) + sum h~.b~ / (c dt))
+    midpoint quadrature, that is (sum e~.d~ / (dt/2) + sum h~.b~ / dt)
     / 8pi in integral variables; the divergence defects use the same +-1
     incidence sums whose commutation with the update curls makes div b an
     exact invariant.  ``rho`` is the charge density at the nodes, a scalar
@@ -564,7 +560,7 @@ def diagnostics(state, spec, rho=None):
     """
     geo = _geometry(spec)
     e, d, b = _integral_arrays(state, spec, geo)
-    cdt, vol = spec.c * geo.dt, float(np.prod(spec.spacing))
+    vol = float(np.prod(spec.spacing))
     if rho is not None:
         try:
             rho = np.broadcast_to(rho, spec.shape)
@@ -599,7 +595,7 @@ def diagnostics(state, spec, rho=None):
             x[:, lo:hi].max(axis=(1, 2, 3), out=top[2 + 3 * f:5 + 3 * f])
             x[:, lo:hi].min(axis=(1, 2, 3), out=bottom[2 + 3 * f:5 + 3 * f])
     hb_sum = sum(float(np.sum(x)) for x in hb)  # per component, as it was always summed
-    energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * cdt)
+    energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * geo.dt)
     np.negative(ext[:, 1], out=ext[:, 1])
     peaks = ext.max(axis=(0, 1))  # max |x| up to the sign of a zero; a nan propagates
     # max |x_i| / scale_i per component equals the maximum over the arrays
@@ -619,7 +615,7 @@ def energy_invariant(state, spec):
     """The leapfrog's exact discrete energy, on the scale of ``diagnostics``.
 
     Q = 2 sum e~.d~ + sum h~.b~ - sum (M_h C+e~).(C+e~), with M_h the b~
-    closure and C+ the forward curl, divided by 8 pi c dt.  It is
+    closure and C+ the forward curl, divided by 8 pi dt.  It is
     ``diagnostics()["energy"]`` minus the last term.  ``step`` keeps it
     constant to rounding (see the module docstring) from any state whose
     e~ is the closure of its d~, zero on the PEC walls, as in every state
@@ -632,7 +628,7 @@ def energy_invariant(state, spec):
     for lo, hi in _slabs(spec.shape):
         _circulate(ce, e, 1, spec, ce, lo, hi)  # ce = -C+ e~
     hb = sum(float(np.sum(geo.b_to_h[i] * (b[i] * b[i] - ce[i] * ce[i]))) for i in range(3))
-    return (2.0 * float(np.sum(e * d)) + hb) / (8.0 * math.pi * spec.c * geo.dt)
+    return (2.0 * float(np.sum(e * d)) + hb) / (8.0 * math.pi * geo.dt)
 
 
 def _all_components(state, spec):

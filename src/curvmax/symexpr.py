@@ -1153,8 +1153,10 @@ def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
     """
     a, b = _wrap(a), _wrap(b)
     fa, fb = lambdify(a), lambdify(b)
-    # the free names are those of the tapes' atom instructions
-    names = sorted({arg for e in (a, b) for kind, arg, _, _ in _tape_of(e)[1] if kind is _T_ATOM})
+    # the free names are those of the tapes' atom instructions, less the
+    # constant pi, which both runners bind to math.pi
+    names = sorted({arg for e in (a, b) for kind, arg, _, _ in _tape_of(e)[1]
+                    if kind is _T_ATOM and arg != "pi"})
     if not names:
         va, vb = eval_expr(a, {}), eval_expr(b, {})
         return abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb))

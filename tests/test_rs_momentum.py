@@ -156,6 +156,40 @@ def test_maxwell_k_residual_on_exact_mode():
         assert np.max(np.abs(val)) < 1e-9, name
 
 
+def test_maxwell_k_residual_on_a_sheared_affine_chart():
+    """A vacuum plane wave pulled back to u on the chart x = J u, whose
+    metric g3 = J^T J is constant: contravariant components E^u = J^-1 E^x
+    and wavevector k_u = J^T k_x."""
+    n = 16
+    du = 2 * math.pi / n
+    jac = np.array([[1.0, 0.4, 0.2], [0.0, 1.2, -0.3], [0.1, 0.0, 0.9]])
+    k_u = np.array([1.0, -2.0, 1.0])  # integer, so the wave is periodic on the u-lattice
+    k_x = np.linalg.solve(jac.T, k_u)
+    omega = np.linalg.norm(k_x)  # c = 1
+    e_x = np.cross(k_x, [0.0, 0.0, 1.0])
+    e_x /= np.linalg.norm(e_x)
+    b_x = np.cross(k_x / omega, e_x)
+    e_u, b_u = np.linalg.solve(jac, e_x), np.linalg.solve(jac, b_x)
+    u = np.meshgrid(*[np.arange(n) * du] * 3, indexing="ij")
+    phase = sum(k * ui for k, ui in zip(k_u, u)) - omega * 0.4
+    cos, sin = np.cos(phase), np.sin(phase)
+
+    def hat(amplitude, wave):
+        return np.stack([rs.fft_forward(a * wave, (du, du, du)).values for a in amplitude])
+
+    E, B = hat(e_u, cos), hat(b_u, cos)
+    dtE, dtB = hat(omega * e_u, sin), hat(omega * b_u, sin)
+    kv = rs.wavevectors((n, n, n), (du, du, du))
+    zero_rho, zero_j = np.zeros((n, n, n)), np.zeros((3, n, n, n))
+    # in vacuum D^i = E^i and H^i = B^i
+    res = rs.maxwell_k_residual(E, B, E, B, dtE, dtB, zero_rho, zero_j, kv, g3=jac.T @ jac)
+    for name, val in res.items():
+        assert np.max(np.abs(val)) <= 1e-12, name
+    flat = rs.maxwell_k_residual(E, B, E, B, dtE, dtB, zero_rho, zero_j, kv)
+    for name in ("faraday", "ampere"):
+        assert np.max(np.abs(flat[name])) > 1.0, name
+
+
 def test_maxwell_k_residual_equals_fft_of_real_space_residuals():
     """Single non-solution mode: analytic real-space residuals, transformed."""
     n = 16

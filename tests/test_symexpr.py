@@ -96,6 +96,14 @@ def test_equivalent_is_seeded_and_deterministic():
     assert not equivalent(a, parse_expr("x^2 + y^2"), seed=5)
 
 
+def test_equivalent_binds_pi_as_the_constant():
+    # eval_expr reads cos(pi) as -1; equivalent must not sample pi as a variable
+    assert eval_expr(parse_expr("cos(pi)*x"), {"x": 2.0}) == -2.0
+    assert equivalent(parse_expr("cos(pi)*x"), parse_expr("-x"), seed=5)
+    assert equivalent(parse_expr("sin(pi/2)"), 1)
+    assert not equivalent(parse_expr("cos(pi)*x"), parse_expr("x"), seed=5)
+
+
 def test_field_atom_derivative_index_is_canonical():
     f = FieldAtom("E_1", ("t", "r", "phi"))
     d1 = diff(diff(f, "r"), "phi")
