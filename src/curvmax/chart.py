@@ -50,6 +50,8 @@ class Chart:
         n = len(self.coords)
         if n != 3:
             raise ChartError(f"chart dimension must be 3, got {n}", "coords")
+        if "pi" in self.coords:  # every evaluator reads pi as the constant
+            raise ChartError("coordinate 'pi' would be read as the constant pi", "coords")
         if len(self.embedding) != n:
             raise ChartError("embedding arity must match coordinate count", "embedding")
         allowed = set(self.coords)
@@ -176,8 +178,8 @@ def parse_chart_file(text):
 
     Every ChartError names a line: that of the ``[chart]`` header for a
     missing key, else that of the key whose value is at fault (a
-    coordinate that is not a name or is given twice, other than three
-    coordinates, an embedding in other variables, a malformed domain
+    coordinate that is not a name, is given twice or is pi, other than
+    three coordinates, an embedding in other variables, a malformed domain
     entry, a domain given twice, for a non-coordinate, or not finite with
     min < max), or that of an unknown key or a key given twice in one
     section.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import importlib.resources
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -57,11 +57,10 @@ class FieldSet3:
 
 @dataclass(frozen=True)
 class Sources3:
-    """Charge density, contravariant current density, light speed (CGS)."""
+    """Charge density and contravariant current density."""
 
     rho: Expr
     j: ComponentVector
-    c: Expr = field(default_factory=lambda: Var("c"))
 
     def __post_init__(self):
         if self.j.variance != "contravariant" or self.j.basis != "holonomic":
@@ -88,8 +87,9 @@ def _atoms(chart, base, variance):
 
 
 # a coordinate of one of these names would read the binding of the time t,
-# the light speed c, pi, or a field or source atom (derivatives included)
-_RESERVED = re.compile(r"t|c|pi|(d_\w+_)?(rho|[EHDBj]_[123])")
+# the light speed c, or a field or source atom (derivatives included);
+# Chart itself refuses pi
+_RESERVED = re.compile(r"t|c|(d_\w+_)?(rho|[EHDBj]_[123])")
 
 
 def _refuse_reserved(chart):
@@ -97,7 +97,7 @@ def _refuse_reserved(chart):
         if _RESERVED.fullmatch(name):
             raise DiffOpsError(
                 f"coordinate {name!r} of chart {chart.name!r} is a name the 3-vector "
-                "equations reserve (t, c, pi, rho and the field and source components)")
+                "equations reserve (t, c, rho and the field and source components)")
 
 
 def symbolic_fields(chart):
@@ -109,24 +109,24 @@ def symbolic_fields(chart):
                      B=_atoms(chart, "B", "contravariant"))
 
 
-def symbolic_sources(chart, c=None):
-    """Sources3 of opaque atoms in (t, chart coordinates); light speed
-    ``c``, by default the variable c.  DiffOpsError for a coordinate of a
-    reserved name, as ``symbolic_fields``."""
+def symbolic_sources(chart):
+    """Sources3 of opaque atoms in (t, chart coordinates).  DiffOpsError
+    for a coordinate of a reserved name, as ``symbolic_fields``."""
     _refuse_reserved(chart)
     return Sources3(rho=FieldAtom("rho", ("t",) + chart.coords),
-                    j=_atoms(chart, "j", "contravariant"), c=c if c is not None else Var("c"))
+                    j=_atoms(chart, "j", "contravariant"))
 
 
 def assemble_residuals(fields, src, m):
-    """Residual form of the eight equations on metric ``m``.
+    """Residual form of the eight equations on metric ``m``, with the
+    light speed the variable c.
 
     faraday_i = (1/sqrt g)(d_j E_k - d_k E_j) + (1/c) d_t B^i
     ampere_i  = (1/sqrt g)(d_j H_k - d_k H_j) - (1/c) d_t D^i - (4pi/c) j^i
     gauss_D   = (1/sqrt g) d_i(sqrt g D^i) - 4pi rho
     gauss_B   = (1/sqrt g) d_i(sqrt g B^i)
     """
-    inv_c = sx.pow_(src.c, -1)
+    inv_c = sx.pow_(Var("c"), -1)
     four_pi = 4 * Var("pi")
     rot_E, rot_H = curl(fields.E, m), curl(fields.H, m)
     faraday = tuple(rot_E[i] + inv_c * diff(fields.B[i], "t") for i in range(3))

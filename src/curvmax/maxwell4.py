@@ -1,13 +1,14 @@
 """4-tensor and flat-space spinor forms of the electromagnetic field.
 
 Assembles the field tensors F (from E, B) and G (from D, H) with the
-signature (+, -, -, -) and x^0 = c t, raises/lowers indices with a
+signature (+, -, -, -) and x^0 = t (c = 1), raises/lowers indices with a
 spacetime metric, builds Hodge duals via the 4-D alternating tensor, and
 checks the eight ordered-pair correspondences between the tensors and
 their 3-vector contents.  Field-equation residuals (Bianchi identity and
-the sourced divergence law) are evaluated numerically with central finite
-differences; they assume a constant metric, where partial derivatives
-coincide with covariant ones.
+the sourced divergence law, step ``h``, and the spinor equation, step
+1e-4) are evaluated numerically with central finite differences; they
+assume a constant metric, where partial derivatives coincide with
+covariant ones.
 
 The spinor layer works in the constant real spin basis with
 eps = [[0, 1], [-1, 0]] and the Infeld--van der Waerden symbols
@@ -310,8 +311,9 @@ class PairTableReport:
                 for name, err, ok in self.results]
 
 
-def check_pair_table(g, seed=None, tol=1e-10):
-    """Verify the eight ordered-pair correspondences for random fields.
+def check_pair_table(g, seed=None):
+    """Verify the eight ordered-pair correspondences for random fields;
+    each passes when its largest absolute error is at most 1e-10.
 
     The lower-index tensors are assembled from (E_i, B^i) and (D_i, H^i);
     the upper-index tensors carry the pairs (-E^i, B_i) and (-D^i, H_i)
@@ -328,6 +330,7 @@ def check_pair_table(g, seed=None, tol=1e-10):
     """
     if g.is_symbolic:
         raise Maxwell4Error("check_pair_table needs a numeric metric")
+    tol = 1e-10
     rng = np.random.default_rng(sx.default_seed() if seed is None else seed)
     g3_lo = -np.array(g.g_lo)[1:, 1:]
     g3_hi = np.linalg.inv(g3_lo)
@@ -377,6 +380,11 @@ def _fd_matrix(func, point, axis, h):
     return (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
 
 
+def _fd_divergence(func, point, axes, h):
+    """Central-difference sum over k of d func[k] / d x^axes[k]."""
+    return sum(_fd_matrix(func, point, a, h)[k] for k, a in enumerate(axes))
+
+
 def _tensor_matrix(value):
     if isinstance(value, FieldTensor4):
         return value.as_array()
@@ -396,23 +404,18 @@ def bianchi_residual(f_func, g, point, h=1e-4):
         m = _tensor_matrix(f_func(x))
         return hodge_dual(FieldTensor4(tuple(map(tuple, m)), "lower", "F"), g).as_array()
 
-    res = np.zeros(4)
-    for a in range(4):
-        res += _fd_matrix(star_upper, point, a, h)[a, :]
-    return res
+    return _fd_divergence(star_upper, point, range(4), h)
 
 
-def source_residual_4(g_func, j4_func, g, point, c=1.0, h=1e-4):
-    """residual^beta = d_alpha G^{alpha beta} - (4 pi / c) j^beta.
+def source_residual_4(g_func, j4_func, g, point, h=1e-4):
+    """residual^beta = d_alpha G^{alpha beta} - 4 pi j^beta (c = 1).
 
     ``g_func(point4) -> both-upper G``; constant metric assumed.
     """
     if g.is_symbolic:
         raise Maxwell4Error("finite-difference residuals need a numeric metric")
-    res = np.zeros(4)
-    for a in range(4):
-        res += _fd_matrix(lambda x: _tensor_matrix(g_func(x)), point, a, h)[a, :]
-    return res - (4.0 * math.pi / c) * np.asarray(j4_func(np.asarray(point, float)), float)
+    div_g = _fd_divergence(lambda x: _tensor_matrix(g_func(x)), point, range(4), h)
+    return div_g - 4.0 * math.pi * np.asarray(j4_func(np.asarray(point, float)), float)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +438,15 @@ EPS_SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 @dataclass(frozen=True)
 class EMSpinor:
-    """Symmetric 2x2 field spinor phi_AB, optionally with gamma_AB."""
+    """Symmetric 2x2 spinor phi_AB."""
 
     phi: np.ndarray
-    gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, m in (("phi", self.phi), ("gamma", self.gamma)):
-            if m is None:
-                continue
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12:
-                raise Maxwell4Error(f"{name} must be a symmetric 2x2 spinor")
-            object.__setattr__(self, name, m)
+        m = np.asarray(self.phi, dtype=complex)
+        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12:
+            raise Maxwell4Error("phi must be a symmetric 2x2 spinor")
+        object.__setattr__(self, "phi", m)
 
 
 def _phi_components(fvec):
@@ -486,29 +485,26 @@ def unmap_vector4(m):
     return np.linalg.solve(IVDW.reshape(4, 4).T, np.asarray(m, dtype=complex).reshape(4))
 
 
-def spinor_maxwell_residual(phi_func, j4_func, point, c=1.0, h=1e-4):
+def spinor_maxwell_residual(phi_func, j4_func, point):
     """Residual 4-vector of the one-equation spinor form.
 
-    Evaluates nabla^{AB'} phi^B_A - (2 pi / c) j^{BB'} by central finite
-    differences in flat Cartesian Minkowski coordinates (x^0 = c t) and
-    projects the 2x2 result back to four complex numbers through the
-    inverse Infeld--van der Waerden map.  Spatial components equal
+    ``phi_func(point4) -> EMSpinor``.  Evaluates nabla^{AB'} phi^B_A
+    - 2 pi j^{BB'} by central finite differences of step 1e-4 in flat
+    Cartesian Minkowski coordinates (x^0 = t, c = 1) and projects the 2x2
+    result back to four complex numbers through the inverse Infeld--van der
+    Waerden map.  Spatial components equal
     (ampere_residual + i faraday_residual)/2 of the real 3-vector form;
     the time component equals (div E - 4 pi rho - i div B)/2.
     """
     point = np.asarray(point, dtype=float)
-
-    def phi_matrix(x):
-        out = phi_func(x)
-        return out.phi if isinstance(out, EMSpinor) else np.asarray(out, complex)
-
-    dphi = np.array([_fd_matrix(phi_matrix, point, a, h) for a in range(4)])
+    dphi = np.array([_fd_matrix(lambda x: phi_func(x).phi, point, a, 1e-4)
+                     for a in range(4)])
     # nabla_{AA'} phi_{BC} = g^alpha_{AA'} d_alpha phi_{BC}
     nab = np.einsum('aAP,aBC->APBC', IVDW_INV, dphi)
     # raise both derivative indices with eps, then contract A with phi^B_A
     nab_up = np.einsum('AC,PQ,CQbc->APbc', EPS_SPIN, EPS_SPIN, nab)
     r_spin = np.einsum('APbA,Bb->BP', nab_up, EPS_SPIN)
-    return unmap_vector4(r_spin) - (2.0 * math.pi / c) * np.asarray(j4_func(point), complex)
+    return unmap_vector4(r_spin) - 2.0 * math.pi * np.asarray(j4_func(point), complex)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 The complex layer packs the contravariant field pairs into
 F^i = E^i + i B^i and G^i = D^i + i H^i, forms the complementary vectors
 K = (G + F)/2 and L = (conj(G) - conj(F))/2, and evaluates the residuals
-of the complex system
+of the complex system, with c = 1 as in the solver,
 
     div (K + L) = 4 pi rho,
-    -i (1/c) d_t (K - L)^i + e^{ijk} nabla_j (K - L)_k = i (4 pi / c) j^i,
+    -i d_t (K - L)^i + e^{ijk} nabla_j (K - L)_k = i 4 pi j^i,
 
-numerically on a chart by central finite differences.  Since
+numerically on a chart by central finite differences of step 1e-5.  Since
 K + L = D + iB and K - L = E + iH, the first residual equals
 gauss_D + i gauss_B of the real 3-vector form for any fields, and the
 second equals faraday + i ampere exactly when D = E and H = B (vacuum
@@ -18,9 +18,10 @@ The momentum layer works on uniform periodic lattices with a constant
 metric: unitary FFTs (the discrete counterpart of the symmetric
 1/sqrt(2 pi)^3 normalization), wavevectors k_j = 2 pi fftfreq, the
 derivative rule fft(d_j f) = i k_j fft(f), and the per-mode residuals
+(c = 1)
 
-    i (1/sqrt(g)) eps^{ijk} k_j E_k + (1/c) d_t B^i = 0,
-    i (1/sqrt(g)) eps^{ijk} k_j H_k - (1/c) d_t D^i - (4 pi / c) j^i = 0,
+    i (1/sqrt(g)) eps^{ijk} k_j E_k + d_t B^i = 0,
+    i (1/sqrt(g)) eps^{ijk} k_j H_k - d_t D^i - 4 pi j^i = 0,
     i k_i D^i - 4 pi rho = 0,   i k_i B^i = 0.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import CYCLIC
-from .maxwell4 import _fd_matrix
+from .maxwell4 import _fd_divergence, _fd_matrix
 from .symexpr import lambdify
 
 __all__ = [
@@ -119,19 +120,10 @@ def rs_from_kl(kl):
 # Point residuals of the complex system (finite differences on a chart)
 # ---------------------------------------------------------------------------
 
-def _metric_callables(m):
-    coords = list(m.chart.coords)
-
-    def positional(expr):
-        f = lambdify(expr)
-        return lambda *xs: f(dict(zip(coords, xs)))
-
-    sqrt_g = positional(m.sqrt_abs_g)
-    g_lo = [[positional(m.g_lo[i][j]) for j in range(3)] for i in range(3)]
-    return sqrt_g, g_lo
+_H = 1e-5  # central-difference step of the complex residuals
 
 
-def _div_curl_dt(u_func, w_func, m, point, h):
+def _div_curl_dt(u_func, w_func, m, point):
     """Central-difference operators at (t, x1, x2, x3) on chart metric ``m``.
 
     Returns (1/sqrt g) d_i(sqrt g u^i), the rotor
@@ -140,31 +132,38 @@ def _div_curl_dt(u_func, w_func, m, point, h):
     Metric factors are evaluated pointwise; a zero or non-finite sqrt g at
     the point raises RSError.
     """
-    sqrt_g, g_lo = _metric_callables(m)
-    s0 = float(sqrt_g(*point[1:]))
+    sqrt_g = lambdify(m.sqrt_abs_g)
+    g_lo = [[lambdify(m.g_lo[i][j]) for j in range(3)] for i in range(3)]
+
+    def chart_point(x):  # the binding of the chart coordinates of a 4-point
+        return dict(zip(m.chart.coords, x[1:]))
+
+    s0 = float(sqrt_g(chart_point(point)))
     if s0 == 0.0 or not np.isfinite(s0):
         raise RSError("singular metric at the sample point")
 
     def dens(x):
-        return float(sqrt_g(*x[1:])) * u_func(x)
+        return float(sqrt_g(chart_point(x))) * u_func(x)
 
     def lower(x):
-        g = np.array([[g_lo[i][j](*x[1:]) for j in range(3)] for i in range(3)])
+        binding = chart_point(x)
+        g = np.array([[g_lo[i][j](binding) for j in range(3)] for i in range(3)])
         return g @ w_func(x)
 
-    div_u = sum(_fd_matrix(dens, point, 1 + i, h)[i] for i in range(3)) / s0
-    jac = np.array([_fd_matrix(lower, point, 1 + a, h) for a in range(3)])
+    div_u = _fd_divergence(dens, point, (1, 2, 3), _H) / s0
+    jac = np.array([_fd_matrix(lower, point, 1 + a, _H) for a in range(3)])
     curl_w = np.array([(jac[j, k] - jac[k, j]) / s0 for _, j, k in CYCLIC])
-    return div_u, curl_w, _fd_matrix(w_func, point, 0, h)
+    return div_u, curl_w, _fd_matrix(w_func, point, 0, _H)
 
 
-def rs_residual(kl_func, src_func, m, point, c=1.0, h=1e-5):
-    """Residuals of the complex system at (t, x1, x2, x3).
+def rs_residual(kl_func, src_func, m, point):
+    """Residuals of the complex system at (t, x1, x2, x3), with c = 1.
 
     ``kl_func(point4) -> KLPair`` with contravariant holonomic components;
     ``src_func(point4) -> (rho, j)`` with contravariant j.  Returns
     (gauss_residual, curl_residual[3]) as complex values; derivatives by
-    central differences, metric factors evaluated pointwise on the chart.
+    central differences of step 1e-5, metric factors evaluated pointwise
+    on the chart.
     """
     point = np.asarray(point, dtype=float)
 
@@ -174,21 +173,21 @@ def rs_residual(kl_func, src_func, m, point, c=1.0, h=1e-5):
 
     div_sum, curl_w, dt_diff = _div_curl_dt(lambda x: np.add(*kl_arrays(x)),
                                             lambda x: np.subtract(*kl_arrays(x)),
-                                            m, point, h)
+                                            m, point)
     rho, j = src_func(point)
     gauss = div_sum - 4.0 * math.pi * complex(rho)
-    curl = (-1j / c) * dt_diff + curl_w - 1j * (4.0 * math.pi / c) * np.asarray(j, complex)
+    curl = -1j * dt_diff + curl_w - 1j * (4.0 * math.pi) * np.asarray(j, complex)
     return gauss, curl
 
 
-def isotropic_residual(eb_func, src_func, medium, m, point, c=1.0, h=1e-5):
-    """Residuals of the homogeneous-isotropic complex form.
+def isotropic_residual(eb_func, src_func, medium, m, point):
+    """Residuals of the homogeneous-isotropic complex form, with c = 1.
 
     Uses F^i = sqrt(eps) E^i + i B^i / sqrt(mu) and checks
     div F = (4 pi / sqrt(eps)) rho and
-    e^{ijk} nabla_j F_k = i (4 pi sqrt(mu) / c) j^i
-                          + i (sqrt(eps mu) / c) d_t F^i.
-    ``eb_func(point4) -> (E, B)`` contravariant triples.
+    e^{ijk} nabla_j F_k = i 4 pi sqrt(mu) j^i + i sqrt(eps mu) d_t F^i.
+    ``eb_func(point4) -> (E, B)`` contravariant triples; derivatives by
+    central differences of step 1e-5, as in ``rs_residual``.
     """
     se, sm = math.sqrt(medium.epsilon), math.sqrt(medium.mu)
     point = np.asarray(point, dtype=float)
@@ -197,11 +196,11 @@ def isotropic_residual(eb_func, src_func, medium, m, point, c=1.0, h=1e-5):
         E, B = eb_func(x)
         return se * np.asarray(E, complex) + 1j * np.asarray(B, complex) / sm
 
-    div_f, curl_f, dt_f = _div_curl_dt(f_up, f_up, m, point, h)
+    div_f, curl_f, dt_f = _div_curl_dt(f_up, f_up, m, point)
     rho, j = src_func(point)
     gauss = div_f - (4.0 * math.pi / se) * complex(rho)
-    curl = (curl_f - 1j * (4.0 * math.pi * sm / c) * np.asarray(j, complex)
-            - 1j * (se * sm / c) * dt_f)
+    curl = (curl_f - 1j * (4.0 * math.pi * sm) * np.asarray(j, complex)
+            - 1j * (se * sm) * dt_f)
     return gauss, curl
 
 
@@ -214,12 +213,7 @@ class SpectralField:
     """Unitary FFT of one field component on a uniform periodic lattice."""
 
     values: np.ndarray
-    spacing: tuple
     kvecs: tuple  # 1-D wavevector arrays per axis
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def wavevectors(shape, spacing):
@@ -236,7 +230,7 @@ def fft_forward(samples, spacing):
     spacing = tuple(float(d) for d in spacing)
     if len(spacing) != samples.ndim:
         raise RSError("spacing must list one step per lattice axis")
-    return SpectralField(np.fft.fftn(samples, norm="ortho"), spacing,
+    return SpectralField(np.fft.fftn(samples, norm="ortho"),
                          wavevectors(samples.shape, spacing))
 
 
@@ -264,8 +258,8 @@ def _k_grids(kvecs):
 
 
 def maxwell_k_residual(Ehat, Hhat, Dhat, Bhat, dtDhat, dtBhat, rhohat, jhat,
-                       kvecs, g3=None, c=1.0):
-    """Per-mode residuals of the constant-metric momentum-space system.
+                       kvecs, g3=None):
+    """Per-mode residuals of the constant-metric momentum-space system, c = 1.
 
     Field spectra are contravariant, shape (3, N1, N2, N3); ``dtDhat`` and
     ``dtBhat`` are the spectra of the time derivatives.  ``g3`` is the
@@ -289,9 +283,8 @@ def maxwell_k_residual(Ehat, Hhat, Dhat, Bhat, dtDhat, dtBhat, rhohat, jhat,
         return np.stack([(kk[j] * w_lo[k] - kk[k] * w_lo[j]) / sg
                          for _, j, k in CYCLIC])
 
-    faraday = 1j * curl_k(E_lo) + np.asarray(dtBhat) / c
-    ampere = (1j * curl_k(H_lo) - np.asarray(dtDhat) / c
-              - (4.0 * math.pi / c) * np.asarray(jhat))
+    faraday = 1j * curl_k(E_lo) + np.asarray(dtBhat)
+    ampere = 1j * curl_k(H_lo) - np.asarray(dtDhat) - 4.0 * math.pi * np.asarray(jhat)
     gauss_D = 1j * sum(kk[i] * np.asarray(Dhat)[i] for i in range(3)) \
         - 4.0 * math.pi * np.asarray(rhohat)
     gauss_B = 1j * sum(kk[i] * np.asarray(Bhat)[i] for i in range(3))

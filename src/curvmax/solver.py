@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,13 +140,16 @@ class GridSpec:
     def __post_init__(self):
         # tuples, so that a spec built from lists can key _geometry's cache
         object.__setattr__(self, "extents", tuple(tuple(e) for e in self.extents))
-        object.__setattr__(self, "shape", tuple(self.shape))
+        try:  # numpy integers are stored as int; floats and strings are refused
+            object.__setattr__(self, "shape", tuple(map(operator.index, self.shape)))
+        except TypeError:
+            raise SolverError("cell counts must be integers") from None
         object.__setattr__(self, "bc", tuple(self.bc))
         if len(self.extents) != 3 or len(self.shape) != 3 or len(self.bc) != 3:
             raise SolverError("GridSpec needs 3 extents, 3 cell counts, 3 bcs")
         if any(n < 2 for n in self.shape):
             raise SolverError("need at least 2 cells per axis")
-        if 24 * math.prod(map(int, self.shape)) > np.iinfo(np.intp).max:  # 3 float64 per cell
+        if 24 * math.prod(self.shape) > np.iinfo(np.intp).max:  # 3 float64 per cell
             raise SolverError("grid too large to address as (3, N1, N2, N3) float64 arrays")
         if any(hi <= lo for lo, hi in self.extents):
             raise SolverError("each extent needs min < max")

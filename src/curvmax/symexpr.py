@@ -1143,14 +1143,16 @@ def lambdify(e):
 # Randomized equivalence
 # ---------------------------------------------------------------------------
 
-def equivalent(a, b, domains=None, n=100, rtol=1e-10, seed=None):
-    """True iff ``a`` and ``b`` agree at ``n`` seeded pseudo-random points.
+def equivalent(a, b, domains=None, seed=None):
+    """True iff ``a`` and ``b`` agree at 100 seeded pseudo-random points,
+    each to 1e-10 relative to the larger of 1 and either side's size.
 
     ``domains`` maps variable names to (lo, hi) sampling intervals; unlisted
     variables use DEFAULT_DOMAIN.  Points where both sides fail to
     evaluate are skipped, and more than 50% of them raises
     IllConditionedError; a point where only one side fails gives False.
     """
+    n, rtol = 100, 1e-10
     a, b = _wrap(a), _wrap(b)
     fa, fb = lambdify(a), lambdify(b)
     # the free names are those of the tapes' atom instructions, less the

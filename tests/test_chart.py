@@ -100,14 +100,19 @@ def test_chart_file_errors():
                          "embedding = a, b, q\n")
 
 
-@pytest.mark.parametrize("domain, label", [
-    ("u:(-2.0,-0.1)", "sqrt|g| = u"),
-    ("u:(-1.0,1.0)", "sqrt|g| = u"),
-])
-def test_square_root_of_metric_must_be_positive_on_domain(domain, label):
+@pytest.mark.parametrize("embedding, domain, label", [
+    ("u^2/2, v, z", "u:(-2.0,-0.1)", "sqrt|g| = u"),
+    ("u^2/2, v, z", "u:(-1.0,1.0)", "sqrt|g| = u"),
+    # sqrt|g| = u^2 is 0 at the middle sample, u = 0, and positive elsewhere
+    ("u^3/3, v, z", "u:(-1.0,1.0)", "sqrt|g| = u^2"),
+    # sqrt|g| = (u - 3/2)^2 - 1/100 is negative only for |u - 3/2| < 1/10,
+    # which holds the middle sample alone
+    ("(u - 3/2)^3/3 - u/100, v, z", "u:(1.0,2.0)", "sqrt|g| = -1/100 + (-3/2 + u)^2"),
+], ids=["u-negative", "u-through-0", "zero-at-a-sample", "negative-near-a-sample"])
+def test_square_root_of_metric_must_be_positive_on_domain(embedding, domain, label):
     """sqrt(u^2) simplifies to u, which is wrong where u <= 0."""
     (ch,) = parse_chart_file("[chart]\nname = halfparab\ncoords = u, v, z\n"
-                             f"embedding = u^2/2, v, z\ndomain = {domain}\n")
+                             f"embedding = {embedding}\ndomain = {domain}\n")
     with pytest.raises(ChartError, match=re.escape(label)):
         metric_from_chart(ch)
 
@@ -146,6 +151,18 @@ def test_builtin_metric_is_built_once_and_equals_a_fresh_build():
                                                       fresh.sqrt_abs_g, fresh.lame)
     with pytest.raises(ChartError, match="unknown built-in chart"):
         builtin_metric("toroidal")
+
+
+def test_a_coordinate_may_not_be_named_pi():
+    # every evaluator reads pi as the constant: derive printed d_pi_f
+    p, v, z = sx.Var("pi"), sx.Var("v"), sx.Var("z")
+    with pytest.raises(ChartError, match="coordinate 'pi'") as err:
+        Chart("pichart", ("pi", "v", "z"), ((p * p - v * v) / 2, p * v, z))
+    assert err.value.key == "coords"
+    text = ("[chart]\nname = pichart\ncoords = pi, v, z\n"
+            "embedding = (pi^2 - v^2)/2, pi*v, z\n")
+    with pytest.raises(ChartError, match=r"^line 3: coordinate 'pi' "):
+        parse_chart_file(text)
 
 
 def test_chart_dimension_validation():

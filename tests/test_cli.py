@@ -198,7 +198,7 @@ def test_derive_chart_file_not_utf8_is_one_error_line(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("form", ["3vector", "complex"])
-@pytest.mark.parametrize("coord", ["t", "c", "pi", "rho", "D_3"])
+@pytest.mark.parametrize("coord", ["t", "c", "rho", "D_3"])
 def test_derive_equations_refuse_a_reserved_coordinate(capsys, tmp_path, form, coord):
     # coords u, v, t printed d_t_D_3 in Gauss's law, the time derivative of Ampere's
     p = tmp_path / "chart.ini"
@@ -221,7 +221,11 @@ def test_derive_equations_refuse_a_reserved_coordinate(capsys, tmp_path, form, c
      "line 5: domain of 'u' given twice"),
     ("coords = 1x, v, z\nembedding = v, v, z\n", "line 3: coordinate '1x' is not a name"),
     ("coords = u, u, z\nembedding = u, u, z\n", "line 3: coordinate 'u' given twice"),
-], ids=["unknown-key", "key-twice", "domain-twice", "not-a-name", "coordinate-twice"])
+    # every evaluator reads pi as the constant: this printed d_pi_f
+    ("coords = pi, v, z\nembedding = (pi^2 - v^2)/2, pi*v, z\n",
+     "line 3: coordinate 'pi' would be read as the constant pi"),
+], ids=["unknown-key", "key-twice", "domain-twice", "not-a-name", "coordinate-twice",
+        "coordinate-pi"])
 def test_derive_chart_file_refuses_what_it_used_to_drop(capsys, tmp_path, lines, message):
     p = tmp_path / "chart.ini"
     p.write_text("[chart]\nname = bad\n" + lines)

@@ -168,7 +168,7 @@ def test_corrupted_golden_detected(tmp_path, monkeypatch):
     assert failing, "corruption must name at least one failing equation"
 
 
-RESERVED = ["t", "c", "pi", "rho", "E_1", "H_2", "D_3", "B_1", "j_2", "d_t_D_3", "d_u_rho"]
+RESERVED = ["t", "c", "rho", "E_1", "H_2", "D_3", "B_1", "j_2", "d_t_D_3", "d_u_rho"]
 
 
 @pytest.mark.parametrize("name", RESERVED)

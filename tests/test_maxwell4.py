@@ -1,13 +1,16 @@
 """Four-tensor packing, Hodge duality, derivative residuals, and spinors."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from curvmax import maxwell4 as m4
+from curvmax import rs_momentum as rs
 from curvmax import symexpr as sx
 from curvmax.chart import builtin_chart, metric_from_chart
+from curvmax.maxwell3 import Sources3, symbolic_sources
 
 
 GM = m4.Metric4.minkowski()
@@ -353,3 +356,70 @@ def test_symbolic_raise_and_lower_match_numeric_at_a_point():
         got = np.array([[sx.eval_expr(x, binding) for x in row] for row in sym.matrix])
         want = move(m4.assemble_pair(E, B, variance, "F"), gn).as_array()
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Fixed settings: c = 1 and fixed steps, no keyword to change them
+# ---------------------------------------------------------------------------
+
+def _removed_keyword_calls():
+    m = metric_from_chart(builtin_chart("cartesian"))
+    pt = np.array([0.1, 0.2, 0.3, 0.4])
+    e = np.array([1.0, 0.0, 0.0])
+
+    def kl(x):
+        return rs.kl_from_rs(rs.to_rs(e, e, e, e))
+
+    def src(x):
+        return 0.0, np.zeros(3)
+
+    spec = np.zeros((3, 2, 2, 2))
+    kv = rs.wavevectors((2, 2, 2), (1.0, 1.0, 1.0))
+    x = sx.Var("x")
+    return {
+        "rs_residual": lambda **kw: rs.rs_residual(kl, src, m, pt, **kw),
+        "isotropic_residual": lambda **kw: rs.isotropic_residual(
+            lambda p: (e, e), src, rs.MediumParams(1.0, 1.0), m, pt, **kw),
+        "maxwell_k_residual": lambda **kw: rs.maxwell_k_residual(
+            spec, spec, spec, spec, spec, spec, spec[0], spec, kv, **kw),
+        "SpectralField": lambda **kw: rs.SpectralField(spec[0], kvecs=kv, **kw),
+        "source_residual_4": lambda **kw: m4.source_residual_4(
+            lambda p: m4.raise4(m4.assemble_G_lower(e, e), GM), lambda p: np.zeros(4),
+            GM, pt, **kw),
+        "spinor_maxwell_residual": lambda **kw: m4.spinor_maxwell_residual(
+            lambda p: m4.phi_from_EB(e, e), lambda p: np.zeros(4), pt, **kw),
+        "EMSpinor": lambda **kw: m4.EMSpinor(np.eye(2), **kw),
+        "check_pair_table": lambda **kw: m4.check_pair_table(GM, seed=2, **kw),
+        "equivalent": lambda **kw: sx.equivalent(x, x, seed=2, **kw),
+        "symbolic_sources": lambda **kw: symbolic_sources(m.chart, **kw),
+        "Sources3": lambda **kw: Sources3(sx.ZERO, symbolic_sources(m.chart).j, **kw),
+    }
+
+
+# a value each removed keyword used to accept
+_REMOVED_DEFAULTS = {"c": 1.0, "h": 1e-4, "tol": 1e-10, "n": 100, "rtol": 1e-10,
+                     "gamma": np.eye(2), "spacing": (1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name, keyword", [
+    ("rs_residual", "c"), ("rs_residual", "h"),
+    ("isotropic_residual", "c"), ("isotropic_residual", "h"),
+    ("maxwell_k_residual", "c"), ("SpectralField", "spacing"),
+    ("source_residual_4", "c"),
+    ("spinor_maxwell_residual", "c"), ("spinor_maxwell_residual", "h"),
+    ("EMSpinor", "gamma"), ("check_pair_table", "tol"),
+    ("equivalent", "n"), ("equivalent", "rtol"),
+    ("symbolic_sources", "c"), ("Sources3", "c"),
+])
+def test_removed_settings_are_refused(name, keyword):
+    call = _removed_keyword_calls()[name]
+    call()  # the call is valid without the keyword
+    with pytest.raises(TypeError, match=keyword):
+        call(**{keyword: _REMOVED_DEFAULTS[keyword]})
+
+
+def test_numeric_records_hold_only_what_their_callers_set():
+    fields = {cls: [f.name for f in dataclasses.fields(cls)]
+              for cls in (Sources3, m4.EMSpinor, rs.SpectralField)}
+    assert fields == {Sources3: ["rho", "j"], m4.EMSpinor: ["phi"],
+                      rs.SpectralField: ["values", "kvecs"]}

@@ -115,6 +115,18 @@ def test_gridspec_validation():
             sv.GridSpec("cartesian", extents, (8, 8, 8))
 
 
+@pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+def test_gridspec_refuses_cell_counts_that_are_not_integers(n):
+    # 4.0 built a spec that init_grid then failed on with numpy's TypeError
+    with pytest.raises(sv.SolverError, match="cell counts must be integers"):
+        sv.GridSpec("cartesian", ((0, 1),) * 3, (n, 4, 4))
+
+
+def test_gridspec_stores_numpy_cell_counts_as_int():
+    spec = sv.GridSpec("cartesian", ((0, 1),) * 3, np.array([4, 5, 6]))
+    assert spec.shape == (4, 5, 6) and all(type(n) is int for n in spec.shape)
+
+
 def test_gridspec_holds_no_medium_constants():
     # the runs are in vacuum with c = 1: a spec has no epsilon, mu or c to set
     names = [f.name for f in dataclasses.fields(sv.GridSpec)]
