@@ -23,7 +23,6 @@ __all__ = [
     "Chart", "MetricData", "Jacobian", "ComponentVector", "ChartError",
     "builtin_chart", "builtin_metric", "BUILTIN_CHARTS", "parse_chart_file",
     "jacobian", "metric_from_chart", "lame_coefficients", "convert_basis",
-    "raise_index", "lower_index",
 ]
 
 
@@ -367,25 +366,3 @@ def convert_basis(v, m, target):
     scale = h if times_h else tuple(sx.pow_(x, -1) for x in h)
     comps = tuple(scale[i] * v.components[i] for i in range(len(v)))
     return ComponentVector(comps, v.variance, target)
-
-
-def _contract(v, g, variance, action, caller):
-    """Holonomic components sum_j g[i][j] v_j of ``v``, which must be
-    holonomic and of the given variance; the result has the other one."""
-    if v.basis != "holonomic":
-        raise ChartError(f"index {action} acts on holonomic components")
-    if v.variance != variance:
-        raise ChartError(f"{caller} expects {variance} components")
-    comps = tuple(sx.add(*(g[i][j] * v.components[j] for j in range(3))) for i in range(3))
-    other = "contravariant" if variance == "covariant" else "covariant"
-    return ComponentVector(comps, other, "holonomic")
-
-
-def raise_index(v, m):
-    """f^i = g^ij f_j (holonomic components)."""
-    return _contract(v, m.g_hi, "covariant", "raising", "raise_index")
-
-
-def lower_index(v, m):
-    """f_i = g_ij f^j (holonomic components)."""
-    return _contract(v, m.g_lo, "contravariant", "lowering", "lower_index")

@@ -219,7 +219,10 @@ def derive(chart, chart_file, form, fmt):
               help="RNG seed (falls back to CURVMAX_SEED).")
 def check(suite, seed):
     """Run a verification suite; exit 1 on any failure."""
-    results = run_suite(suite, seed=seed)
+    try:
+        results = run_suite(suite, seed=seed)
+    except DiffOpsError as exc:  # a missing, unreadable or unparseable golden file
+        raise CliError(str(exc))
     for r in results:
         click.echo(r.line())
     failed = [r for r in results if not r.passed]
@@ -436,6 +439,7 @@ def transform(target, chart, input, out):
             return h
 
     rows = []  # every row is converted before any is written: a bad row leaves no output
+    header_candidate = True  # the first line that is neither blank nor a comment
     # bytes.splitlines breaks at \n, \r\n and \r only, as text mode reads lines
     for lineno, raw in enumerate(input.read().splitlines(), start=1):
         try:
@@ -445,8 +449,10 @@ def transform(target, chart, input, out):
         if not line or line.startswith("#"):
             continue
         cells = [c.strip() for c in line.split(",")]
-        if lineno == 1 and any(_not_number(c) for c in cells):
-            continue  # header row
+        if header_candidate:
+            header_candidate = False
+            if any(_not_number(c) for c in cells):
+                continue  # header row
         vals = _row_floats(cells, ncols, lineno)
         try:
             with np.errstate(over="ignore", invalid="ignore"):

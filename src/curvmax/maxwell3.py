@@ -1,9 +1,9 @@
 """Covariant 3-vector form of Maxwell's equations.
 
-Residual (left minus right) assembly for any chart, golden comparison
-against the stored cylindrical/spherical reference equations, and numeric
-residual evaluation.  CGS Gaussian units; the time derivative enters as
-(1/c) d_t with t an ordinary variable outside the spatial chart.
+Residual (left minus right) assembly for any chart and golden comparison
+against the stored cylindrical/spherical reference equations.  CGS
+Gaussian units; the time derivative enters as (1/c) d_t with t an
+ordinary variable outside the spatial chart.
 
 Sign convention: the Ampere residual uses curl H - (1/c) d_t D - (4pi/c) j
 (the standard form of the coordinate-free system).  The stored reference
@@ -23,12 +23,12 @@ from pathlib import Path
 from . import symexpr as sx
 from .chart import ComponentVector, builtin_metric
 from .diffops import DiffOpsError, curl, div
-from .symexpr import (Expr, FieldAtom, Var, diff, equivalent, eval_expr,
+from .symexpr import (Expr, FieldAtom, SymExprError, Var, diff, equivalent,
                       parse_expr, substitute)
 
 __all__ = [
     "FieldSet3", "Sources3", "MaxwellResiduals3", "assemble_residuals",
-    "symbolic_fields", "symbolic_sources", "eval_residuals",
+    "symbolic_fields", "symbolic_sources",
     "golden_equations", "golden_check", "GoldenReport", "RESIDUAL_NAMES",
 ]
 
@@ -137,11 +137,6 @@ def assemble_residuals(fields, src, m):
     return MaxwellResiduals3(faraday, ampere, gauss_D, gauss_B)
 
 
-def eval_residuals(res, binding):
-    """Numeric residual vector in RESIDUAL_NAMES order."""
-    return [eval_expr(e, binding) for e in res.named().values()]
-
-
 # ---------------------------------------------------------------------------
 # Golden comparison
 # ---------------------------------------------------------------------------
@@ -170,26 +165,25 @@ def _golden_path():
 
 
 def golden_equations(chart_name):
-    """Stored reference residuals, parsed, in a new dict; keys are RESIDUAL_NAMES."""
+    """Stored reference residuals, parsed, in a new dict; keys are RESIDUAL_NAMES.
+    A missing, unreadable or unparseable file is a DiffOpsError naming it."""
     path = _golden_path() / f"golden_{chart_name}.txt"
-    try:
-        text = path.read_text()
-    except (FileNotFoundError, OSError):
-        raise DiffOpsError(f"no golden equations for chart {chart_name!r}") from None
     out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, exprtext = line.partition("=")
-        out[name.strip()] = _parse_golden(exprtext)
+    try:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                name, _, exprtext = line.partition("=")
+                out[name.strip()] = _parse_golden(exprtext, line=lineno, col=len(name) + 2)
+    except (OSError, UnicodeDecodeError, SymExprError) as exc:
+        # an OSError's strerror leaves out the path, which is named once here
+        raise DiffOpsError(f"golden file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     missing = [n for n in RESIDUAL_NAMES if n not in out]
     if missing:
-        raise DiffOpsError(f"golden file for {chart_name!r} missing {missing}")
+        raise DiffOpsError(f"golden file {path} is missing {missing}")
     return out
 
 
-_parse_golden = lru_cache(maxsize=64)(parse_expr)  # by text, so an edit is read afresh
+_parse_golden = lru_cache(maxsize=64)(parse_expr)  # by text and place: an edit is read afresh
 
 
 @lru_cache(maxsize=None)

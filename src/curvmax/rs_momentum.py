@@ -38,10 +38,10 @@ from .symexpr import lambdify
 
 __all__ = [
     "RSError", "RSField", "KLPair", "MediumParams", "SpectralField",
-    "to_rs", "from_rs", "kl_from_rs", "rs_from_kl",
+    "to_rs", "kl_from_rs",
     "rs_residual", "isotropic_residual",
     "fft_forward", "fft_inverse", "wavevectors",
-    "spectral_derivative_check", "maxwell_k_residual", "dump_spectrum",
+    "spectral_derivative_check", "maxwell_k_residual",
 ]
 
 
@@ -95,25 +95,10 @@ def to_rs(E, B, D, H):
                    tuple(complex(d) + 1j * complex(h) for d, h in zip(D, H)))
 
 
-def from_rs(rs):
-    """Unpack an RSField into the (E, B, D, H) triples."""
-    E = tuple(f.real for f in rs.F)
-    B = tuple(f.imag for f in rs.F)
-    D = tuple(g.real for g in rs.G)
-    H = tuple(g.imag for g in rs.G)
-    return E, B, D, H
-
-
 def kl_from_rs(rs):
     return KLPair(tuple((g + f) / 2 for f, g in zip(rs.F, rs.G)),
                   tuple((g.conjugate() - f.conjugate()) / 2
                         for f, g in zip(rs.F, rs.G)))
-
-
-def rs_from_kl(kl):
-    """Invert kl_from_rs: F = K - conj(L), G = K + conj(L)."""
-    return RSField(tuple(k - l.conjugate() for k, l in zip(kl.K, kl.L)),
-                   tuple(k + l.conjugate() for k, l in zip(kl.K, kl.L)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +238,6 @@ def spectral_derivative_check(f_grid, df_grid, spacing, axis):
     return float(np.max(np.abs(dfh.values - 1j * k * fh.values)))
 
 
-def _k_grids(kvecs):
-    return np.meshgrid(*kvecs, indexing="ij")
-
-
 def maxwell_k_residual(Ehat, Hhat, Dhat, Bhat, dtDhat, dtBhat, rhohat, jhat,
                        kvecs, g3=None):
     """Per-mode residuals of the constant-metric momentum-space system, c = 1.
@@ -274,7 +255,7 @@ def maxwell_k_residual(Ehat, Hhat, Dhat, Bhat, dtDhat, dtBhat, rhohat, jhat,
     if det <= 0:
         raise RSError("spatial metric must have positive determinant")
     sg = math.sqrt(det)
-    kk = _k_grids(kvecs)
+    kk = np.meshgrid(*kvecs, indexing="ij")
 
     E_lo = np.einsum("ij,j...->i...", g3, np.asarray(Ehat))
     H_lo = np.einsum("ij,j...->i...", g3, np.asarray(Hhat))
@@ -290,21 +271,3 @@ def maxwell_k_residual(Ehat, Hhat, Dhat, Bhat, dtDhat, dtBhat, rhohat, jhat,
     gauss_B = 1j * sum(kk[i] * np.asarray(Bhat)[i] for i in range(3))
     return {"faraday": faraday, "ampere": ampere,
             "gauss_D": gauss_D, "gauss_B": gauss_B}
-
-
-def dump_spectrum(stream, kvecs, components):
-    """Write spectra as CSV rows (k1, k2, k3, component, re, im).
-
-    ``components`` maps a component name to an N1 x N2 x N3 complex array.
-    """
-    kk = _k_grids(kvecs)
-    stream.write("k1,k2,k3,component,re,im\n")
-    for name, values in components.items():
-        values = np.asarray(values)
-        if values.shape != kk[0].shape:
-            raise RSError(f"component {name!r} has shape {values.shape}; "
-                          f"the wavevectors give {kk[0].shape}")
-        table = np.column_stack([k.ravel() for k in kk]
-                                + [values.real.ravel(), values.imag.ravel()])
-        line = "%.12g,%.12g,%.12g," + str(name).replace("%", "%%") + ",%.12g,%.12g\n"
-        stream.write(line * len(table) % tuple(table.ravel().tolist()))

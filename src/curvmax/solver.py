@@ -274,10 +274,6 @@ def _geometry(spec):
     sqrtg_edge = [sample(m.sqrt_abs_g, _HALF["e"][i]) for i in range(3)]
     sqrtg_face = [sample(m.sqrt_abs_g, _HALF["b"][i]) for i in range(3)]
     sqrtg_node = sample(m.sqrt_abs_g, (False, False, False))
-    for arr in (*g_edge, *g_face, *g_center, *sqrtg_edge, *sqrtg_face, sqrtg_node):
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise SolverError("the metric is not positive and finite on the grid: "
-                              "its extents touch a chart singularity or are too large")
     h = spec.spacing
     speed2 = float(np.max(sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))))
     if not 0.0 < speed2 < math.inf:
@@ -303,7 +299,7 @@ def _geometry(spec):
     coefs = (*geo.h_coef, *geo.d_to_e, *geo.b_to_h, *geo.j_coef, *edge, *flux)
     if not all(np.all((0 < c) & (c < math.inf)) for c in coefs):
         raise SolverError("the grid's closure coefficients are not positive and finite: "
-                          "its extents are too large or too small")
+                          "its extents touch a chart singularity or are too large or too small")
     return geo
 
 

@@ -7,9 +7,8 @@ import pytest
 from curvmax import symexpr as sx
 from curvmax.chart import (Chart, ChartError, ComponentVector, builtin_chart,
                            builtin_metric, convert_basis, jacobian, lame_coefficients,
-                           lower_index, metric_from_chart, parse_chart_file,
-                           raise_index)
-from curvmax.symexpr import FieldAtom, equivalent, parse_expr, simplify
+                           metric_from_chart, parse_chart_file)
+from curvmax.symexpr import equivalent, parse_expr, simplify
 
 
 def _lit(text):
@@ -53,15 +52,6 @@ def test_jacobian_shape_and_cartesian_identity():
     for a in range(3):
         for i in range(3):
             assert j.matrix[a][i] == (sx.ONE if a == i else sx.ZERO)
-
-
-def test_raise_lower_roundtrip():
-    m = metric_from_chart(builtin_chart("spherical"))
-    v = ComponentVector(tuple(FieldAtom(f"v_{i}", m.chart.coords) for i in range(3)),
-                        "covariant", "holonomic")
-    back = lower_index(raise_index(v, m), m)
-    dom = m.domains()
-    assert all(equivalent(a, b, dom, seed=4) for a, b in zip(back, v))
 
 
 def test_basis_conversion_scales_by_lame():

@@ -308,6 +308,42 @@ def test_check_reads_an_edited_golden_file_in_the_same_process(capsys, tmp_path,
         "FAIL golden cylindrical faraday_1"]
 
 
+def _golden_copy(directory, edit_cylindrical):
+    data = ir.files("curvmax").joinpath("data")
+    for name in ("golden_cylindrical.txt", "golden_spherical.txt"):
+        raw = data.joinpath(name).read_bytes()
+        (directory / name).write_bytes(edit_cylindrical(raw) if "cyl" in name else raw)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "No such file or directory"),
+    (lambda raw: raw.replace(raw[raw.index(b"faraday_1 ="):raw.index(b"\nfaraday_2")],
+                             b"faraday_1 = (x +"),
+     "unexpected 'eof' (line 3, column 17)"),
+    (lambda raw: raw.replace(b"faraday_2 = ", b"faraday_2 = \xff"), "can't decode byte 0xff"),
+], ids=["missing", "truncated", "not-utf8"])
+def test_check_golden_file_fault_is_one_error_line(capsys, tmp_path, monkeypatch,
+                                                   edit, message):
+    if edit is not None:
+        _golden_copy(tmp_path, edit)
+    monkeypatch.setenv("CURVMAX_GOLDEN_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "check", "--suite", "paper", "--seed", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "golden_cylindrical.txt") in err and message in err
+
+
+def test_check_error_inside_a_check_is_not_a_usage_error(capsys, monkeypatch):
+    import curvmax.checks
+    from curvmax.symexpr import IllConditionedError
+
+    def ill_conditioned(*args, **kwargs):
+        raise IllConditionedError("no well-conditioned sample")
+    monkeypatch.setattr(curvmax.checks, "golden_check", ill_conditioned)
+    with pytest.raises(IllConditionedError):
+        main(["check", "--suite", "paper", "--seed", "3"])
+
+
 @pytest.mark.parametrize("use_env", [False, True])
 def test_check_negative_seed_is_one_error_line(capsys, monkeypatch, use_env):
     if use_env:
@@ -602,6 +638,24 @@ def test_transform_reads_cr_and_crlf_line_ends(capsys, tmp_path):
     p.write_bytes(b"0,0,0,0,0,0,0,0,0,0,0,0\r" + b"1,0,0,0,0,0,0,0,0,0,0,0\r\n")
     code, out, _ = run_cli(capsys, "transform", "--target", "pairs4", str(p))
     assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_transform_header_may_follow_comment_and_blank_lines(capsys, tmp_path):
+    rows = HEADER + "\n" + "1,0,0,0,1,0,2,0,0,0,2,0\n"
+    plain, led = tmp_path / "plain.csv", tmp_path / "led.csv"
+    plain.write_text(rows)
+    led.write_text("# fields\n\n" + rows)
+    want = run_cli(capsys, "transform", "--target", "spinor", str(plain))
+    assert want[0] == 0
+    assert run_cli(capsys, "transform", "--target", "spinor", str(led)) == want
+
+
+def test_transform_header_after_a_data_row_is_an_error(capsys, tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text("# fields\n" + ",".join(["0"] * 12) + "\n" + HEADER + "\n")
+    code, out, err = run_cli(capsys, "transform", "--target", "complex", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
 
 
 def test_transform_empty_input_rejected(capsys, tmp_path):

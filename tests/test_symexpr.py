@@ -723,6 +723,18 @@ def _nodes(e):
         yield from _nodes(e.base if isinstance(e, Pow) else e.arg)
 
 
+def _or_hand_built(builder, node):
+    """``builder`` over the children, or the hand-built ``node`` when the
+    builder refuses them (a hand-built Pow(0, -1) child, say), so that the
+    property compares simplify's and _rebuild's errors on that tree."""
+    def build(children):
+        try:
+            return builder(*children)
+        except sx.SymExprError:
+            return node(*children)
+    return build
+
+
 def mixed_exprs(depth=3):
     """Builder calls and node constructors mixed, so that builder output can
     hold hand-built children and the reverse."""
@@ -733,12 +745,12 @@ def mixed_exprs(depth=3):
     sub = mixed_exprs(depth - 1)
     return st.one_of(
         builder_exprs(1),
-        st.lists(sub, min_size=1, max_size=3).map(lambda ts: sx.add(*ts)),
-        st.lists(sub, min_size=1, max_size=3).map(lambda fs: sx.mul(*fs)),
+        st.lists(sub, min_size=1, max_size=3).map(_or_hand_built(sx.add, Add)),
+        st.lists(sub, min_size=1, max_size=3).map(_or_hand_built(sx.mul, Mul)),
         st.lists(sub, min_size=1, max_size=3).map(lambda ts: Add(*ts)),
         st.lists(sub, min_size=1, max_size=3).map(lambda fs: Mul(*fs)),
         st.tuples(sub, st.sampled_from([-1, 1, 2, 3])).map(lambda an: Pow(*an)),
-        st.tuples(sub, st.sampled_from([-1, 2, 3])).map(lambda an: _power(*an)),
+        st.tuples(sub, st.sampled_from([-1, 2, 3])).map(_or_hand_built(_power, Pow)),
         sub.map(lambda a: Func("sin", a)), sub.map(sx.cos), sub.map(lambda a: Func("sqrt", a)),
     )
 
