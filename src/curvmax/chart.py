@@ -301,13 +301,19 @@ def _mat_inverse(m, det):
 
 def metric_from_chart(chart):
     """MetricData with g_lo = J^T J, exact inverse, sqrt|g| and Lame
-    coefficients when the metric is diagonal.
+    coefficients when the metric is diagonal.  An off-diagonal entry that
+    ``sx.is_zero`` proves zero is stored as ZERO, so a chart is orthogonal
+    when each of them is proven zero.
 
     Raises ChartError when the metric is singular, or when sqrt|g| or a
     Lame coefficient is not positive and finite on the chart's domain."""
     jac = jacobian(chart).matrix
-    g_lo = tuple(tuple(sx.add(*(jac[a][i] * jac[a][j] for a in range(3))) for j in range(3))
-                 for i in range(3))
+    g_lo = [[sx.add(*(jac[a][i] * jac[a][j] for a in range(3))) for j in range(3)]
+            for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if sx.is_zero(g_lo[i][j]):  # g_ij cancels only after expansion
+            g_lo[i][j] = g_lo[j][i] = sx.ZERO
+    g_lo = tuple(map(tuple, g_lo))
     det = _mat_det(g_lo)
     if det == sx.ZERO:
         raise ChartError(f"chart {chart.name!r} has a singular metric")

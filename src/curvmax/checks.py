@@ -11,7 +11,9 @@ because the backward curl is the transpose of the forward one, a correct
 solver keeps Q to rounding on any orthogonal grid, and a solver whose
 curls do not pair (a lost periodic wrap, a wrong sign) does not.
 Seed-free symbolic inputs (metrics, golden parses, residuals, derived trees)
-are built once per process with their tapes; sampling and verdicts are not.
+are built once per process with their tapes, and so is the exact proof of
+each golden equation (see ``maxwell3.golden_check``); sampling, and the
+verdicts that rest on it, are redone on every run.
 """
 
 from __future__ import annotations

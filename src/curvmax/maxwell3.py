@@ -143,9 +143,13 @@ def assemble_residuals(fields, src, m):
 
 @dataclass(frozen=True)
 class GoldenReport:
+    """Verdict and applied sign flip per equation; ``exact`` tells which
+    passed by an exact proof rather than by sampling (not printed)."""
+
     chart: str
     results: dict[str, bool]
     sign_flag: dict[str, bool]
+    exact: dict[str, bool]
 
     @property
     def passed(self):
@@ -192,27 +196,64 @@ def _builtin_residuals(chart_name):
     return assemble_residuals(symbolic_fields(m.chart), symbolic_sources(m.chart), m)
 
 
-@lru_cache(maxsize=64)
-def _flip_ampere(target, chart_name, i):
+@lru_cache(maxsize=None)
+def _field_atoms(chart_name):
+    """Name -> atom of every field and source atom the residuals can hold
+    (each component, undifferentiated or once by t or a coordinate), for
+    reading a golden file's ``d_t_B_1``-style variables as those atoms."""
     args = ("t",) + builtin_metric(chart_name).chart.coords
-    return substitute(target, {f"d_t_D_{i}": -FieldAtom(f"D_{i}", args, ("t",))})
+    bases = [f"{f}_{i}" for f in "EHDBj" for i in (1, 2, 3)] + ["rho"]
+    return {a.name: a for b in bases
+            for a in (FieldAtom(b, args), *(FieldAtom(b, args, (v,)) for v in args))}
+
+
+@lru_cache(maxsize=64)
+def _orientations(chart_name, name, target):
+    """(targets, proven): ``target`` with its field names read as the
+    residual's atoms, and for an Ampere equation also under the
+    time-derivative sign flip; ``proven`` is the index of the first target
+    that expansion proves equal to the assembled residual, or None (not
+    proven).  Kept per process by chart, name and parsed target."""
+    atoms = _field_atoms(chart_name)
+    targets = [substitute(target, atoms)]
+    if name.startswith("ampere"):
+        d_t_D = f"d_t_D_{name[-1]}"
+        targets.append(substitute(target, {**atoms, d_t_D: -atoms[d_t_D]}))
+    assembled = sx.expand(_builtin_residuals(chart_name).named()[name])
+    # an expansion equal to the residual's is the cheap proof; their
+    # difference may still expand to zero (sin^2 + cos^2 across the sides)
+    proven = next((k for k, x in enumerate(targets) if sx.expand(x) == assembled), None)
+    if proven is None:
+        proven = next((k for k, x in enumerate(targets) if sx.is_zero(assembled - x)), None)
+    return tuple(targets), proven
 
 
 def golden_check(chart_name, seed=None):
     """Compare assembled residuals with the stored reference equations.
 
     The stored Ampere equations carry the opposite time-derivative sign;
-    both orientations are tried and the applied flip is reported.  Only
-    the sampling is redone per call; its symbolic inputs are kept.
+    both orientations are tried and the applied flip is reported.  Each
+    equation is first tried exactly (``_orientations``): its field names
+    are read as the residual's atoms, and it is proven when its expansion
+    equals the residual's or their difference expands to zero
+    (``sx.is_zero``).  That is done once per process for each chart, name
+    and parsed target, so an edited golden file is tried afresh.  A proof
+    holds at every point, so a proven equation is not sampled; only one
+    that neither orientation proves is compared by ``equivalent`` at
+    seeded points, on every call.
     """
     res = _builtin_residuals(chart_name)
     golden = golden_equations(chart_name)
     domains = builtin_metric(chart_name).domains()
     domains["c"] = (0.5, 2.0)
-    results, flags = {}, {}
+    results, flags, exact = {}, {}, {}
     for name, assembled in res.named().items():
-        ok = equivalent(assembled, golden[name], domains, seed=seed)
-        flags[name] = not ok and name.startswith("ampere") and equivalent(
-            assembled, _flip_ampere(golden[name], chart_name, name[-1]), domains, seed=seed)
-        results[name] = ok or flags[name]
-    return GoldenReport(chart_name, results, flags)
+        targets, proven = _orientations(chart_name, name, golden[name])
+        if proven is None:
+            ok = equivalent(assembled, targets[0], domains, seed=seed)
+            flip = not ok and len(targets) > 1 and equivalent(
+                assembled, targets[1], domains, seed=seed)
+        else:
+            ok, flip = proven == 0, proven == 1
+        results[name], flags[name], exact[name] = ok or flip, flip, proven is not None
+    return GoldenReport(chart_name, results, flags, exact)

@@ -172,7 +172,7 @@ class FieldTensor4:
         for a in range(4):
             for b in range(a, 4):
                 s = m[a][b] + m[b][a]
-                bad = _nonzero(s) if sym else abs(s) > tol
+                bad = not sx.is_zero(s) if sym else abs(s) > tol
                 if bad:
                     raise Maxwell4Error(
                         f"field tensor must be antisymmetric (entries {a},{b})")

@@ -431,11 +431,14 @@ def _integral_arrays(state, spec, geo):
                  for x, s in zip((state.e, state.d, state.b), geo.scale))
 
 
+# the two components tangential to a wall normal to each axis, as one slice
+_TANGENTIAL = (slice(1, 3), slice(0, 3, 2), slice(0, 2))
+
+
 @lru_cache(maxsize=8)
 def _wall_sites(spec):
-    """Index tuples of the tangential components on each PEC wall plane."""
-    return tuple((i, *_plane(a, 0)) for a in range(3) if spec.bc[a] == "pec"
-                 for i in range(3) if i != a)
+    """One index per PEC wall plane: its tangential components, as a view."""
+    return tuple((_TANGENTIAL[a], *_plane(a, 0)) for a in range(3) if spec.bc[a] == "pec")
 
 
 def _apply_pec(e, spec):

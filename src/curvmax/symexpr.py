@@ -2,7 +2,8 @@
 
 Immutable expression trees over named real variables with exact rational
 constants.  Supports parsing, differentiation, scalar and vectorized
-numeric evaluation, and seeded random equivalence testing.
+numeric evaluation, a one-sided exact zero test by expansion (``is_zero``:
+"zero" or "not proven") and seeded random equivalence testing.
 
 Trees are canonical when built: the builders (add, mul, pow_, func, ...)
 fold rationals, collect like terms and factors, order children
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -82,6 +84,7 @@ __all__ = [
     "const", "var", "add", "mul", "neg", "sub", "div", "pow_", "func",
     "sin", "cos", "tan", "sqrt", "exp", "log", "arctan", "arccos",
     "parse_expr", "print_expr", "to_latex", "diff", "partials", "simplify",
+    "expand", "is_zero",
     "eval_expr", "lambdify", "free_vars", "equivalent", "substitute",
     "SymExprError", "ParseError", "UnknownFunctionError", "EvalError",
     "UnboundVariableError", "EvalDomainError", "IllConditionedError",
@@ -886,6 +889,106 @@ def simplify(e):
     """Canonical form of a tree built by hand with the node constructors:
     the same tree the builders give.  Returns a builder-made tree itself."""
     return substitute(e, {})
+
+
+def expand(e):
+    """``e`` with each product and each positive integer power of a sum
+    distributed, built through the builders, so like terms collect and
+    sin^2 + cos^2 -> 1 can fire across what were separate factors.  A sum
+    to a negative power stays a power (no common denominator is formed);
+    its base, and each function's argument, is expanded.  A memo from each
+    composite node, by identity, to its result lasts one call.  Raises
+    SymExprError rather than multiply out more than ``_EXPAND_PAIRS``
+    pairs of terms for one product or power, and as the builders do when a
+    sum cancels to a constant that a function or negative power cannot
+    take (``(x - x*(1 + y) + x*y)^-1`` expands to 1/0)."""
+    memo = {}
+
+    def visit(x):
+        t = type(x)
+        if t is Const or t is Var or t is FieldAtom:
+            return x
+        out = memo.get(id(x))
+        if out is not None:
+            return out
+        # a canonical node whose children come back unchanged, and that is
+        # no product or power to distribute, is its own expansion
+        if t is Add:
+            kids = [visit(u) for u in x.terms]
+            same = all(map(operator.is_, kids, x.terms))
+            out = x if same and x._canon else add(*kids)
+        elif t is Mul:
+            kids = [visit(f) for f in x.factors]
+            same = all(map(operator.is_, kids, x.factors))
+            out = (x if same and x._canon and not any(type(f) is Add for f in kids)
+                   else _expand_product(kids))
+        elif t is Pow:
+            base = visit(x.base)
+            out = (x if base is x.base and x._canon and not (type(base) is Add and x.exponent > 0)
+                   else _expand_power(base, x.exponent))
+        elif t is Func:
+            arg = visit(x.arg)
+            out = x if arg is x.arg and x._canon else func(x.fname, arg)
+        else:
+            raise TypeError(f"unknown node {t!r}")
+        memo[id(x)] = out
+        return out
+
+    try:
+        return visit(_wrap(e))
+    finally:
+        del visit  # it refers to itself: leave no cycle behind
+
+
+# expansion refuses to multiply out more pairs of terms than this for one
+# product or power
+_EXPAND_PAIRS = 2_000
+
+
+def _expand_product(factors):
+    """The distributed product of expanded factors: the product of those
+    that are not sums, times each sum in turn, like terms collected after
+    each."""
+    out = mul(*(f for f in factors if type(f) is not Add))
+    pairs = 0
+    for f in factors:
+        if type(f) is Add:
+            terms = out.terms if type(out) is Add else (out,)
+            pairs += len(terms) * len(f.terms)
+            if pairs > _EXPAND_PAIRS:
+                raise SymExprError(f"expansion of more than {_EXPAND_PAIRS} term products")
+            out = add(*(mul(a, b) for a in terms for b in f.terms))
+    return out
+
+
+def _expand_power(base, n):
+    """``base^n`` distributed, for an expanded ``base``: a power of a
+    product is the product of its factors' powers, and one of those may be
+    a sum to a positive power again."""
+    t = type(base)
+    if t is Add and n > 0:
+        return _expand_product([base] * n)
+    if t is Mul:
+        return _expand_product([_expand_power(f, n) for f in base.factors])
+    if t is Pow:
+        return _expand_power(base.base, base.exponent * n)
+    return pow_(base, n)
+
+
+def is_zero(e):
+    """True when ``expand(e)`` builds to zero: a proof that ``e`` is
+    identically zero wherever it is defined (under the builders' domain
+    assumptions).  False means "not proven", never "nonzero": expansion
+    forms no common denominators, an expansion that raises (see
+    ``expand``) proves nothing, and zero-equivalence is undecidable in
+    general."""
+    e = _wrap(e)
+    if type(e) is Const:
+        return e.value == 0
+    try:
+        return expand(e) == ZERO
+    except SymExprError:  # a builder refused a node of the expansion
+        return False
 
 
 def eval_expr(e, binding):

@@ -219,3 +219,20 @@ def test_chart_file_names_like_the_parser_reads_them():
     (ch,) = parse_chart_file(text)
     assert ch.coords == ("_a", "b2", "zeta_1")
     assert [sx.print_expr(e) for e in ch.embedding] == list(ch.coords)
+
+
+def test_an_off_diagonal_entry_that_cancels_after_expansion_is_zero():
+    # polar coordinates with r + 1 for r: g_rp = cos(p)*(-sin(p) - r*sin(p))
+    # + sin(p)*(cos(p) + r*cos(p)) cancels only once its products distribute
+    chart = Chart("shifted_polar", ("r", "p", "z"),
+                  (parse_expr("r*cos(p) + cos(p)"), parse_expr("r*sin(p) + sin(p)"),
+                   parse_expr("z")), {"r": (0.5, 2.0), "p": (0.1, 3.0), "z": (-1.0, 1.0)})
+    m = metric_from_chart(chart)
+    assert all(m.g_lo[i][j] is sx.ZERO for i in range(3) for j in range(3) if i != j)
+    cylindrical = builtin_metric("cylindrical")
+    shifted = {"r": parse_expr("r + 1"), "phi": sx.Var("p")}
+    assert m.lame is not None
+    for h, ref in zip(lame_coefficients(m), cylindrical.lame):
+        assert equivalent(h, sx.substitute(ref, shifted), chart.domains(), seed=5)
+    assert equivalent(m.sqrt_abs_g, sx.substitute(cylindrical.sqrt_abs_g, shifted),
+                      chart.domains(), seed=5)

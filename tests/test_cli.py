@@ -278,7 +278,8 @@ def _clear_check_caches():
     import curvmax.checks
     import curvmax.maxwell3
     for cached in (curvmax.chart.builtin_metric, curvmax.maxwell3._parse_golden,
-                   curvmax.maxwell3._builtin_residuals, curvmax.maxwell3._flip_ampere,
+                   curvmax.maxwell3._builtin_residuals, curvmax.maxwell3._field_atoms,
+                   curvmax.maxwell3._orientations,
                    curvmax.checks._identity_trees, curvmax.checks._gradients):
         cached.cache_clear()
 

@@ -186,3 +186,61 @@ def test_names_near_the_reserved_ones_are_coordinates(name):
     res = assemble_residuals(symbolic_fields(chart), symbolic_sources(chart),
                              metric_from_chart(chart))
     assert len(res.named()) == 8
+
+
+@pytest.mark.parametrize("chart_name", ("cylindrical", "spherical"))
+def test_stock_golden_equations_are_proven_exactly(chart_name):
+    import curvmax.maxwell3 as m3
+    golden = golden_equations(chart_name)
+    report = golden_check(chart_name, seed=3)
+    assert report.exact == dict.fromkeys(RESIDUAL_NAMES, True)
+    for name in RESIDUAL_NAMES:
+        targets, proven = m3._orientations(chart_name, name, golden[name])
+        # the Ampere forms hold only under the time-derivative sign flip
+        assert proven == (1 if name.startswith("ampere") else 0)
+        assert len(targets) == (2 if name.startswith("ampere") else 1)
+
+
+def test_a_warm_golden_check_samples_nothing(monkeypatch):
+    import curvmax.maxwell3 as m3
+    for chart_name in ("cylindrical", "spherical"):
+        golden_check(chart_name, seed=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return equivalent(*args, **kwargs)
+
+    monkeypatch.setattr(m3, "equivalent", counted)
+    for chart_name in ("cylindrical", "spherical"):
+        assert golden_check(chart_name, seed=2).passed
+    assert calls == []
+
+
+def _edited_golden(tmp_path, monkeypatch, old, new):
+    import importlib.resources as ir
+    data = ir.files("curvmax").joinpath("data")
+    for name in ("golden_cylindrical.txt", "golden_spherical.txt"):
+        text = data.joinpath(name).read_text()
+        if "cylindrical" in name:
+            assert old in text
+            text = text.replace(old, new, 1)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setenv("CURVMAX_GOLDEN_DIR", str(tmp_path))
+
+
+def test_an_equation_expansion_cannot_prove_is_sampled(tmp_path, monkeypatch):
+    # true, but only over the common denominator r + 1, which expansion
+    # never forms: sampling passes it
+    _edited_golden(tmp_path, monkeypatch, "faraday_1 = ",
+                   "faraday_1 = (r^2 - 1)/(r + 1) - r + 1 + ")
+    report = golden_check("cylindrical", seed=4)
+    assert report.passed and not report.sign_flag["faraday_1"]
+    assert {n for n, ok in report.exact.items() if not ok} == {"faraday_1"}
+
+
+def test_a_sign_error_is_neither_proven_nor_sampled_true(tmp_path, monkeypatch):
+    _edited_golden(tmp_path, monkeypatch, "+ 1/c*d_t_B_1", "- 1/c*d_t_B_1")
+    report = golden_check("cylindrical", seed=4)
+    assert [n for n, ok in report.results.items() if not ok] == ["faraday_1"]
+    assert not report.exact["faraday_1"] and not report.sign_flag["faraday_1"]

@@ -187,6 +187,15 @@ def test_antisymmetry_validation():
         m4.FieldTensor4(tuple(map(tuple, np.eye(4))), "lower", "F")
 
 
+def test_symbolic_antisymmetry_is_decided_by_expansion():
+    # -(x + y) is a product that only expansion cancels against x + y
+    x, y = sx.Var("x"), sx.Var("y")
+    F = m4.assemble_F_lower((x + y, 0, 0), (0, 0, 0))
+    assert F.matrix[0][1] == x + y and F.matrix[1][0] == -(x + y)
+    with pytest.raises(m4.Maxwell4Error, match="antisymmetric"):
+        m4.FieldTensor4(((0, x, 0, 0), (-y, 0, 0, 0), (0,) * 4, (0,) * 4), "lower", "F")
+
+
 def test_antisymmetry_tolerance_scales_with_the_entries():
     # Raising a large tensor on a dense metric leaves rounding noise far
     # above 1e-12 in F^{ab} + F^{ba}; a real asymmetry is still rejected.

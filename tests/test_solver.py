@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import struct
 
@@ -235,6 +236,23 @@ def test_instability_from_nan_in_b_reports_step_index():
     with pytest.raises(sv.InstabilityError) as exc:
         sv.step(dataclasses.replace(state, b=bad), spec)
     assert exc.value.step_index == 6
+
+
+@pytest.mark.parametrize("bc", list(itertools.product(("pec", "periodic"), repeat=3)))
+def test_each_pec_wall_is_one_index_of_its_tangential_components(bc):
+    spec = sv.GridSpec("cartesian", ((0, 1),) * 3, (3, 4, 5), bc=bc)
+    sites = sv._wall_sites(spec)
+    assert len(sites) == bc.count("pec")
+    want = np.ones((3, 3, 4, 5), dtype=bool)
+    for a in range(3):
+        if bc[a] == "pec":
+            for i in set(range(3)) - {a}:
+                want[(i, *sv._plane(a, 0))] = False
+    got = np.ones((3, 3, 4, 5), dtype=bool)
+    for site in sites:
+        assert np.shares_memory(got[site], got)  # a view: one call each
+        got[site] = False
+    assert (got == want).all()
 
 
 _WALL_SITES = [(1, 0, 2, 3), (0, 2, 3, 0), (2, 4, 0, 1)]  # tangential, on x1, x3, x2 = 0

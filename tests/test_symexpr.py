@@ -816,3 +816,83 @@ def test_substitute_memo_does_not_leak_between_calls():
     assert print_expr(substitute(e, {"x": 1})) == "sin(y) + sqrt(y) + y^2"
     assert print_expr(substitute(e, {"x": 4})) == "sin(4*y) + 2*sqrt(y) + 16*y^2"
     assert simplify(e) is e
+
+
+# ---------------------------------------------------------------------------
+# Exact zero test: expand and is_zero
+# ---------------------------------------------------------------------------
+
+# inside the domain the sqrt builder assumes (positive coordinates)
+POSITIVE_POINTS = [{"x": 0.37, "y": 1.21, "f": 0.7}, {"x": 1.9, "y": 0.44, "f": -1.3}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_exprs())
+def test_a_builder_tree_less_itself_is_proven_zero(a):
+    assert sx.is_zero(sx.sub(a, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(builder_exprs(2), builder_exprs(2), builder_exprs(2))
+def test_distributed_products_are_proven_equal(a, b, c):
+    assert sx.is_zero(sx.sub(sx.mul(a, sx.add(b, c)), sx.add(sx.mul(a, b), sx.mul(a, c))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_exprs())
+def test_expand_evaluates_like_its_input(a):
+    values = []
+    for p in POSITIVE_POINTS:
+        try:
+            values.append((p, eval_expr(a, p)))
+        except sx.EvalError:  # out of the domain, or two atoms named f
+            pass
+    if not values:
+        return
+    e = sx.expand(a)
+    for p, want in values:
+        # rounding grows with the terms the expansion adds up
+        size = sum(abs(eval_expr(t, p)) for t in (e.terms if isinstance(e, Add) else (e,)))
+        assert eval_expr(e, p) == pytest.approx(want, rel=1e-9, abs=1e-12 * max(1.0, size))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(x + y)^2", "2*x*y + x^2 + y^2"),
+    ("x*(y + 1) - x*y", "x"),
+    ("(x + y)^3 - x*(x + y)^2", "y^3 + y*x^2 + 2*x*y^2"),
+    ("(sin(x) + cos(x))^2", "1 + 2*sin(x)*cos(x)"),
+    ("sin(x*(y + 1))", "sin(x + x*y)"),
+    ("(x*(y + 1))^-1", "x^-1*(1 + y)^-1"),
+    ("((x + y)^-1)^-2", "2*x*y + x^2 + y^2"),
+    ("(1 + x)^-1*(y + x*y)", "y*(1 + x)^-1 + x*y*(1 + x)^-1"),
+])
+def test_expand_fixed_results(text, want):
+    # a sum to a negative power stays a power: no common denominator forms
+    assert sx.expand(parse_expr(text)) == parse_expr(want)
+
+
+@pytest.mark.parametrize("text, proven", [
+    ("(x + y)^2 - x^2 - 2*x*y - y^2", True),
+    ("cos(x)*(-sin(x) - y*sin(x)) + sin(x)*(cos(x) + y*cos(x))", True),
+    ("(sin(x) + cos(x))^2 - 2*sin(x)*cos(x) - 1", True),
+    ("sin(x*(y + 1)) - sin(x*y + x)", True),
+    ("(x + y)^2 - x^2 - y^2", False),
+    # zero, but only over a common denominator: not proven, never "nonzero"
+    ("1/(1 + x) + x/(1 + x) - 1", False),
+    # the base cancels to 0, and 0^-1 is refused: not proven
+    ("(x - x*(1 + y) + x*y)^-1", False),
+])
+def test_is_zero_fixed_results(text, proven):
+    assert sx.is_zero(parse_expr(text)) is proven
+
+
+def test_is_zero_takes_numbers_and_answers_zero_at_once(monkeypatch):
+    monkeypatch.setattr(sx, "expand", None)  # not reached
+    assert sx.is_zero(0) and sx.is_zero(sx.ZERO) and not sx.is_zero(sx.ONE)
+
+
+def test_an_expansion_too_large_to_form_is_refused_and_not_proven():
+    e = parse_expr("(x + y + 1)^60 - 1")
+    with pytest.raises(sx.SymExprError, match="term products"):
+        sx.expand(e)
+    assert sx.is_zero(e) is False

@@ -140,3 +140,33 @@ def test_substitute_matches_sympy_subs():
         ours = _values_ours(sx.substitute(e, ours_map))
         theirs = _values_theirs(_theirs(e).subs(theirs_map, simultaneous=True))
         assert _agree(ours, theirs), sx.print_expr(e)
+
+
+def _zero_for_sympy(e):
+    # not through _theirs, whose memo is only for the module's own trees
+    d = sympy.expand(sympy.sympify(sx.print_expr(e), locals=LOCALS))
+    return d == 0 or sympy.simplify(d) == 0
+
+
+def test_expand_matches_sympy_expand():
+    for e in TREES:
+        assert _zero_for_sympy(sx.Add(sx.expand(e), sx.neg(e))), sx.print_expr(e)
+
+
+def test_is_zero_is_sound():
+    """Differences of tree pairs, half of them zero by distribution: each
+    that ``is_zero`` proves is zero for sympy and at every sample point,
+    and every one zero by construction is proven."""
+    rng = random.Random(7)
+    proven = 0
+    for _ in range(40):
+        a, b, c = rng.sample(TREES, 3)
+        zero = sx.sub(sx.mul(a, sx.add(b, c)), sx.add(sx.mul(a, b), sx.mul(c, a)))
+        other = sx.sub(sx.mul(a, sx.add(b, c)), sx.add(sx.mul(a, b), sx.mul(c, b)))
+        assert sx.is_zero(zero), sx.print_expr(zero)
+        for d in (zero, other):
+            if sx.is_zero(d):
+                proven += 1
+                assert _zero_for_sympy(d), sx.print_expr(d)
+                assert _agree(_values_ours(d), [0.0] * len(POINTS))
+    assert proven >= 40
