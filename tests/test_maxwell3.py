@@ -199,6 +199,8 @@ def test_stock_golden_equations_are_proven_exactly(chart_name):
         # the Ampere forms hold only under the time-derivative sign flip
         assert proven == (1 if name.startswith("ampere") else 0)
         assert len(targets) == (2 if name.startswith("ampere") else 1)
+        residual = m3._builtin_residuals(chart_name).named()[name]
+        assert sx.is_zero(residual - targets[0]) is not name.startswith("ampere")
 
 
 def test_a_warm_golden_check_samples_nothing(monkeypatch):
