@@ -315,7 +315,7 @@ def metric_from_chart(chart):
             g_lo[i][j] = g_lo[j][i] = sx.ZERO
     g_lo = tuple(map(tuple, g_lo))
     det = _mat_det(g_lo)
-    if det == sx.ZERO:
+    if sx.is_zero(det):
         raise ChartError(f"chart {chart.name!r} has a singular metric")
     g_hi = _mat_inverse(g_lo, det)
     sqrt_abs_g = sx.sqrt(det)

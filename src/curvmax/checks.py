@@ -110,7 +110,7 @@ def _vector_calculus_identities(seed):
     out = []
     for chart_name in ("cartesian", "cylindrical", "spherical"):
         curl_grad, div_curl = _identity_trees(chart_name)
-        ok_cg = all(c == sx.ZERO for c in curl_grad)
+        ok_cg = all(map(sx.is_zero, curl_grad))
         ok_dc = equivalent(div_curl, sx.ZERO, builtin_metric(chart_name).domains(),
                            seed=seed)
         out.append(CheckResult(f"curl(grad)=0 and div(curl)=0 on {chart_name}",

@@ -97,7 +97,7 @@ class Metric4:
         entries = tuple(simplify(e) if isinstance(e, Expr) else sx.Const(e)
                         for e in entries)
         det = entries[0] * entries[1] * entries[2] * entries[3]
-        if det == sx.ZERO:
+        if sx.is_zero(det):
             raise Maxwell4Error(_DET_SIGN)
         try:
             # variables are positive on their domains, so sqrt refuses -det

@@ -12,8 +12,9 @@ substitute build only through them.  ``simplify`` (``substitute`` with no
 bindings) is needed only for trees assembled by hand with the node
 constructors.  A canonical term times a constant needs no re-merge: ``mul``
 scales the term's leading coefficient (``_scale``), and the general merge,
-which every other product takes, is the reference it must agree with.  All coordinate variables are assumed to range over the open
-domains declared by their charts; the sqrt builder uses positivity of its
+which every other product takes, is the reference it must agree with.
+All coordinate variables are assumed to range over the open domains
+declared by their charts; the sqrt builder uses positivity of its
 argument there (sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)), and
 ``chart.metric_from_chart`` checks that assumption on each chart's domain.
 A nested root such as sqrt(sqrt(x)) is kept as it is.
@@ -25,13 +26,15 @@ puts the row in each function instruction, where ``eval_expr`` reads the
 ``math`` function and domain check and ``lambdify`` the ufunc.
 ``FUNCTIONS`` lists its keys.
 
-Each node computes its hash, its sort key and, once it is a term of a
-sum, its term split (coefficient, monomial and like-term key, which ``add``
-reads) once, on first use, and keeps them.  Builders may return an input
-node unchanged (``add`` keeps every term that no other term merged with,
-and a sum of one canonical term is that term), so trees share subtrees.
-That sharing, and the cached hash, key and split, are why nodes must stay
-immutable.
+Nodes are interned (hash-consed): every constructor, and so every builder
+and the parser, returns the one live node of the structure it is given,
+so one structure is one object, trees share every repeated subtree,
+equality is identity and hashing is by identity (see ``Expr``).  Each node
+computes its sort key and, once it is a term of a sum, its term split
+(coefficient, monomial and like-term key, which ``add`` reads) once, on
+first use, and keeps them.  That sharing, and the cached key and split,
+are why nodes must stay immutable.  Everything below that is keyed by
+identity is therefore keyed by structure.
 ``substitute`` (so ``simplify``) keeps a memo from each composite node of
 its input, by identity, to its result, for the length of one call: a
 subtree shared n times is worked on once.  Derivatives keep theirs longer:
@@ -55,10 +58,12 @@ it holds no more arrays than a recursive walk would.
 Canonical mark: a builder marks the node it makes as canonical when every
 input it was given is canonical (constants, variables and field atoms
 always are), and ``simplify`` returns a marked subtree as it is instead of
-rebuilding it.  A node made with a constructor (``Add(x, x)``) is unmarked,
-and so is any builder output that holds one: the builders assume canonical
-inputs and may keep an input as it is, so ``mul(2, Add(x, x))`` is
-``Mul(2, Add(x, x))``, and only ``simplify`` turns it into ``4*x``.
+rebuilding it.  A new node made with a constructor (``Add(x, x)``) is
+unmarked, and so is any builder output that holds one: the builders assume
+canonical inputs and may keep an input as it is, so ``mul(2, Add(x, x))``
+is ``Mul(2, Add(x, x))``, and only ``simplify`` turns it into ``4*x``.  A
+builder may raise a node's mark but never lowers it, so a constructor
+given a structure that a builder has marked returns that marked node.
 
 A builder given a constant outside a function's domain (``log(0)``,
 ``sqrt(-4)``, ``arccos(2)``) raises ConstantDomainError, and zero to a
@@ -68,11 +73,13 @@ later fold (``0*log(0) -> 0``) would hide.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
 import os
 import sys
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -152,32 +159,30 @@ class ZeroPowerError(ConstantDomainError, ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class; all nodes are immutable and hashable.  ``_hash``,
-    ``_skey`` (the sort key), ``_split`` (see ``_term_split``) and
-    ``_tape`` (see ``eval_expr``) are computed on first use and kept.
-    ``_canon`` is the canonical mark: True only on a node that ``simplify``
-    gives back unchanged (always on constants, variables and field
-    atoms)."""
+    """Base class of the nodes.  Nodes are interned: a constructor (and so
+    every builder) returns the live node of the structure it is given when
+    there is one (see ``_intern``), so one structure is one object,
+    equality is identity and hashing is by identity.  A node is shared by
+    every tree that holds its structure, so it must never change:
+    ``__setattr__`` refuses, and ``_skey`` (the sort key), ``_split`` (see
+    ``_term_split``) and ``_tape`` (see ``eval_expr``), which depend on the
+    structure alone, are computed on first use and kept.  ``copy``,
+    ``deepcopy`` and ``pickle`` give back the interned node
+    (``__reduce__``).
 
-    __slots__ = ("_hash", "_skey", "_split", "_canon", "_tape")
+    ``_canon`` is the canonical mark: True only on a node that
+    ``simplify`` gives back unchanged, and always on constants, variables
+    and field atoms.  A new composite node starts unmarked, and a builder
+    may raise a node's mark but never lower it, so a hand-built node of a
+    structure a builder has marked carries that mark."""
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._parts() == other._parts()
+    __slots__ = ("_skey", "_split", "_tape", "__weakref__")
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__, self._parts()))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __reduce__(self):
+        return type(self), self._parts()
 
     def _parts(self):
         raise NotImplementedError
@@ -217,6 +222,41 @@ class Expr:
         return mul(Const(-1), self)
 
 
+# structure key -> weak reference to the live node of that structure
+_NODES = {}
+_DEAD = weakref.ref(set())  # a reference whose referent is gone
+# dead entries are swept once enough nodes have been made since the last
+# sweep to double the table it left, or to fill it to _SWEEP_MIN entries
+# if that is more (a new node that takes a dead entry's key adds none)
+_SWEEP_MIN = 1 << 12
+_new_before_sweep = _SWEEP_MIN
+
+
+def _intern(cls, key, *parts):
+    """The live node whose structure is ``key``, else a new ``cls`` node
+    whose slots take ``parts`` in order.  ``key`` is the class and its
+    parts, each child by its id: a live node holds its children, so no
+    live entry's key names an id that another object has taken.  Whether
+    a new node takes a dead entry's key depends on where objects are
+    allocated, so nothing but the table's size depends on it: a lookup
+    runs the same bytecode for a dead entry as for none, and the sweep
+    runs in C, so ``tools/bench.py counts`` gives the same count each run."""
+    global _NODES, _new_before_sweep
+    node = _NODES.get(key, _DEAD)()
+    if node is not None:
+        return node
+    node = object.__new__(cls)
+    for name, part in zip(cls.__slots__, parts):
+        object.__setattr__(node, name, part)
+    _NODES[key] = weakref.ref(node)
+    _new_before_sweep -= 1
+    if not _new_before_sweep:
+        _NODES = dict(itertools.compress(_NODES.items(),
+                                         map(weakref.ref.__call__, _NODES.values())))
+        _new_before_sweep = max(2 * len(_NODES), _SWEEP_MIN) - len(_NODES)
+    return node
+
+
 # Python refuses to print an integer of more than _MAX_DIGITS decimal
 # digits (0: no limit), so no constant may grow past that: the first
 # integer too long to print is _TOO_LONG, and every integer of at most
@@ -230,12 +270,12 @@ class Const(Expr):
     __slots__ = ("value",)
     _canon = True
 
-    def __init__(self, value):
+    def __new__(cls, value):
         v = value if isinstance(value, Fraction) else Fraction(value)
         if ((v.numerator.bit_length() > _SAFE_BITS or v.denominator.bit_length() > _SAFE_BITS)
                 and max(abs(v.numerator), v.denominator) >= _TOO_LONG):
             raise ConstantSizeError(f"constant of more than {_MAX_DIGITS} digits")
-        object.__setattr__(self, "value", v)
+        return _intern(cls, (cls, v.numerator, v.denominator), v)
 
     def _parts(self):
         return (self.value,)
@@ -245,8 +285,8 @@ class Var(Expr):
     __slots__ = ("name",)
     _canon = True
 
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
+    def __new__(cls, name):
+        return _intern(cls, (cls, name), name)
 
     def _parts(self):
         return (self.name,)
@@ -267,10 +307,9 @@ class FieldAtom(Expr):
     __slots__ = ("base", "args", "derivs")
     _canon = True
 
-    def __init__(self, base, args, derivs=()):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(self, "derivs", tuple(sorted(derivs)))
+    def __new__(cls, base, args, derivs=()):
+        args, derivs = tuple(args), tuple(sorted(derivs))
+        return _intern(cls, (cls, base, args, derivs), base, args, derivs)
 
     def _parts(self):
         return (self.base, self.args, self.derivs)
@@ -283,22 +322,20 @@ class FieldAtom(Expr):
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_canon")
 
-    def __init__(self, *terms):
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_canon", False)
+    def __new__(cls, *terms):
+        return _intern(cls, (cls, *map(id, terms)), terms, False)
 
     def _parts(self):
         return self.terms
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_canon")
 
-    def __init__(self, *factors):
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_canon", False)
+    def __new__(cls, *factors):
+        return _intern(cls, (cls, *map(id, factors)), factors, False)
 
     def _parts(self):
         return self.factors
@@ -307,28 +344,24 @@ class Mul(Expr):
 class Pow(Expr):
     """Integer power."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "_canon")
 
-    def __init__(self, base, exponent):
+    def __new__(cls, base, exponent):
         if not isinstance(exponent, int):
             raise TypeError("Pow exponent must be an integer")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_canon", False)
+        return _intern(cls, (cls, id(base), exponent), base, exponent, False)
 
     def _parts(self):
         return (self.base, self.exponent)
 
 
 class Func(Expr):
-    __slots__ = ("fname", "arg")
+    __slots__ = ("fname", "arg", "_canon")
 
-    def __init__(self, fname, arg):
+    def __new__(cls, fname, arg):
         if fname not in _FUNCS:
             raise ValueError(f"unknown function {fname!r}")
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_canon", False)
+        return _intern(cls, (cls, fname, id(arg)), fname, arg, False)
 
     def _parts(self):
         return (self.fname, self.arg)
@@ -850,9 +883,10 @@ def free_vars(e):
 def substitute(e, mapping):
     """Replace variables and field atoms by name with expressions.
 
-    Values may be Expr or numbers; the result is canonical.  With no
-    bindings, a subtree that carries the canonical mark is returned as it
-    is.
+    Values may be Expr or numbers; the result is canonical.  A subtree
+    that carries the canonical mark is returned as it is when no binding
+    reaches it: with no bindings at once, else when its children all come
+    back as they were.
     """
     mapping = {k: _wrap(v) for k, v in mapping.items()}
     memo = {}  # id(composite node) -> its result, for this call only
@@ -867,13 +901,17 @@ def substitute(e, mapping):
         if out is not None:
             return out
         if t is Add:
-            out = add(*(visit(u) for u in x.terms))
+            kids = [visit(u) for u in x.terms]
+            out = x if x._canon and all(map(operator.is_, kids, x.terms)) else add(*kids)
         elif t is Mul:
-            out = mul(*(visit(u) for u in x.factors))
+            kids = [visit(f) for f in x.factors]
+            out = x if x._canon and all(map(operator.is_, kids, x.factors)) else mul(*kids)
         elif t is Pow:
-            out = pow_(visit(x.base), x.exponent)
+            base = visit(x.base)
+            out = x if base is x.base and x._canon else pow_(base, x.exponent)
         elif t is Func:
-            out = func(x.fname, visit(x.arg))
+            arg = visit(x.arg)
+            out = x if arg is x.arg and x._canon else func(x.fname, arg)
         else:
             raise TypeError(f"unknown node {t!r}")
         memo[id(x)] = out
@@ -1003,11 +1041,11 @@ def eval_expr(e, binding):
 
     The root's tape (see ``_compile``) is compiled by the first call of
     ``eval_expr`` or ``lambdify`` on it and kept in its ``_tape`` slot:
-    its distinct nodes (by identity) in left-to-right post-order, each at
-    its first occurrence.  Every call runs it with one value per distinct
-    node, so a subtree shared n times is evaluated once per call, and the
-    nodes are visited in the order a recursive walk would reach them: the
-    first node that fails is the one named.
+    its distinct nodes (so distinct structures) in left-to-right
+    post-order, each at its first occurrence.  Every call runs it with one
+    value per distinct node, so a subtree shared n times is evaluated once
+    per call, and the nodes are visited in the order a recursive walk
+    would reach them: the first node that fails is the one named.
     """
     e = _wrap(e)
     return _run(_tape_of(e), binding, e)
@@ -1376,7 +1414,6 @@ class _Parser:
 
     def __init__(self, text, line, col):
         self.toks = _Tokenizer(text, line, col)
-        self.vars = {}  # one Var per name, so that a tape loads each name once
 
     def parse(self):
         e = self.expr()
@@ -1446,7 +1483,7 @@ class _Parser:
                     return func(lit, arg)
                 except ConstantDomainError as err:
                     raise ParseError(str(err), line, col) from None
-            return self.vars.setdefault(lit, Var(lit))
+            return Var(lit)
         raise ParseError(f"unexpected {lit or kind!r}", line, col)
 
 

@@ -191,3 +191,69 @@ def test_gain_rule_needs_nine_tenths_and_a_move_beyond_the_parent_spread(parent,
 
 def test_summary_leaves_out_the_reference_loop_when_a_run_lacks_it():
     assert "reference_loop_ms" not in _synthetic([1.0, 2.0], [1.5, 2.5])
+
+
+_STUB_WORKLOADS = '''
+class Stub:
+    units_per_round = 2
+
+    def __init__(self, rng, small, outdir):
+        self.n = {n}
+
+    def make_input(self, k):
+        return k
+
+    def unit(self, k):
+        s = 0
+        for i in range(self.n):
+            s += i * k
+        return 1, s
+
+    def check(self, k, out):
+        return [] if out == k * self.n * (self.n - 1) // 2 else ["sum"]
+
+
+WORKLOADS = {{"stub": Stub}}
+'''
+
+
+def _stub_checkout(root, n):
+    """A checkout holding only a benchmarks/workloads.py whose one unit
+    adds up ``n`` numbers."""
+    (root / "src").mkdir(parents=True)
+    (root / "benchmarks").mkdir()
+    (root / "benchmarks" / "workloads.py").write_text(_STUB_WORKLOADS.format(n=n),
+                                                      encoding="utf-8")
+    return str(root)
+
+
+def test_counts_are_repeatable_and_grow_with_the_work(tmp_path, capsys):
+    once, twice = _stub_checkout(tmp_path / "once", 3000), _stub_checkout(tmp_path / "twice", 6000)
+    out = tmp_path / "BENCH_counts.json"
+    runs = []
+    for _ in range(2):
+        assert bench.main(["counts", once, twice, "--workload", "stub", "--out", str(out)]) == 0
+        runs.append(json.loads(out.read_text(encoding="utf-8"))["workloads"]["stub"]["counts"])
+    assert runs[0] == runs[1]
+    counts = runs[0]
+    assert counts["seed"] == 1 and counts["parent"]["units"] == 1
+    assert counts["parent"]["calls"] == {"benchmarks/workloads.py:unit": 1}
+    parent, child = counts["parent"]["instructions"], counts["child"]["instructions"]
+    assert parent > 4 * 3000  # a few instructions per number added
+    assert 1.95 * parent <= child <= 2.05 * parent
+    assert f"stub instructions over 1 unit(s): parent {parent}, child {child}" in \
+        capsys.readouterr().out
+
+
+def test_compare_prints_the_childs_instruction_counts(tmp_path, capsys):
+    docs = []
+    for name, n in (("old", 1000), ("new", 800)):
+        doc = _doc({"derive_pullback": {"work_per_s": 200.0}})
+        doc["workloads"]["derive_pullback"]["counts"] = {
+            side: {"units": 16, "instructions": n, "calls": {}} for side in ("parent", "child")}
+        docs.append(tmp_path / f"{name}.json")
+        docs[-1].write_text(json.dumps(doc), encoding="utf-8")
+    assert bench.main(["compare", *map(str, docs)]) == 0
+    row = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("derive_pullback") and "800" in line]
+    assert row and row[0].split()[1:] == ["1000", "800", "0.8000"]

@@ -284,6 +284,22 @@ def _clear_check_caches():
         cached.cache_clear()
 
 
+def test_curl_grad_zero_that_needs_expansion_passes(capsys, monkeypatch):
+    import curvmax.checks
+    from curvmax.symexpr import parse_expr
+    real = curvmax.checks._identity_trees
+
+    def trees(chart_name):
+        curl_grad, div_curl = real(chart_name)
+        # zero, but the builders do not distribute x*(y + 1)
+        return (curl_grad[0], parse_expr("x*(y + 1) - x*y - x"), curl_grad[2]), div_curl
+    monkeypatch.setattr(curvmax.checks, "_identity_trees", trees)
+    code, out, _ = run_cli(capsys, "check", "--suite", "properties", "--seed", "0")
+    assert code == 0 and "FAIL" not in out
+    for chart in ("cartesian", "cylindrical", "spherical"):
+        assert f"PASS curl(grad)=0 and div(curl)=0 on {chart}" in out
+
+
 @pytest.mark.parametrize("suite", ["all", "paper", "properties"])
 def test_check_output_is_the_same_with_the_caches_cold_or_warm(capsys, suite):
     for seed in range(10):

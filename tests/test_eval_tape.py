@@ -289,6 +289,14 @@ def test_a_parse_loads_each_variable_once():
     assert sorted(atoms) == ["x", "y"]
 
 
+def test_a_repeated_parsed_subtree_is_computed_once():
+    e = sx.parse_expr("sin(x)*y + sin(x)*z")
+    code = sx._tape_of(e)[1]
+    assert [arg[1] for kind, arg, _, _ in code if kind is sx._T_FUNC] == [sx._FUNCS["sin"]]
+    binding = {"x": 0.4, "y": 1.5, "z": -2.0}
+    assert eval_expr(e, binding) == _walk(e, binding)
+
+
 def test_lambdify_refuses_two_atoms_of_one_name_as_eval_expr_does():
     first, second = FieldAtom("u", ("x",)), FieldAtom("u", ("y",))
     e = sx.add(first, sx.mul(2, second), Var("u"))
@@ -437,6 +445,26 @@ def test_partials_after_its_inputs_are_dropped_still_differentiates_fresh_trees(
         gc.collect()
         fresh = sx.add(sx.mul(k + 3, sx.cos(sx.mul(x, x))), sx.pow_(sx.sin(x), 3))
         assert d(fresh, "x") == diff(fresh, "x")
+
+
+def test_the_node_table_stays_within_twice_the_live_nodes():
+    """Dead entries are swept: over 200 random pullbacks, made and dropped as
+    the benchmark's derive_pullback makes them, the table never holds more
+    than twice its live nodes plus the size below which it is not swept."""
+    charts = _charts()[1:]
+    metrics = [metric_from_chart(c) for c in charts]
+    x, y, z = Var("x"), Var("y"), Var("z")
+    basis = [x, y, z, x * y, y * z, x * z, x * x * y, sx.sin(x) * z]
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        chart, m = charts[k % 3], metrics[k % 3]
+        coeffs = [Fraction(int(n), int(d)) for n, d in rng.integers(1, 50, size=(len(basis), 2))]
+        cart = sx.add(*(sx.mul(c, b) for c, b in zip(coeffs, basis)))
+        f = sx.substitute(cart, dict(zip("xyz", chart.embedding)))
+        out = diffops.laplacian(f, m) if k % 2 else diffops.grad(f, chart).components[0]
+        eval_expr(out, dict(zip(chart.coords, (0.7, 0.9, 1.1))))
+        live = sum(r() is not None for r in sx._NODES.values())
+        assert len(sx._NODES) <= 2 * live + sx._SWEEP_MIN
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Expression-tree properties: evaluation, differentiation, simplify, parsing."""
 
+import copy
+import gc
 import math
+import pickle
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -376,47 +380,29 @@ def _nodes(e):
     return out
 
 
-def _fresh(e):
-    """A deep copy of ``e`` made of new nodes, with the same canonical marks
-    and no cached hash, sort key or term split."""
-    t = type(e)
-    if t is Const:
-        return Const(e.value)
-    if t is Var:
-        return Var(e.name)
-    if t is FieldAtom:
-        return FieldAtom(e.base, e.args, e.derivs)
-    if t is Add:
-        copy = Add(*map(_fresh, e.terms))
-    elif t is Mul:
-        copy = Mul(*map(_fresh, e.factors))
-    elif t is Pow:
-        copy = Pow(_fresh(e.base), e.exponent)
-    else:
-        copy = Func(e.fname, _fresh(e.arg))
-    return sx._mark(copy) if e._canon else copy
-
-
-_CACHES = ("_hash", "_skey", "_split")
+_CACHES = ("_skey", "_split")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.lists(builder_exprs(), min_size=1, max_size=4))
 def test_cached_structure_is_invisible(trees):
-    # fill every cache the builders keep on the input trees
+    # fill every cache the builders keep on the input trees, and build
     for e in trees:
         for x in _nodes(e):
-            hash(x)
             sx._key(x)
             sx._term_split(x)
-    sx.add(*trees)
-    sx.mul(*trees)
-    fresh = [_fresh(e) for e in trees]
-    assert not any(hasattr(x, c) for e in fresh for x in _nodes(e) for c in _CACHES)
-    for build in (sx.add, sx.mul):
-        got, want = build(*trees), build(*fresh)
-        assert got == want and got._canon == want._canon
-        assert _printed(got) == _printed(want)
+    built = {build: build(*trees) for build in (sx.add, sx.mul)}
+    want = {build: (e._canon, _printed(e)) for build, e in built.items()}
+    # nodes are shared: clear the caches on every node the builds can read
+    for root in (*trees, *built.values()):
+        for x in _nodes(root):
+            for c in _CACHES:
+                if hasattr(x, c):
+                    object.__delattr__(x, c)
+    assert not any(hasattr(x, c) for e in trees for x in _nodes(e) for c in _CACHES)
+    for build, e in built.items():
+        got = build(*trees)
+        assert got is e and (got._canon, _printed(got)) == want[build]
 
 
 def test_add_of_one_canonical_term_is_that_term():
@@ -896,3 +882,133 @@ def test_an_expansion_too_large_to_form_is_refused_and_not_proven():
     with pytest.raises(sx.SymExprError, match="term products"):
         sx.expand(e)
     assert sx.is_zero(e) is False
+
+
+# ---------------------------------------------------------------------------
+# Interned nodes: one live node per structure
+# ---------------------------------------------------------------------------
+
+def test_one_structure_is_one_node():
+    built = sx.add(sx.mul(2, Var("x")), sx.sin(Var("y")))
+    hand = Add(Func("sin", Var("y")), Mul(Const(2), Var("x")))
+    assert hand is built and parse_expr("sin(y) + 2*x") is built
+    assert hand._canon  # the mark the builder gave it
+    assert Const(Fraction(1, 2)) is Const(0.5) is sx.const(Fraction(2, 4))
+    assert FieldAtom("u", ["x", "y"], ("z", "x")) is FieldAtom("u", ("x", "y"), ["x", "z"])
+    assert Pow(Var("x"), 2) is not Pow(Var("x"), 3)
+    assert FieldAtom("u", ("x",)) is not FieldAtom("u", ("y",))
+
+
+def test_a_builder_raises_a_hand_built_nodes_mark_and_never_lowers_it():
+    q = Var("q_mark")
+    hand = Mul(Const(3), q)
+    assert not hand._canon  # a new node starts unmarked
+    assert sx.mul(hand) is hand and not hand._canon  # from an unmarked input
+    assert sx.mul(3, q) is hand and hand._canon
+    assert Mul(Const(3), q) is hand and hand._canon
+    # a product of unmarked inputs whose merge is this node keeps its mark
+    assert sx.mul(Mul(Const(3), Mul(q))) is hand and hand._canon
+
+
+def test_a_node_dies_once_nothing_holds_it():
+    gc.collect()
+    gc.disable()
+    try:
+        e = parse_expr("w_dies*sin(w_dies) + 7/13")
+        text, ref = print_expr(e), weakref.ref(e)
+        inner = weakref.ref(e.terms[1])
+        del e
+        assert ref() is None and inner() is None  # no collector needed
+        assert gc.collect() == 0
+        again = parse_expr(text)
+        assert print_expr(again) == text and again._canon
+    finally:
+        gc.enable()
+
+
+def _instructions(build, *args):
+    """Bytecode instructions executed by ``build(*args)``."""
+    executed = 0
+
+    def local(frame, event, arg):
+        nonlocal executed
+        executed += event == "opcode"
+        return local
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(call)
+    try:
+        build(*args)
+    finally:
+        sys.settrace(None)
+    return executed
+
+
+def test_a_dead_entry_costs_the_bytecode_of_no_entry(monkeypatch):
+    # whether a new node meets a dead entry depends on where objects are
+    # allocated, so it must not change how much bytecode runs
+    monkeypatch.setattr(sx, "_new_before_sweep", 1 << 20)  # no sweep here
+    Var("w_dead_entry")
+    assert sx._NODES[(Var, "w_dead_entry")]() is None
+    assert (Var, "w_no_entry") not in sx._NODES
+    assert _instructions(Var, "w_dead_entry") == _instructions(Var, "w_no_entry")
+
+
+@pytest.mark.parametrize("text", ["x", "-7/3", "u*sin(x)^2 + sqrt(y)/(1 + x)"])
+def test_copies_and_pickles_give_back_the_interned_node(text):
+    e = substitute(parse_expr(text), {"u": FieldAtom("u", ("x", "t"), ("t",))})
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert copy.deepcopy([e, e]) == [e, e]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(e, protocol)) is e
+
+
+@pytest.mark.parametrize("name", ["terms", "_canon", "_skey", "other"])
+def test_a_node_refuses_every_assignment(name):
+    e = parse_expr("x + y")
+    with pytest.raises(AttributeError):
+        setattr(e, name, ())
+    assert print_expr(e) == "x + y" and e._canon
+
+
+def test_the_spherical_3vector_text_is_its_pin_after_unrelated_trees_come_and_go(capsys):
+    import pathlib
+
+    from curvmax import chart, cli
+    pin = pathlib.Path(__file__).parent / "data" / "derive_spherical_3vector.txt"
+    rng = np.random.default_rng(3)
+    x, y = Var("x"), Var("y")
+    trees = [sx.add(sx.mul(int(a), sx.pow_(x, int(n))), sx.sin(sx.mul(int(b), y)))
+             for a, b, n in rng.integers(1, 400, size=(3000, 3))]
+    del trees  # their ids are free again, and their table entries dead
+    chart.builtin_metric.cache_clear()
+    try:
+        cli.main(["derive", "--chart", "spherical", "--form", "3vector"])
+    except SystemExit as exc:
+        assert not exc.code
+    assert capsys.readouterr().out == pin.read_text(encoding="utf-8")
+
+
+def _counting(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _build=getattr(sx, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(sx, name, counted)
+    return calls
+
+
+def test_substitute_keeps_the_canonical_subtrees_no_binding_reaches(monkeypatch):
+    e = parse_expr("x*y + 3*w*sin(z) + c*(a + b)^2")
+    calls = _counting(monkeypatch, "add", "mul")
+    assert substitute(e, {"absent": Var("t")}) is e
+    assert calls == {"add": 0, "mul": 0}
+    # z sits under 3*w*sin(z) only: that product and the root are rebuilt
+    out = substitute(e, {"z": Var("t")})
+    assert calls == {"add": 1, "mul": 1}
+    monkeypatch.undo()
+    assert out is parse_expr("x*y + 3*w*sin(t) + c*(a + b)^2")
