@@ -9,12 +9,11 @@ orthonormal: g_{i'i'} = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import types
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from . import symexpr as sx
 from .symexpr import Expr, diff, parse_expr, print_expr
@@ -329,24 +328,26 @@ def metric_from_chart(chart):
     return MetricData(chart, g_lo, g_hi, det, sqrt_abs_g, lame)
 
 
-_SAMPLE_FRACTIONS = np.array([0.1, 0.5, 0.9])
+_SAMPLE_FRACTIONS = (0.1, 0.5, 0.9)
 
 
 def _require_positive(chart, quantities):
     """Raise ChartError unless each (label, expr) is finite and positive on
-    a 3^n grid of interior points of the chart's domains.
+    a 3^n grid of interior points of the chart's domains.  A point where
+    ``eval_expr`` finds the value undefined or beyond the float range fails.
 
     The sqrt builder assumes a positive argument (sqrt(u^2) -> u), which a
     domain with u < 0 breaks; a square root must come out positive."""
     doms = chart.domains()
-    axes = np.meshgrid(*(lo + (hi - lo) * _SAMPLE_FRACTIONS
-                         for lo, hi in (doms[c] for c in chart.coords)),
-                       indexing="ij", sparse=True)
-    binding = dict(zip(chart.coords, axes))
+    axes = ([lo + (hi - lo) * f for f in _SAMPLE_FRACTIONS]
+            for lo, hi in (doms[c] for c in chart.coords))
+    points = [dict(zip(chart.coords, p)) for p in itertools.product(*axes)]
     for label, e in quantities:
-        with np.errstate(all="ignore"):
-            v = np.asarray(sx.lambdify(e)(binding), dtype=float)
-        if not np.all((v > 0) & (v < np.inf)):
+        try:
+            positive = all(0 < sx.eval_expr(e, p) < math.inf for p in points)
+        except sx.EvalDomainError:
+            positive = False
+        if not positive:
             raise ChartError(f"chart {chart.name!r}: {label} = {print_expr(e)} "
                              "is not positive and finite on its domain")
 

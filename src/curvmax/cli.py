@@ -7,26 +7,57 @@ the staggered-grid solver and writes snapshots plus diagnostics, and
 
 Exit codes: 0 success, 1 check failure or runtime failure (instability),
 2 usage error.  Every error path prints a single line starting ``error:``.
+
+Importing this module runs only ``symexpr``, ``chart`` and ``diffops``.
+It registers every other curvmax submodule in ``sys.modules`` as a lazy
+module (``importlib.util.LazyLoader``, see ``_lazy``), whose code runs
+on its first attribute access, so each command loads only what it uses:
+``derive`` runs without numpy, the solver, the 4-tensor layer or the
+checks, yet every curvmax module can be found in ``sys.modules`` once the
+CLI is imported (``benchmarks/tracer.py`` looks each layer up there).
+The ``--suite`` and ``--initial`` choices are literals, so that building
+the commands loads nothing; a test holds them equal to ``checks.SUITES``
+and ``solver.INITIAL_CONDITIONS``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import re
 import sys
 
 import click
-import numpy as np
 
-from . import maxwell4 as m4
-from . import solver as sv
 from .chart import (BUILTIN_CHARTS, ChartError, ComponentVector, builtin_metric,
                     lame_coefficients, metric_from_chart, parse_chart_file)
-from .checks import SUITES, run_suite
 from .diffops import DiffOpsError, curl, div, grad, laplacian
-from .maxwell3 import assemble_residuals, symbolic_fields, symbolic_sources
 from .symexpr import FieldAtom, SymExprError, free_vars, print_expr, to_latex
+
+
+def _lazy(name):
+    """The submodule ``curvmax.<name>``: the one in ``sys.modules``, else a
+    new one registered there and as the package's attribute, whose code
+    runs on its first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# every other submodule (rs_momentum is used only through checks)
+m3 = _lazy("maxwell3")
+m4 = _lazy("maxwell4")
+checks = _lazy("checks")
+sv = _lazy("solver")
+_lazy("rs_momentum")
 
 LATEX_PREAMBLE = "\\documentclass{article}\n\\usepackage{amsmath}\n\\begin{document}\n"
 LATEX_POSTAMBLE = "\\end{document}\n"
@@ -114,7 +145,7 @@ def _derive_operators(chart, m, fmt):
 
 def _residuals(chart, m):
     try:
-        return assemble_residuals(symbolic_fields(chart), symbolic_sources(chart), m)
+        return m3.assemble_residuals(m3.symbolic_fields(chart), m3.symbolic_sources(chart), m)
     except DiffOpsError as exc:  # a coordinate named like a field, t, c or pi
         raise CliError(str(exc))
 
@@ -214,13 +245,13 @@ def derive(chart, chart_file, form, fmt):
 
 @cli.command()
 @click.option("--suite", default="all",
-              type=click.Choice(tuple(SUITES)), show_default=True)
+              type=click.Choice(("paper", "properties", "all")), show_default=True)
 @click.option("--seed", default=None, type=click.IntRange(min=0), envvar="CURVMAX_SEED",
               help="RNG seed (falls back to CURVMAX_SEED).")
 def check(suite, seed):
     """Run a verification suite; exit 1 on any failure."""
     try:
-        results = run_suite(suite, seed=seed)
+        results = checks.run_suite(suite, seed=seed)
     except DiffOpsError as exc:  # a missing, unreadable or unparseable golden file
         raise CliError(str(exc))
     for r in results:
@@ -279,7 +310,7 @@ def _parse_bc(text):
 @click.option("--out", required=True, type=click.Path(),
               help="Output directory for snapshots and diagnostics.")
 @click.option("--initial", default="plane_wave", show_default=True,
-              type=click.Choice(tuple(sv.INITIAL_CONDITIONS)))
+              type=click.Choice(("zero", "plane_wave", "azimuthal_mode")))
 @click.option("--bc", default="periodic", show_default=True,
               help="periodic or pec on every axis, or one per axis as pec,periodic,pec.")
 @click.option("--snapshot-format", default="csv", show_default=True,
@@ -418,6 +449,7 @@ def transform(target, chart, input, out):
     E and H and contravariant B and D; no index is raised or lowered.
     The nonholonomic target expects three leading coordinate columns.
     """
+    import numpy as np
     func, ncols, header = _TARGETS[target]
     lame_at = None
     if target == "nonholonomic":

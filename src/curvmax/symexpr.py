@@ -19,12 +19,15 @@ argument there (sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)), and
 ``chart.metric_from_chart`` checks that assumption on each chart's domain.
 A nested root such as sqrt(sqrt(x)) is kept as it is.
 
-Each elementary function is one row of ``_FUNCS`` (numpy ufunc, ``math``
-function, derivative, constant folds, LaTeX name, ``eval_expr`` domain
-check), which ``func``, ``diff`` and ``to_latex`` read; the tape compiler
-puts the row in each function instruction, where ``eval_expr`` reads the
-``math`` function and domain check and ``lambdify`` the ufunc.
-``FUNCTIONS`` lists its keys.
+Each elementary function is one row of ``_FUNCS`` (numpy ufunc name,
+``math`` function, derivative, constant folds, LaTeX name, ``eval_expr``
+domain check), which ``func``, ``diff`` and ``to_latex`` read; the tape
+compiler puts the row in each function instruction, where ``eval_expr``
+reads the ``math`` function and domain check and ``lambdify`` the ufunc.
+``FUNCTIONS`` lists its keys.  numpy is imported by the first ``lambdify``
+or ``equivalent`` call, which looks every row's ufunc up once
+(``_load_numpy``): building, printing, differentiating and ``eval_expr``
+never import it.
 
 Nodes are interned (hash-consed): every constructor, and so every builder
 and the parser, returns the one live node of the structure it is given,
@@ -83,7 +86,7 @@ import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
+np = None  # numpy, once the first lambdify or equivalent has imported it
 
 __all__ = [
     "Expr", "Const", "Var", "FieldAtom", "Add", "Mul", "Pow", "Func",
@@ -271,6 +274,10 @@ class Const(Expr):
     _canon = True
 
     def __new__(cls, value):
+        if type(value) is int:  # a live integer constant is found without a Fraction
+            node = _NODES.get((cls, value, 1), _DEAD)()
+            if node is not None:
+                return node
         v = value if isinstance(value, Fraction) else Fraction(value)
         if ((v.numerator.bit_length() > _SAFE_BITS or v.denominator.bit_length() > _SAFE_BITS)
                 and max(abs(v.numerator), v.denominator) >= _TOO_LONG):
@@ -762,7 +769,7 @@ def arccos(x):
 
 
 class _Fn(NamedTuple):
-    ufunc: object    # lambdify
+    ufunc: str       # name of the numpy ufunc (lambdify, through _UFUNCS)
     mathf: object    # eval_expr
     deriv: object    # u -> d f(u)/du, built canonically (diff)
     folds: dict      # exact constant argument -> value (func)
@@ -771,23 +778,35 @@ class _Fn(NamedTuple):
 
 
 _FUNCS = {
-    "sin": _Fn(np.sin, math.sin, cos, {0: ZERO}, r"\sin"),
-    "cos": _Fn(np.cos, math.cos, lambda u: neg(sin(u)), {0: ONE}, r"\cos"),
-    "tan": _Fn(np.tan, math.tan, lambda u: pow_(cos(u), -2), {0: ZERO}, r"\tan"),
-    "sqrt": _Fn(np.sqrt, math.sqrt, lambda u: div(ONE, mul(Const(2), sqrt(u))), {},
+    "sin": _Fn("sin", math.sin, cos, {0: ZERO}, r"\sin"),
+    "cos": _Fn("cos", math.cos, lambda u: neg(sin(u)), {0: ONE}, r"\cos"),
+    "tan": _Fn("tan", math.tan, lambda u: pow_(cos(u), -2), {0: ZERO}, r"\tan"),
+    "sqrt": _Fn("sqrt", math.sqrt, lambda u: div(ONE, mul(Const(2), sqrt(u))), {},
                 r"\sqrt", (lambda u: u < 0, "sqrt of negative value")),
-    "exp": _Fn(np.exp, math.exp, exp, {0: ONE}, r"\exp"),
-    "log": _Fn(np.log, math.log, lambda u: pow_(u, -1), {1: ZERO},
+    "exp": _Fn("exp", math.exp, exp, {0: ONE}, r"\exp"),
+    "log": _Fn("log", math.log, lambda u: pow_(u, -1), {1: ZERO},
                r"\ln", (lambda u: u <= 0, "log of non-positive value")),
-    "arctan": _Fn(np.arctan, math.atan, lambda u: div(ONE, add(ONE, pow_(u, 2))),
+    "arctan": _Fn("arctan", math.atan, lambda u: div(ONE, add(ONE, pow_(u, 2))),
                   {0: ZERO}, r"\arctan"),
-    "arccos": _Fn(np.arccos, math.acos,
+    "arccos": _Fn("arccos", math.acos,
                   lambda u: neg(div(ONE, sqrt(sub(ONE, pow_(u, 2))))), {1: ZERO},
                   r"\arccos", (lambda u: not -1.0 <= u <= 1.0,
                                "arccos argument outside [-1, 1]")),
 }
 
 FUNCTIONS = tuple(_FUNCS)
+
+_UFUNCS = {}  # ufunc name -> numpy ufunc, filled by _load_numpy
+
+
+def _load_numpy():
+    """Import numpy into ``np`` and look every ``_FUNCS`` row's ufunc up,
+    once per process."""
+    global np
+    if np is None:
+        import numpy
+        _UFUNCS.update((row.ufunc, getattr(numpy, row.ufunc)) for row in _FUNCS.values())
+        np = numpy
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1269,7 @@ def _run_array(tape, binding):
             v = walk(arg[0])
             v = np.float_power(v, arg[1]) if arg[1] < 0 else v ** arg[1]
         elif kind is _T_FUNC:
-            v = arg[1].ufunc(walk(arg[0]))
+            v = _UFUNCS[arg[1].ufunc](walk(arg[0]))
         else:
             raise TypeError(f"unknown node {arg!r}")
         if n > 1:
@@ -1276,6 +1295,7 @@ def lambdify(e):
     arguments raises the EvalError that ``eval_expr`` raises, naming the
     same atom (see ``FieldAtom``).
     """
+    _load_numpy()
     tape = _tape_of(_wrap(e))
     return lambda b: _run_array(tape, b)
 

@@ -1,5 +1,5 @@
-"""tools/bench.py: compare on two small synthetic BENCH files, and pairs with
-a stub runner (no benchmark runs)."""
+"""tools/bench.py: compare on two small synthetic BENCH files, pairs with a
+stub runner (no benchmark runs), and counts and cold on stub checkouts."""
 
 import importlib.metadata
 import importlib.util
@@ -86,6 +86,8 @@ def _stub_runner(side, broken):
 
     def run_workload(ns, workload, deadline):
         calls.append(workload)
+        # the workers this run would start inherit the environment: no bytecode
+        assert os.environ.get("PYTHONDONTWRITEBYTECODE") == "1"
         metrics = {m: (1.0, "") for m in bench.end_to_end_metrics()}
         work = (110.0 if side == "child" else 100.0) * (1 + 0.01 * len(calls))
         metrics["work_per_s"] = (work, "1/s")
@@ -102,7 +104,7 @@ def _stub_runner(side, broken):
 def _pairs(tmp_path, monkeypatch, broken=None, options=(), workload="yee_curv_io"):
     monkeypatch.setattr(bench, "load_runner",
                         lambda checkout, name: _stub_runner(name.rsplit("_", 1)[1], broken))
-    monkeypatch.setattr(bench, "rebuild_bytecode", lambda checkout: None)
+    monkeypatch.setattr(bench, "drop_bytecode", lambda checkout: None)
     monkeypatch.setattr(bench, "commit_of", lambda checkout: {"commit": checkout, "dirty": False})
     out = tmp_path / "BENCH_stub.json"
     code = bench.main(["pairs", "parent_dir", "child_dir", "--workload", workload,
@@ -125,8 +127,10 @@ def test_pairs_stops_at_a_broken_run(tmp_path, monkeypatch, capsys, pair, side, 
 
 
 def test_pairs_records_the_machine_with_its_click_version(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     code, out = _pairs(tmp_path, monkeypatch)
     assert code == 0
+    assert "PYTHONDONTWRITEBYTECODE" not in os.environ  # set for the runs only
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["machine"]["click"] == importlib.metadata.version("click")
     assert len(doc["workloads"]["yee_curv_io"]["pairs"]) == 3
@@ -257,3 +261,60 @@ def test_compare_prints_the_childs_instruction_counts(tmp_path, capsys):
     row = [line for line in capsys.readouterr().out.splitlines()
            if line.startswith("derive_pullback") and "800" in line]
     assert row and row[0].split()[1:] == ["1000", "800", "0.8000"]
+
+
+def test_drop_bytecode_deletes_only_the_caches_under_src_and_benchmarks(tmp_path):
+    for d in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__", "benchmarks/__pycache__",
+              "tools/__pycache__"):
+        (tmp_path / d).mkdir(parents=True)
+        (tmp_path / d / "m.cpython-311.pyc").write_bytes(b"")
+    (tmp_path / "src" / "pkg" / "m.py").write_text("", encoding="utf-8")
+    bench.drop_bytecode(str(tmp_path))
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.pyc")) == \
+        ["tools/__pycache__/m.cpython-311.pyc"]
+    assert (tmp_path / "src" / "pkg" / "m.py").exists()
+
+
+def _cli_checkout(root, body, fake_numpy=False):
+    """A checkout whose ``curvmax.cli`` runs ``body`` as ``__main__``; with
+    ``fake_numpy`` its ``src/`` also holds an empty package named numpy,
+    which shadows the real one."""
+    pkg = root / "src" / "curvmax"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "cli.py").write_text(body, encoding="utf-8")
+    if fake_numpy:
+        (root / "src" / "numpy").mkdir()
+        (root / "src" / "numpy" / "__init__.py").write_text("", encoding="utf-8")
+    return str(root)
+
+
+def test_cold_records_wall_times_and_which_side_loads_numpy(tmp_path, capsys):
+    parent = _cli_checkout(tmp_path / "parent", "import numpy\n", fake_numpy=True)
+    child = _cli_checkout(tmp_path / "child", "import json\n")
+    out = tmp_path / "BENCH_cold.json"
+    assert bench.main(["cold", parent, child, "--n", "2", "--out", str(out)]) == 0
+    cold = json.loads(out.read_text(encoding="utf-8"))["cold"]
+    assert cold["n"] == 2 and list(cold["runs"]) == list(bench.COLD_COMMANDS)
+    for row in cold["runs"].values():
+        assert row["parent"]["numpy"] and not row["child"]["numpy"]
+        for side in ("parent", "child"):
+            walls = row[side]["wall_s"]
+            assert len(walls) == 2 and all(w > 0 for w in walls)
+            assert row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
+        assert row["ratio"] == row["child"]["median"] / row["parent"]["median"]
+        assert 0 <= row["child_won"] <= 2
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("derive spherical operators") and printed[1].endswith("yes/no")
+    # bytecode was compiled for each checkout's src/ before the runs
+    assert list((tmp_path / "child" / "src" / "curvmax" / "__pycache__").glob("cli.*.pyc"))
+
+
+def test_cold_stops_at_a_command_that_fails(tmp_path, capsys):
+    good = _cli_checkout(tmp_path / "good", "")
+    broken = _cli_checkout(tmp_path / "broken", "import sys\nsys.exit(3)\n")
+    out = tmp_path / "BENCH_cold.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["cold", good, broken, "--n", "1", "--out", str(out)])
+    assert str(exc.value.code) == "error: cold 'derive spherical operators' child exited with 3"
+    assert not out.exists()

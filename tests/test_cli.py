@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, and error reporting."""
 
 import importlib.resources as ir
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -796,3 +800,75 @@ def test_fuzz_transform_rows(capsys, target, chart, header, rows):
                                  "--chart", chart, str(p))
     _ends_cleanly(code, err)
     assert out == "" or code == 0  # a failed conversion writes no partial CSV
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command runs only the modules it uses
+# ---------------------------------------------------------------------------
+
+_NOT_FOR_DERIVE = {"numpy", "curvmax.solver", "curvmax.maxwell4", "curvmax.checks",
+                   "curvmax.rs_momentum"}
+_CORE = {"curvmax", "curvmax.chart", "curvmax.symexpr"}
+
+
+def _after(code):
+    """(registered, run) after a fresh process runs ``code``: the curvmax
+    modules and numpy in its ``sys.modules``, and those of them whose code
+    has run (a lazy module, ``importlib.util._LazyModule``, has not)."""
+    import curvmax
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = code + (
+        "\nimport json, sys, types\n"
+        "ours = {n: m for n, m in sys.modules.items() if n == 'numpy' or n.split('.')[0] == 'curvmax'}\n"
+        "print(json.dumps([sorted(ours), sorted(n for n, m in ours.items() "
+        "if type(m) is types.ModuleType)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    registered, run = json.loads(proc.stdout.splitlines()[-1])
+    return set(registered), set(run)
+
+
+def test_import_curvmax_runs_only_the_symbolic_core():
+    import curvmax
+    package = Path(curvmax.__file__).parent
+    every = {"curvmax"} | {f"curvmax.{p.stem}" for p in package.glob("*.py")
+                           if p.stem != "__init__"}
+    assert _after("import curvmax") == (_CORE, _CORE)
+    # the CLI registers every submodule, and runs only what it imports
+    assert _after("import curvmax.cli") == (every, _CORE | {"curvmax.diffops", "curvmax.cli"})
+    assert "curvmax.maxwell3" in _after("from curvmax import golden_check")[1]
+    registered, run = _after("import curvmax.cli\nfrom curvmax import solver\nsolver.GridSpec")
+    assert {"curvmax.solver", "numpy"} <= run and "curvmax.checks" not in run
+
+
+@pytest.mark.parametrize("source", ["cartesian", "cylindrical", "spherical",
+                                    "parabolic.chart"])
+def test_derive_runs_no_numpy_solver_or_checks(source):
+    # a module that has run stays run, so those run after the last form
+    # include those run after each; parabolic's spinor form exits 2
+    chart = (["--chart-file", str(DATA / source)] if source.endswith(".chart")
+             else ["--chart", source])
+    runs = [["derive", *chart, "--form", form, "--format", fmt]
+            for form in ("operators", "3vector", "complex", "spinor")
+            for fmt in ("text", "latex")]
+    registered, run = _after(
+        "import contextlib, io\nfrom curvmax.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n            main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code in (None, 0, 2), (argv, exc.code)")
+    assert "numpy" not in registered and not run & _NOT_FOR_DERIVE
+    assert "curvmax.maxwell3" in run  # the 3vector and complex forms
+
+
+def test_cli_choice_literals_match_the_tables_they_name():
+    from curvmax import checks, solver
+    from curvmax.cli import check, simulate
+    suite, = (p for p in check.params if p.name == "suite")
+    initial, = (p for p in simulate.params if p.name == "initial")
+    assert tuple(suite.type.choices) == tuple(checks.SUITES)
+    assert tuple(initial.type.choices) == tuple(solver.INITIAL_CONDITIONS)

@@ -510,7 +510,7 @@ def _closure(e, atoms):
         return lambda b: fb(b) ** n
     if t is Func:
         f = _closure(e.arg, atoms)
-        g = sx._FUNCS[e.fname].ufunc
+        g = getattr(np, sx._FUNCS[e.fname].ufunc)
 
         def _func(b):
             with np.errstate(invalid="ignore", divide="ignore"):

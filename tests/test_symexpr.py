@@ -899,6 +899,22 @@ def test_one_structure_is_one_node():
     assert FieldAtom("u", ("x",)) is not FieldAtom("u", ("y",))
 
 
+def test_an_existing_integer_constant_is_found_without_a_fraction(monkeypatch):
+    seven, minus_one = Const(7), Const(-1)
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(sx, "Fraction", CountedFraction)
+    assert Const(7) is seven and Const(-1) is minus_one and sx.neg(Var("x")).factors[0] is minus_one
+    assert made == []
+    assert Const(987654321).value == 987654321  # a new one is converted once
+    assert made == [(987654321,)]
+
+
 def test_a_builder_raises_a_hand_built_nodes_mark_and_never_lowers_it():
     q = Var("q_mark")
     hand = Mul(Const(3), q)

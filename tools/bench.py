@@ -1,16 +1,20 @@
-"""Interleaved benchmark pairs of two checkouts, work counts, and comparison of BENCH files.
+"""Interleaved benchmark pairs of two checkouts, work counts, cold CLI start-up
+times, and comparison of BENCH files.
 
     python3 tools/bench.py pairs PARENT_DIR CHILD_DIR --workload derive_pullback --n 10 \\
         --out BENCH_topic.json
     python3 tools/bench.py counts PARENT_DIR CHILD_DIR --workload derive_pullback \\
         --out BENCH_topic.json
+    python3 tools/bench.py cold PARENT_DIR CHILD_DIR --n 10 --out BENCH_cold_start.json
     python3 tools/bench.py compare OLD.json NEW.json
 
 ``pairs`` runs each checkout's own ``benchmarks/run.py`` (imported by path,
 through its ``run_workload``) on one workload, N times each, in pairs that
 alternate which side runs first.  Before every pair it deletes both sides'
-``__pycache__`` directories under ``src/`` and ``benchmarks/`` and compiles
-them again, so that neither side reads stale bytecode.  It writes, or adds
+``__pycache__`` directories under ``src/`` and ``benchmarks/``, and the
+workers run with ``PYTHONDONTWRITEBYTECODE=1``, so that every worker
+compiles the source it imports, as a fresh checkout run without bytecode
+does; its ``setup_s`` includes that compilation.  It writes, or adds
 the workload to, a JSON file holding the machine, both commits, the seed,
 the run length, every pair's metrics and, per end-to-end metric of
 ``BENCHMARK.json``, both sides' median and quartiles, the number of pairs
@@ -23,8 +27,8 @@ that reports ``correct: false`` or a failed unit stops it with exit 1 and
 one ``error:`` line naming the workload, the pair and the side; nothing is
 written then.
 
-``counts`` runs, per side, one fresh process that imports that checkout's
-``src/`` and ``benchmarks/workloads.py`` by path, sets the workload up at
+``counts`` runs, per side, one fresh process (without bytecode, as
+``pairs``) that imports that checkout's ``src/`` and ``benchmarks/workloads.py`` by path, sets the workload up at
 the seed, runs one round of units untraced to warm it, and then counts the
 next: one round of ``derive_pullback`` (its 16 units are every chart with
 every operator) and one unit of any other workload.  It counts the Python
@@ -37,6 +41,19 @@ numpy's loops.  A checkout counted twice at one seed counts the same; a
 unit that opens files by path (``check_all`` reads the golden files) runs
 more bytecode the deeper its checkout lies, so count checkouts whose paths
 are equally deep.
+
+``cold`` times fresh processes of fixed CLI commands (``COLD_COMMANDS``:
+``derive`` of the spherical chart in the operators and 3vector forms and
+of ``tests/data/parabolic.chart``, ``check --suite all`` and a 2-step
+``simulate``), ``python -m curvmax.cli`` with each checkout's ``src/`` on
+``PYTHONPATH``, N times per command and side, interleaved as ``pairs``
+is.  It compiles each checkout's ``src/`` once before the runs, so they
+read bytecode as an installed package does.  Before the timed runs one
+``-X importtime`` process per command and side records whether the
+command loads numpy.  It adds per command both sides' wall times, their
+median and quartiles, the child's median over the parent's, the runs the
+child won and the numpy flags to the file under ``cold``; a command that
+exits non-zero stops it with exit 1 and one ``error:`` line.
 
 ``compare`` prints, per workload and end-to-end metric, the child median of
 OLD, that of NEW and their ratio, and flags a move for the worse beyond the
@@ -64,6 +81,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy
 
@@ -71,6 +89,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "child")
 # workloads whose counted span is one round of units rather than one unit
 ROUND_WORKLOADS = ("derive_pullback",)
+# cold: name -> arguments of ``python -m curvmax.cli``, run in a scratch directory
+COLD_COMMANDS = {
+    "derive spherical operators": ["derive", "--chart", "spherical", "--form", "operators"],
+    "derive spherical 3vector": ["derive", "--chart", "spherical", "--form", "3vector"],
+    "derive parabolic.chart": ["derive", "--chart-file",
+                               os.path.join(ROOT, "tests", "data", "parabolic.chart")],
+    "check all": ["check", "--suite", "all"],
+    "simulate 2 steps": ["simulate", "--grid", "8x8x8", "--steps", "2", "--out", "sim"],
+}
 
 
 def end_to_end_metrics(path=os.path.join(ROOT, "BENCHMARK.json")):
@@ -89,14 +116,14 @@ def load_runner(checkout, name):
     return module
 
 
-def rebuild_bytecode(checkout):
-    dirs = [os.path.join(checkout, d) for d in ("src", "benchmarks")]
-    for top in dirs:
+def drop_bytecode(checkout):
+    """Delete every ``__pycache__`` directory under the checkout's ``src/``
+    and ``benchmarks/``."""
+    for top in (os.path.join(checkout, d) for d in ("src", "benchmarks")):
         for here, subdirs, _ in os.walk(top):
             if "__pycache__" in subdirs:
                 shutil.rmtree(os.path.join(here, "__pycache__"))
                 subdirs.remove("__pycache__")
-    subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs], check=True)
 
 
 def commit_of(checkout):
@@ -222,12 +249,13 @@ def run_pairs(args):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"first": order[0]}
         for d in (args.parent, args.child):
-            rebuild_bytecode(d)
+            drop_bytecode(d)
         for side in order:
             run = runners[side]
             ns = run.parse_args(["--workload", args.workload, "--seed", str(args.seed),
                                  "--seconds", str(args.seconds)])
-            result = run.run_workload(ns, args.workload, time.monotonic() + run.DEADLINE_S)
+            with mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"):  # the workers'
+                result = run.run_workload(ns, args.workload, time.monotonic() + run.DEADLINE_S)
             if not result["correct"] or result["failed"]:
                 raise SystemExit(f"error: {args.workload} pair {i + 1} {side} run is broken: "
                                  f"correct {str(result['correct']).lower()}, "
@@ -348,10 +376,10 @@ def count_side(checkout, workload, seed):
 def run_counts(args):
     doc = open_doc(args)
     counts = {"seed": args.seed}
-    env = dict(os.environ, PYTHONHASHSEED="0", OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for side, checkout in zip(SIDES, (args.parent, args.child)):
-        rebuild_bytecode(checkout)
+        drop_bytecode(checkout)
         proc = subprocess.run([sys.executable, os.path.abspath(__file__), "count-side", checkout,
                                "--workload", args.workload, "--seed", str(args.seed)],
                               capture_output=True, text=True, env=env)
@@ -380,6 +408,71 @@ def count_lines(workload, counts, top=10):
     return lines
 
 
+def cold_env(checkout):
+    """The environment of a ``cold`` process: the checkout's ``src/`` alone
+    on ``PYTHONPATH``, a fixed hash seed and one thread of work."""
+    return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
+                PYTHONHASHSEED="0", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+
+
+def cold_run(command, side, env, cwd, *options):
+    """Wall seconds of one ``python -m curvmax.cli`` process, and its stderr."""
+    cmd = [sys.executable, *options, "-m", "curvmax.cli", *COLD_COMMANDS[command]]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"error: cold {command!r} {side} exited with {proc.returncode}")
+    return wall, proc.stderr
+
+
+def loads_numpy(importtime):
+    """Whether ``-X importtime`` output lists numpy itself."""
+    return any(line.rsplit("|", 1)[-1].strip() == "numpy" for line in importtime.splitlines())
+
+
+def run_cold(args):
+    doc = open_doc(args)
+    envs = {side: cold_env(d) for side, d in zip(SIDES, (args.parent, args.child))}
+    for d in (args.parent, args.child):
+        drop_bytecode(d)
+        subprocess.run([sys.executable, "-m", "compileall", "-q", os.path.join(d, "src")],
+                       check=True)
+    rows = {}
+    with tempfile.TemporaryDirectory() as cwd:
+        for command in COLD_COMMANDS:
+            rows[command] = {side: {"numpy": loads_numpy(cold_run(command, side, envs[side], cwd,
+                                                                   "-X", "importtime")[1]),
+                                    "wall_s": []}
+                             for side in SIDES}
+        for i in range(args.n):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for command in COLD_COMMANDS:
+                for side in order:
+                    rows[command][side]["wall_s"].append(
+                        cold_run(command, side, envs[side], cwd)[0])
+    lines = [f"{'command':28s} {'parent ms':>10s} {'child ms':>10s} {'ratio':>7s} "
+             f"{'won':>6s}  numpy parent/child"]
+    for command, row in rows.items():
+        for side in SIDES:
+            q1, med, q3 = quartiles(row[side]["wall_s"])
+            row[side].update(median=med, q1=q1, q3=q3)
+        row["ratio"] = row["child"]["median"] / row["parent"]["median"]
+        row["child_won"] = sum(c < p for p, c in zip(row["parent"]["wall_s"],
+                                                     row["child"]["wall_s"]))
+        lines.append(f"{command:28s} {1e3 * row['parent']['median']:10.1f} "
+                     f"{1e3 * row['child']['median']:10.1f} {row['ratio']:7.3f} "
+                     f"{row['child_won']:3d}/{args.n:<2d}  "
+                     f"{'yes' if row['parent']['numpy'] else 'no'}/"
+                     f"{'yes' if row['child']['numpy'] else 'no'}")
+    doc["cold"] = {"n": args.n, "runs": rows}
+    write_doc(args.out, doc)
+    print("\n".join(lines))
+    return 0
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -401,6 +494,11 @@ def parse_args(argv):
     side.add_argument("checkout")
     side.add_argument("--workload", required=True)
     side.add_argument("--seed", type=int, required=True)
+    cold = sub.add_parser("cold", help="fresh-process wall times of fixed CLI commands")
+    cold.add_argument("parent")
+    cold.add_argument("child")
+    cold.add_argument("--n", type=int, default=10)
+    cold.add_argument("--out", required=True)
     compare = sub.add_parser("compare", help="child medians of two BENCH files")
     compare.add_argument("old")
     compare.add_argument("new")
@@ -412,7 +510,8 @@ def main(argv=None):
     if args.command == "count-side":
         print(json.dumps(count_side(args.checkout, args.workload, args.seed)))
         return 0
-    return {"pairs": run_pairs, "counts": run_counts, "compare": run_compare}[args.command](args)
+    return {"pairs": run_pairs, "counts": run_counts, "cold": run_cold,
+            "compare": run_compare}[args.command](args)
 
 
 if __name__ == "__main__":
