@@ -254,7 +254,8 @@ def run_pairs(args):
             run = runners[side]
             ns = run.parse_args(["--workload", args.workload, "--seed", str(args.seed),
                                  "--seconds", str(args.seconds)])
-            with mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"):  # the workers'
+            # run.py's workers inherit this environment: each compiles what it imports
+            with mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"):
                 result = run.run_workload(ns, args.workload, time.monotonic() + run.DEADLINE_S)
             if not result["correct"] or result["failed"]:
                 raise SystemExit(f"error: {args.workload} pair {i + 1} {side} run is broken: "
