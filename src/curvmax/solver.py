@@ -276,8 +276,6 @@ def _geometry(spec):
     sqrtg_node = sample(m.sqrt_abs_g, (False, False, False))
     h = spec.spacing
     speed2 = float(np.max(sum((1.0 / g_center[i]) / h[i] ** 2 for i in range(3))))
-    if not 0.0 < speed2 < math.inf:
-        raise SolverError("the grid's metric and spacing give no finite time step")
     dt, vol = spec.cfl / math.sqrt(speed2), h[0] * h[1] * h[2]
     edge = tuple(0.5 * dt * h[i] for i in range(3))  # e~_i = edge[i] e_i
     flux = tuple(vol / h[i] for i in range(3))       # b~_i = flux[i] b_i, same for d

@@ -5,6 +5,14 @@ constants.  Supports parsing, differentiation, scalar and vectorized
 numeric evaluation, a one-sided exact zero test by expansion (``is_zero``:
 "zero" or "not proven") and seeded random equivalence testing.
 
+The parser reads text by these lexical rules (``_TOKEN``): a number is
+ASCII digits with at most one point (``0.25``, ``.5``, ``1.``), read as an
+exact rational; a name starts with a letter or ``_`` and goes on with
+letters, digits and ``_`` (``str.isalpha`` and ``str.isalnum``, so ``x٣`` is
+a name and ``²`` is refused); whitespace is only space, tab, CR and LF; any
+other character is a ParseError at its line and column.  ``_Parser`` holds
+the grammar.
+
 Trees are canonical when built: the builders (add, mul, pow_, func, ...)
 fold rationals, collect like terms and factors, order children
 deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
@@ -81,6 +89,7 @@ import math
 import numbers
 import operator
 import os
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -1348,79 +1357,31 @@ def equivalent(a, b, domains=None, seed=None):
 # Parser
 # ---------------------------------------------------------------------------
 
-# ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
-_DIGITS = frozenset("0123456789")
+# One match per token, by the lexical rules of the module docstring.  \w is
+# str.isalnum() or '_', so _tokens refuses a name whose first character is
+# not a letter or '_' ('\u00b2', which \w matches).
+_TOKEN = re.compile(r"(?P<blank>[ \t\r\n]+)|(?P<num>[0-9]+\.?[0-9]*|\.[0-9]+)"
+                    r"|(?P<ident>\w+)|(?P<op>[-+*/^()])|(?P<bad>.)")
 
 
-class _Tokenizer:
-    def __init__(self, text, line, col):
-        self.text = text
-        self.pos = 0
-        self.line = line
-        self.col = col
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _advance(self, k):
-        for ch in self.text[self.pos:self.pos + k]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += k
-
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            line, col = self.line, self.col
-            if ch in _DIGITS or (ch == "." and self.pos + 1 < len(text)
-                                 and text[self.pos + 1] in _DIGITS):
-                j = self.pos
-                seen_dot = False
-                while j < len(text) and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                    if text[j] == ".":
-                        seen_dot = True
-                    j += 1
-                lit = text[self.pos:j]
-                self.tokens.append(("num", lit, line, col))
-                self._advance(j - self.pos)
-                continue
-            if ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[self.pos:j], line, col))
-                self._advance(j - self.pos)
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, line, col))
-                self._advance(1)
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("eof", "", self.line, self.col))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-
-def _parse_number(lit):
-    if "." in lit:
-        intpart, frac = lit.split(".")
-        den = 10 ** len(frac)
-        num = int(intpart or "0") * den + int(frac or "0")
-        return Const(Fraction(num, den))
-    return Const(int(lit))
+def _tokens(text, line, col):
+    """The (kind, text, line, column) tokens of ``text``, ending with eof;
+    an operator's kind is its text.  ``text`` starts at ``line`` and
+    ``col``; a newline starts the next line at column 1."""
+    toks = []
+    origin = -col  # the character at offset i is in column i - origin
+    for m in _TOKEN.finditer(text):
+        kind, lit = m.lastgroup, m.group()
+        if kind == "blank":
+            if "\n" in lit:
+                line += lit.count("\n")
+                origin = m.start() + lit.rindex("\n")
+            continue
+        if kind == "bad" or (kind == "ident" and not (lit[0].isalpha() or lit[0] == "_")):
+            raise ParseError(f"unexpected character {lit[0]!r}", line, m.start() - origin)
+        toks.append((lit if kind == "op" else kind, lit, line, m.start() - origin))
+    toks.append(("eof", "", line, len(text) - origin))
+    return toks
 
 
 class _Parser:
@@ -1433,72 +1394,79 @@ class _Parser:
     """
 
     def __init__(self, text, line, col):
-        self.toks = _Tokenizer(text, line, col)
+        self.toks = _tokens(text, line, col)
+        self.idx = 0
+
+    def peek(self):
+        return self.toks[self.idx][0]
+
+    def next(self):
+        self.idx += 1
+        return self.toks[self.idx - 1]
 
     def parse(self):
         e = self.expr()
-        tok = self.toks.peek()
+        tok = self.next()
         if tok[0] != "eof":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], tok[3])
         return e
 
     def expr(self):
         e = self.term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self.term()
             e = _fold(add if op[0] == "+" else sub, e, rhs, op)
         return e
 
     def term(self):
         e = self.factor()
-        while self.toks.peek()[0] in ("*", "/"):
-            op = self.toks.next()
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self.factor()
             e = _fold(mul if op[0] == "*" else div, e, rhs, op)
         return e
 
     def factor(self):
-        if self.toks.peek()[0] == "-":
-            self.toks.next()
+        if self.peek() == "-":
+            self.next()
             return neg(self.factor())
         e = self.base()
-        if self.toks.peek()[0] == "^":
-            op = self.toks.next()
+        if self.peek() == "^":
+            op = self.next()
             sign = 1
-            if self.toks.peek()[0] == "-":
-                self.toks.next()
+            if self.peek() == "-":
+                self.next()
                 sign = -1
-            tok = self.toks.next()
+            tok = self.next()
             if tok[0] != "num" or "." in tok[1]:
                 raise ParseError("exponent must be an integer", tok[2], tok[3])
             e = _fold(pow_, e, sign * int(tok[1]), op)
         return e
 
+    def closed(self, e):
+        """``e``, after the ')' that must follow it."""
+        tok = self.next()
+        if tok[0] != ")":
+            raise ParseError("expected ')'", tok[2], tok[3])
+        return e
+
     def base(self):
-        tok = self.toks.next()
-        kind, lit, line, col = tok
+        kind, lit, line, col = self.next()
         if kind == "num":
             try:
-                return _parse_number(lit)
+                return Const(Fraction(lit) if "." in lit else int(lit))
             except (ValueError, ConstantSizeError):  # int() refuses it too
                 raise ParseError(f"number of more than {_MAX_DIGITS} digits",
                                  line, col) from None
         if kind == "(":
-            e = self.expr()
-            closing = self.toks.next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2], closing[3])
-            return e
+            return self.closed(self.expr())
         if kind == "ident":
-            if self.toks.peek()[0] == "(":
+            if self.peek() == "(":
                 if lit not in FUNCTIONS:
                     raise UnknownFunctionError(f"unknown function {lit!r}", line, col)
-                self.toks.next()
-                arg = self.expr()
-                closing = self.toks.next()
-                if closing[0] != ")":
-                    raise ParseError("expected ')'", closing[2], closing[3])
+                self.next()
+                arg = self.closed(self.expr())
                 try:
                     return func(lit, arg)
                 except ConstantDomainError as err:

@@ -155,6 +155,13 @@ def test_geometry_that_overflows_is_a_solver_error(chart, extents, message):
         sv.init_grid(spec, "zero")
 
 
+def test_geometry_singular_at_a_cell_centre_is_a_solver_error():
+    # r = 0 at a cell centre: g_22 = 0 there, so dt comes out as 0
+    spec = sv.GridSpec("cylindrical", ((-1.5, 1.5), (0, 2 * math.pi), (0, 1)), (3, 4, 4))
+    with pytest.raises(sv.SolverError, match="closure coefficients"):
+        sv.init_grid(spec, "zero")
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 4611686018427387904), (2 ** 20,) * 3,
                                    tuple(np.int64(n) for n in (4, 2 ** 31, 2 ** 31))])
 def test_gridspec_too_large_to_address_is_a_solver_error(shape):

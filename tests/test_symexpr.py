@@ -179,6 +179,17 @@ def test_latex_emitter_basics():
     assert "\\frac" in to_latex(parse_expr("x/y")) or "^{-1}" in to_latex(parse_expr("x/y"))
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1/2", r"\frac{1}{2}"),
+    ("-1/2", r"-\frac{1}{2}"),
+    ("1/x", r"\frac{1}{x}"),
+    ("(x+y)^-2", r"\frac{1}{\left(x + y\right)^{2}}"),
+    ("(x+y)^2", r"\left(x + y\right)^{2}"),
+])
+def test_latex_fixed_results(text, want):
+    assert to_latex(parse_expr(text)) == want
+
+
 def test_numpy_integers_wrap_as_constants():
     x = Var("x")
     assert x * np.int64(2) == x * 2
@@ -571,6 +582,46 @@ def test_decimal_literals(text, value):
         assert parse_expr(text) == sx._wrap(value)
 
 
+# The scanner's token boundaries and positions: each text, started at a line
+# and column as a chart file places it, gives this printed tree or this error.
+SCANNER = [
+    ("x\n + y\n*  z", 3, 7, "x + y*z"),
+    ("x +\n  y)\n", 3, 7, "ParseError: unexpected ')' (line 4, column 4)"),
+    ("x +\n", 3, 7, "ParseError: unexpected 'eof' (line 4, column 1)"),
+    ("(x\r\n", 1, 1, "ParseError: expected ')' (line 2, column 1)"),
+    ("\tsin (x\ty)", 2, 5, "ParseError: expected ')' (line 2, column 13)"),
+    ("x\ry", 1, 1, "ParseError: unexpected 'y' (line 1, column 3)"),
+    ("x\n + \u00b2", 1, 1, "ParseError: unexpected character '\u00b2' (line 2, column 4)"),
+    ("\u00bd", 1, 1, "ParseError: unexpected character '\u00bd' (line 1, column 1)"),
+    ("x\u0663+1", 1, 1, "1 + x\u0663"),
+    ("\u00e9 + _a1*b_2", 1, 1, "\u00e9 + _a1*b_2"),
+    ("x\x0b", 1, 1, "ParseError: unexpected character '\\x0b' (line 1, column 2)"),
+    ("x $ y", 1, 1, "ParseError: unexpected character '$' (line 1, column 3)"),
+    (".", 1, 1, "ParseError: unexpected character '.' (line 1, column 1)"),
+    ("1..2", 1, 1, "ParseError: unexpected '.2' (line 1, column 3)"),
+    (".5x", 1, 1, "ParseError: unexpected 'x' (line 1, column 3)"),
+    ("5.", 1, 1, "5"),
+    ("x^2.0", 1, 1, "ParseError: exponent must be an integer (line 1, column 3)"),
+    ("x^(2)", 1, 1, "ParseError: exponent must be an integer (line 1, column 3)"),
+    ("x^-y", 1, 1, "ParseError: exponent must be an integer (line 1, column 4)"),
+    ("sinh(x)", 2, 5, "UnknownFunctionError: unknown function 'sinh' (line 2, column 5)"),
+    ("", 1, 1, "ParseError: unexpected 'eof' (line 1, column 1)"),
+    ("", 3, 7, "ParseError: unexpected 'eof' (line 3, column 7)"),
+    pytest.param("2*" + "1" * 4301, 1, 1,
+                 "ParseError: number of more than 4300 digits (line 1, column 3)",
+                 id="4301-digits", marks=pytest.mark.skipif(LIMIT != 4300, reason="another limit")),
+]
+
+
+@pytest.mark.parametrize("text, line, col, want", SCANNER)
+def test_scanner_fixed_results(text, line, col, want):
+    try:
+        got = sx.print_expr(parse_expr(text, line=line, col=col))
+    except sx.ParseError as err:
+        got = f"{type(err).__name__}: {err}"
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # A constant outside a function's domain is an error when it is built, not
 # a node that later folds away (0*log(0) -> 0, log(0) - log(0) -> 0).
@@ -851,10 +902,17 @@ def test_expand_evaluates_like_its_input(a):
     ("(x*(y + 1))^-1", "x^-1*(1 + y)^-1"),
     ("((x + y)^-1)^-2", "2*x*y + x^2 + y^2"),
     ("(1 + x)^-1*(y + x*y)", "y*(1 + x)^-1 + x*y*(1 + x)^-1"),
+    # a power of an expanded product, and of a power
+    ("1/(x*(y + 1) - x)", "x^-1*y^-1"),
+    ("(x^2*(y + 1) - x^2*y)^-3", "x^-6"),
 ])
 def test_expand_fixed_results(text, want):
     # a sum to a negative power stays a power: no common denominator forms
-    assert sx.expand(parse_expr(text)) == parse_expr(want)
+    e = parse_expr(text)
+    out = sx.expand(e)
+    assert out == parse_expr(want)
+    for p in POSITIVE_POINTS:
+        assert eval_expr(out, p) == pytest.approx(eval_expr(e, p), rel=1e-12)
 
 
 @pytest.mark.parametrize("text, proven", [
