@@ -588,6 +588,7 @@ SCANNER = [
     ("x\n + y\n*  z", 3, 7, "x + y*z"),
     ("x +\n  y)\n", 3, 7, "ParseError: unexpected ')' (line 4, column 4)"),
     ("x +\n", 3, 7, "ParseError: unexpected 'eof' (line 4, column 1)"),
+    ("x \n\r\n  y", 3, 7, "ParseError: unexpected 'y' (line 5, column 3)"),
     ("(x\r\n", 1, 1, "ParseError: expected ')' (line 2, column 1)"),
     ("\tsin (x\ty)", 2, 5, "ParseError: expected ')' (line 2, column 13)"),
     ("x\ry", 1, 1, "ParseError: unexpected 'y' (line 1, column 3)"),
