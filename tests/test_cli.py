@@ -417,13 +417,26 @@ def test_simulate_writes_outputs(capsys, tmp_path):
     assert len(diag) == 1 + 11  # initial state + 10 steps
 
 
-def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
+def _diagnostics_of_20_steps(capsys, tmp_path, *args):
     out_dir = tmp_path / "sim"
-    code, _, _ = run_cli(capsys, "simulate", "--chart", "cartesian",
+    code, _, _ = run_cli(capsys, "simulate", *args,
                          "--grid", "8x8x8", "--steps", "20", "--out", str(out_dir))
     assert code == 0
+    return (out_dir / "diagnostics.csv").read_bytes()
+
+
+def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
     want = (DATA / "simulate_cartesian_8_diagnostics.csv").read_bytes()
-    assert (out_dir / "diagnostics.csv").read_bytes() == want
+    assert _diagnostics_of_20_steps(capsys, tmp_path, "--chart", "cartesian") == want
+
+
+def test_simulate_spherical_shell_diagnostics_match_pinned_output(capsys, tmp_path):
+    # PEC walls in r and theta, periodic in phi
+    got = _diagnostics_of_20_steps(capsys, tmp_path, "--chart", "spherical",
+                                   "--extent", "1:0.5:1.5", "--extent", "2:0.3:2.84",
+                                   "--extent", "3:0:6.283185307179586",
+                                   "--bc", "pec,pec,periodic", "--initial", "azimuthal_mode")
+    assert got == (DATA / "simulate_spherical_8_diagnostics.csv").read_bytes()
 
 
 @pytest.mark.parametrize("args, pinned", [
@@ -433,6 +446,10 @@ def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
      "simulate_spherical_azimuthal_snapshot.csv"),
     (("--chart", "cartesian", "--grid", "5x4x3", "--initial", "plane_wave"),
      "simulate_cartesian_plane_wave_snapshot.csv"),
+    (("--chart", "cylindrical", "--grid", "6x5x4", "--extent", "1:0.5:1.5",
+      "--extent", "2:0:6.283185307179586", "--bc", "pec,periodic,pec",
+      "--initial", "azimuthal_mode"),
+     "simulate_cylindrical_azimuthal_snapshot.csv"),
 ])
 def test_simulate_csv_snapshot_matches_pinned_output(capsys, tmp_path, args, pinned):
     # the first snapshot of a 4-step run dumped every 2 steps
