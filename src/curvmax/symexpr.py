@@ -1441,7 +1441,12 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num" or "." in tok[1]:
                 raise ParseError("exponent must be an integer", tok[2], tok[3])
-            e = _fold(pow_, e, sign * int(tok[1]), op)
+            try:
+                n = int(tok[1])
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"number of more than {_MAX_DIGITS} digits",
+                                 tok[2], tok[3]) from None
+            e = _fold(pow_, e, sign * n, op)
         return e
 
     def closed(self, e):

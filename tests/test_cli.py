@@ -192,6 +192,18 @@ def test_derive_chart_file_parse_error_gives_file_position(capsys, tmp_path,
     assert err == f"error: invalid chart file: {message}\n"
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="integer parsing is not limited")
+def test_derive_chart_file_exponent_too_long_is_one_error_line(capsys, tmp_path):
+    p = tmp_path / "chart.ini"
+    p.write_text("[chart]\nname = bad\ncoords = u, v, z\nembedding = u^" + "9" * 5000
+                 + ", v, z\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "derive", "--chart-file", str(p))
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"error: invalid chart file: number of more than {limit} digits "
+                   "(line 4, column 15)\n")
+
+
 def test_derive_chart_file_not_utf8_is_one_error_line(capsys, tmp_path):
     p = tmp_path / "chart.ini"
     p.write_bytes(b"[chart]\nname = caf\xff\ncoords = u, v, z\nembedding = u, v, z\n")

@@ -611,6 +611,10 @@ SCANNER = [
     pytest.param("2*" + "1" * 4301, 1, 1,
                  "ParseError: number of more than 4300 digits (line 1, column 3)",
                  id="4301-digits", marks=pytest.mark.skipif(LIMIT != 4300, reason="another limit")),
+    pytest.param("x^-" + "9" * 4301, 2, 5,
+                 "ParseError: number of more than 4300 digits (line 2, column 8)",
+                 id="4301-digit-exponent",
+                 marks=pytest.mark.skipif(LIMIT != 4300, reason="another limit")),
 ]
 
 
