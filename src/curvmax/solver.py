@@ -29,10 +29,15 @@ where curl+ uses forward and curl- backward incidence sums.  The metric
 enters only through the closures, so the chart acts as the only medium
 (Ward & Pendry 1996): runs are in vacuum, with c = 1.  The closure and
 current coefficients are computed once per GridSpec, together with the
-time step; every geometry array keeps the broadcast shape of the
-coordinates it depends on -- (1, 1, 1) on the Cartesian chart, (N1, 1, 1)
-on the cylindrical one, (N1, N2, 1) on the spherical one -- and is
-read-only, because all callers share it.
+time step, and are read-only, because all callers share them.  Each
+metric array keeps the broadcast shape of the coordinates it depends on --
+(1, 1, 1) on the Cartesian chart, (N1, 1, 1) on the cylindrical one,
+(N1, N2, 1) on the spherical one.  Each closure is one (3, ...) array of
+its three components' common broadcast shape, so that it is one multiply:
+(3, 1, 1, 1) and (3, N1, 1, 1) on the first two charts.  A closure that
+varies along axis 1 but not along axis 2 is stored full size along axis 2,
+(3, N1, N2, N3) on the spherical chart, because a multiply by an
+(N1, N2, 1) coefficient runs one short inner loop per (x1, x2) line.
 Because the divergences are the same +-1 sums, div b~ telescopes to zero
 exactly and charge continuity holds to machine precision; ``diagnostics``
 divides only the final maxima by V.
@@ -59,8 +64,9 @@ its rows, and only the first or last slab wraps periodically.  The
 +-1 sums along each of the last two axes are one pass over the slab
 flattened to 1-D, the neighbour one stride away, with the end plane saved
 first and put back (PEC) or wrapped (periodic), both planes read from a
-table built once per axis.  ``diagnostics`` takes e.d, and the maximum
-and minimum of each stored field, over all three components at once.
+table built once per axis.  ``diagnostics`` takes e.d and h.b, and the
+maximum and minimum of each stored field, over all three components at
+once.
 Each value goes through the same operations in the same order as in a
 whole-array sweep, so results are bitwise those of whole-array sweeps.
 
@@ -236,16 +242,17 @@ def _site_axes(spec, half):
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Read-only metric and closure arrays of one GridSpec, each at its
-    broadcast shape, with the time step and the integral scalars."""
+    """Read-only metric and closure arrays of one GridSpec, with the time
+    step and the integral scalars.  The metric arrays keep their broadcast
+    shape; each closure is one (3, ...) array (see the module docstring)."""
 
     g_edge: tuple           # g_ii at edge-i sites
     sqrtg_edge: tuple       # sqrt(g) at edge-i sites
     sqrtg_face: tuple       # sqrt(g) at face-i sites
     sqrtg_node: np.ndarray  # sqrt(g) at nodes, where the divergence of d lives
     h_coef: tuple           # g_ii / sqrt(g) at face-i sites: H_i = h_coef[i] b_i
-    d_to_e: tuple           # e~_i = d_to_e[i] d~_i at edge-i sites
-    b_to_h: tuple           # h~_i = b_to_h[i] b~_i at face-i sites
+    d_to_e: np.ndarray      # e~_i = d_to_e[i] d~_i at edge-i sites, (3, ...)
+    b_to_h: np.ndarray      # h~_i = b_to_h[i] b~_i at face-i sites, (3, ...)
     j_coef: tuple           # d~_i -= j_coef[i] j_i at edge-i sites
     scale: tuple            # (e, d, b) scalars per component: integral = scale * physical
     dt: float
@@ -254,6 +261,17 @@ class _Geometry:
 def _read_only(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _stacked(parts, shape):
+    """One read-only (3, ...) array of three broadcast-shaped components, at
+    their common broadcast shape; one that varies along axis 1 but not
+    along axis 2 is made full size along axis 2 (``shape`` is the grid's),
+    so that a multiply by it runs over contiguous rows."""
+    common = np.broadcast_shapes(*(p.shape for p in parts))
+    if common[1] > 1 and common[2] == 1:
+        common = (*common[:2], shape[2])
+    return _read_only(np.stack([np.broadcast_to(p, common) for p in parts]))
 
 
 @lru_cache(maxsize=8)
@@ -286,9 +304,9 @@ def _geometry(spec):
         sqrtg_face=tuple(_read_only(a) for a in sqrtg_face),
         sqrtg_node=_read_only(sqrtg_node),
         h_coef=tuple(_read_only(a) for a in h_coef),
-        d_to_e=tuple(_read_only(g_edge[i] / sqrtg_edge[i] * (edge[i] / flux[i]))
-                     for i in range(3)),
-        b_to_h=tuple(_read_only(h_coef[i] * (dt * h[i] / flux[i])) for i in range(3)),
+        d_to_e=_stacked([g_edge[i] / sqrtg_edge[i] * (edge[i] / flux[i]) for i in range(3)],
+                        spec.shape),
+        b_to_h=_stacked([h_coef[i] * (dt * h[i] / flux[i]) for i in range(3)], spec.shape),
         j_coef=tuple(_read_only((4.0 * math.pi * dt * flux[i]) * sqrtg_edge[i])
                      for i in range(3)),
         scale=(edge, flux, flux),
@@ -326,9 +344,10 @@ def _slabs(shape):
 
 
 def _rows(x, lo, hi):
-    """Rows lo..hi of axis 0 of a broadcast-shaped array; a scalar or an
-    array with one row broadcasts over every slab as it is."""
-    return x[lo:hi] if np.ndim(x) == 3 and len(x) > 1 else x
+    """Rows lo..hi of grid axis 0 of a broadcast-shaped array, its axis -3
+    (the axis after the component axis of a closure); an array with one
+    row there broadcasts over every slab as it is."""
+    return x[..., lo:hi, :, :] if x.shape[-3] > 1 else x
 
 
 # The flat pass's boundary planes along axes 1 and 2, per offset: the end
@@ -403,9 +422,9 @@ def _divergence(w, offset, spec, out, lo):
 
 def _closure(w, coef, out, lo=0, hi=None):
     """Pointwise closure or rescaling on rows lo..hi of axis 0 (all rows by
-    default): out_i = coef[i] w_i."""
-    for i in range(3):
-        np.multiply(w[i, lo:hi], _rows(coef[i], lo, hi), out=out[i, lo:hi])
+    default), one multiply over the three components: out_i = coef[i] w_i,
+    with ``coef`` a (3, ...) array."""
+    np.multiply(w[:, lo:hi], _rows(coef, lo, hi), out=out[:, lo:hi])
     return out
 
 
@@ -425,7 +444,7 @@ def _integral_arrays(state, spec, geo):
     arrays = _stored_arrays(state, spec)
     if state._scale == geo.scale:
         return arrays
-    return tuple(_closure(x, s, np.empty(x.shape))
+    return tuple(_closure(x, np.reshape(s, (3, 1, 1, 1)), np.empty(x.shape))
                  for x, s in zip((state.e, state.d, state.b), geo.scale))
 
 
@@ -561,7 +580,7 @@ def diagnostics(state, spec, rho=None):
     """
     geo = _geometry(spec)
     e, d, b = _integral_arrays(state, spec, geo)
-    vol = float(np.prod(spec.spacing))
+    vol = math.prod(spec.spacing)  # h1 h2 h3, in the geometry's order
     if rho is not None:
         try:
             rho = np.broadcast_to(rho, spec.shape)
@@ -569,7 +588,7 @@ def diagnostics(state, spec, rho=None):
             raise SolverError(f"charge density of shape {np.shape(rho)} does not "
                               f"broadcast to the grid's {spec.shape}") from None
     slabs = _slabs(spec.shape)
-    acc = np.empty((slabs[0][1], *spec.shape[1:]))
+    acc = np.empty((3, slabs[0][1], *spec.shape[1:]))
     # Per slab: the dot products of e.d and h.b along the last axis, and the
     # extremes of div b, div d - 4 pi rho and the nine stored components.
     # The row dots are summed once at the end by numpy's pairwise sum, which
@@ -579,11 +598,11 @@ def diagnostics(state, spec, rho=None):
     ed, hb = np.empty((3, *spec.shape[:2])), np.empty((3, *spec.shape[:2]))
     ext = np.empty((len(slabs), 2, 11))
     for (lo, hi), (top, bottom) in zip(slabs, ext):
-        t = acc[:hi - lo]
+        t = acc[:, :hi - lo]
         np.einsum("cijk,cijk->cij", e[:, lo:hi], d[:, lo:hi], out=ed[:, lo:hi])
-        for i in range(3):
-            np.multiply(b[i, lo:hi], _rows(geo.b_to_h[i], lo, hi), out=t)
-            np.einsum("ijk,ijk->ij", t, b[i, lo:hi], out=hb[i, lo:hi])
+        np.multiply(b[:, lo:hi], _rows(geo.b_to_h, lo, hi), out=t)
+        np.einsum("cijk,cijk->cij", t, b[:, lo:hi], out=hb[:, lo:hi])
+        t = t[0]
         # b is driven by forward-difference curls, d by backward ones; the
         # matching divergence direction is what makes each defect telescope.
         _divergence(b, 1, spec, t, lo)
@@ -595,20 +614,19 @@ def diagnostics(state, spec, rho=None):
         for f, x in enumerate(state._arrays):
             x[:, lo:hi].max(axis=(1, 2, 3), out=top[2 + 3 * f:5 + 3 * f])
             x[:, lo:hi].min(axis=(1, 2, 3), out=bottom[2 + 3 * f:5 + 3 * f])
-    hb_sum = sum(float(np.sum(x)) for x in hb)  # per component, as it was always summed
+    hb_sum = sum(hb.sum(axis=(1, 2)).tolist())  # per component, as it was always summed
     energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * geo.dt)
     np.negative(ext[:, 1], out=ext[:, 1])
     peaks = ext.max(axis=(0, 1))  # max |x| up to the sign of a zero; a nan propagates
     # max |x_i| / scale_i per component equals the maximum over the arrays
     # .e, .d, .b read: dividing by a positive scalar keeps the order of values.
-    scale = [s for field in state._scale for s in field]
-    fields = [abs(float(p)) / s for p, s in zip(peaks[2:], scale)]
+    # np.max, unlike the builtin, propagates a nan from any field.
+    max_abs = float(np.max(np.abs(peaks[2:]) / np.ravel(state._scale)))
     return {
         "energy": energy,
         "div_D_minus_4pi_rho": abs(float(peaks[1])) / vol,
         "div_B": abs(float(peaks[0])) / vol,
-        # np.max, unlike the builtin, propagates a nan from any field
-        "max_abs": float(np.max(fields)),
+        "max_abs": max_abs,
     }
 
 
