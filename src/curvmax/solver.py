@@ -614,7 +614,9 @@ def diagnostics(state, spec, rho=None):
         for f, x in enumerate(state._arrays):
             x[:, lo:hi].max(axis=(1, 2, 3), out=top[2 + 3 * f:5 + 3 * f])
             x[:, lo:hi].min(axis=(1, 2, 3), out=bottom[2 + 3 * f:5 + 3 * f])
-    hb_sum = sum(hb.sum(axis=(1, 2)).tolist())  # per component, as it was always summed
+    # one pairwise sum per component, then the three in order: the rounding
+    # the pinned energies hold
+    hb_sum = sum(hb.sum(axis=(1, 2)).tolist())
     energy = (2.0 * float(np.sum(ed)) + hb_sum) / (8.0 * math.pi * geo.dt)
     np.negative(ext[:, 1], out=ext[:, 1])
     peaks = ext.max(axis=(0, 1))  # max |x| up to the sign of a zero; a nan propagates

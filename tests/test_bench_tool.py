@@ -318,3 +318,104 @@ def test_cold_stops_at_a_command_that_fails(tmp_path, capsys):
         bench.main(["cold", good, broken, "--n", "1", "--out", str(out)])
     assert str(exc.value.code) == "error: cold 'derive spherical operators' child exited with 3"
     assert not out.exists()
+
+
+def _save_runner(calls, broken_trace=None):
+    """A stand-in for a checkout's benchmarks/run.py for ``save``: an
+    untraced run reports the end-to-end metrics, a traced one two layers;
+    the run whose trace flag is ``broken_trace`` reports a failed unit."""
+
+    def run_workload(argv, workload, deadline):
+        trace = int(argv[argv.index("--trace") + 1]) if "--trace" in argv else 0
+        calls.append((workload, trace))
+        if trace:
+            metrics = {"solver.step.self_s": (0.004, "s"), "solver.step.calls": (10.0, "count")}
+        else:
+            metrics = {m: (1.0, "") for m in bench.end_to_end_metrics()}
+        return {"metrics": metrics, "attempted": 10, "failed": int(trace == broken_trace),
+                "correct": True, "info": {"reference_loop_ms": 2.0}}
+
+    return types.SimpleNamespace(DEADLINE_S=1.0, parse_args=lambda argv: argv,
+                                 run_workload=run_workload)
+
+
+def _save(tmp_path, monkeypatch, *options, broken_trace=None, commit="abc"):
+    calls = []
+    monkeypatch.setattr(bench, "load_runner",
+                        lambda checkout, name: _save_runner(calls, broken_trace))
+    monkeypatch.setattr(bench, "drop_bytecode", lambda checkout: None)
+    monkeypatch.setattr(bench, "commit_of", lambda checkout: {"commit": commit, "dirty": False})
+    out = tmp_path / "BENCH_saved.json"
+    code = bench.main(["save", str(out), "--workload", "yee_curv_io", "--checkout", "co",
+                       "--seconds", "10", *options])
+    return code, out, calls
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_save_writes_one_checkouts_metrics_machine_and_commit(tmp_path, monkeypatch, capsys,
+                                                               trace):
+    code, out, calls = _save(tmp_path, monkeypatch, "--trace", str(trace))
+    assert code == 0
+    assert calls == [("yee_curv_io", 0), ("yee_curv_io", 1)][:1 + trace]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["checkout"] == {"commit": "abc", "dirty": False}
+    assert doc["machine"]["nproc"] == os.cpu_count()
+    assert (doc["seed"], doc["seconds"]) == (1, 10.0)
+    entry = doc["workloads"]["yee_curv_io"]
+    assert set(entry["metrics"]) == set(bench.end_to_end_metrics())
+    if trace:
+        assert entry["layers"] == {"solver.step.self_s": 0.004, "solver.step.calls": 10.0}
+    else:
+        assert "layers" not in entry
+    assert ("solver.step.self_s" in capsys.readouterr().out) == bool(trace)
+
+
+def test_save_refuses_another_commit_and_stops_at_a_broken_run(tmp_path, monkeypatch, capsys):
+    _, out, _ = _save(tmp_path, monkeypatch)
+    before = out.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        _save(tmp_path, monkeypatch, commit="def")
+    assert str(exc.value.code) == f"error: {out} holds another checkout commit"
+    with pytest.raises(SystemExit) as exc:
+        _save(tmp_path, monkeypatch, "--trace", "1", broken_trace=1)
+    assert str(exc.value.code) == ("error: yee_curv_io traced run is broken: correct true, "
+                                   "failed 1 of 10")
+    assert out.read_text(encoding="utf-8") == before
+
+
+def _saved(path, layers=None, work=100.0):
+    entry = {"metrics": {"work_per_s": work}, "correct": True}
+    if layers is not None:
+        entry["layers"] = layers
+    path.write_text(json.dumps({"checkout": {"commit": path.stem},
+                                "workloads": {"yee_curv_io": entry}}), encoding="utf-8")
+    return str(path)
+
+
+def test_compare_flags_a_layer_self_time_more_than_a_tenth_slower(tmp_path, capsys):
+    old = _saved(tmp_path / "old.json", {
+        "solver.step.self_s": 0.0040, "solver.diagnostics.self_s": 0.0030,
+        "solver.write_snapshot_csv.self_s": 0.0020, "solver.step.calls": 10.0,
+        "symexpr.diff.self_s": 0.0})
+    new = _saved(tmp_path / "new.json", {
+        "solver.step.self_s": 0.0034,                # faster
+        "solver.diagnostics.self_s": 0.0032,         # 6.7 % slower: inside the tenth
+        "solver.write_snapshot_csv.self_s": 0.0023,  # 15 % slower: flagged
+        "solver.step.calls": 20.0,                   # a count, not a time
+        "symexpr.diff.self_s": 0.0})                 # spent in neither run
+    assert bench.main(["compare", old, new]) == 1
+    rows = _rows(capsys.readouterr().out)
+    assert rows["yee_curv_io", "work_per_s"].split()[4] == "1.0000"
+    assert rows["yee_curv_io", "solver.write_snapshot_csv.self_s"].endswith(
+        "SLOWER by more than 10%")
+    for name in ("solver.step.self_s", "solver.diagnostics.self_s"):
+        assert "SLOWER" not in rows["yee_curv_io", name]
+    assert ("yee_curv_io", "solver.step.calls") not in rows
+    assert ("yee_curv_io", "symexpr.diff.self_s") not in rows
+
+
+def test_compare_leaves_out_layers_unless_both_files_hold_traced_runs(tmp_path, capsys):
+    old = _saved(tmp_path / "old.json")
+    new = _saved(tmp_path / "new.json", {"solver.step.self_s": 1.0}, work=110.0)
+    assert bench.main(["compare", old, new]) == 0
+    assert "self_s" not in capsys.readouterr().out

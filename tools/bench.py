@@ -6,6 +6,7 @@ times, and comparison of BENCH files.
     python3 tools/bench.py counts PARENT_DIR CHILD_DIR --workload derive_pullback \\
         --out BENCH_topic.json
     python3 tools/bench.py cold PARENT_DIR CHILD_DIR --n 10 --out BENCH_cold_start.json
+    python3 tools/bench.py save OUT.json --workload yee_curv_io --checkout DIR --trace 1
     python3 tools/bench.py compare OLD.json NEW.json
 
 ``pairs`` runs each checkout's own ``benchmarks/run.py`` (imported by path,
@@ -55,11 +56,22 @@ median and quartiles, the child's median over the parent's, the runs the
 child won and the numpy flags to the file under ``cold``; a command that
 exits non-zero stops it with exit 1 and one ``error:`` line.
 
+``save`` runs one checkout (``--checkout``, by default the one holding this
+tool) once on one workload, as ``pairs`` runs a side, and writes, or adds
+the workload to, a JSON file holding the machine, the checkout's commit,
+the seed, the run length and the run's end-to-end metrics.  With
+``--trace 1`` a second, traced run adds the per-layer figures under
+``layers``.  A file of another commit, seed or run length is refused, and
+a broken run stops it, as in ``pairs``.
+
 ``compare`` prints, per workload and end-to-end metric, the child median of
-OLD, that of NEW and their ratio, and flags a move for the worse beyond the
-metric's bound in ``BENCHMARK.json``; it exits 1 when it flags one.  Then,
-per workload counted in both, the child's instruction counts and their
-ratio.  At the end of ``pairs`` the same table compares the parent with
+OLD, that of NEW and their ratio (a file written by ``save`` gives its one
+run's figures instead of the child median), and flags a move for the worse
+beyond the metric's bound in ``BENCHMARK.json``.  When both files hold a
+traced run of a workload, it prints each per-layer self time either run
+spent and flags one more than ``LAYER_SLOWER`` (10 %) slower.  It exits 1
+when it flags anything.  Then, per workload counted in both, the child's
+instruction counts and their ratio.  At the end of ``pairs`` the same table compares the parent with
 the child, and the gain rule and the reference loop of each metric follow
 it; at the end of ``counts``, both sides' instructions and the functions
 whose calls changed most.
@@ -87,6 +99,7 @@ import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "child")
+LAYER_SLOWER = 0.10  # compare flags a per-layer self time slower by more than this
 # workloads whose counted span is one round of units rather than one unit
 ROUND_WORKLOADS = ("derive_pullback",)
 # cold: name -> arguments of ``python -m curvmax.cli``, run in a scratch directory
@@ -211,23 +224,26 @@ def gain_lines(summary):
     return lines
 
 
-def open_doc(args, **runs):
-    """The BENCH file at ``args.out`` to add to, or a new one: the machine,
-    both commits and ``runs`` (the seed and run length of the pairs).  A
-    file of another commit, or whose pairs ran at another seed or run
-    length, is refused with one ``error:`` line."""
-    doc = {"machine": machine(),
-           "parent": commit_of(args.parent), "child": commit_of(args.child),
-           **runs, "workloads": {}}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as f:
+def sides(args):
+    """{"parent": commit, "child": commit} of the two checkouts."""
+    return {"parent": commit_of(args.parent), "child": commit_of(args.child)}
+
+
+def open_doc(path, commits, **runs):
+    """The BENCH file at ``path`` to add to, or a new one: the machine, the
+    ``commits`` (a key per checkout, as ``sides`` gives) and ``runs`` (the
+    seed and run length).  A file of another commit, or whose runs had
+    another seed or run length, is refused with one ``error:`` line."""
+    doc = {"machine": machine(), **commits, **runs, "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
             old = json.load(f)
-        for key in ("parent", "child"):
-            if old[key]["commit"] != doc[key]["commit"]:
-                raise SystemExit(f"error: {args.out} holds another {key} commit")
+        for key in commits:
+            if (old.get(key) or {}).get("commit") != doc[key]["commit"]:
+                raise SystemExit(f"error: {path} holds another {key} commit")
         for key in runs:
             if key in old and old[key] != doc[key]:
-                raise SystemExit(f"error: {args.out} holds runs at {key} {old[key]}, "
+                raise SystemExit(f"error: {path} holds runs at {key} {old[key]}, "
                                  f"not {doc[key]}")
         doc = {**old, **doc, "workloads": old["workloads"]}
     return doc
@@ -239,11 +255,31 @@ def write_doc(path, doc):
         f.write("\n")
 
 
+def run_once(runner, args, what, trace=0):
+    """One run of ``args.workload`` by a checkout's runner, at ``args.seed``
+    and ``args.seconds``: {"metrics", "attempted", "failed", "correct",
+    "info"}.  A run that reports ``correct: false`` or a failed unit exits
+    with one ``error:`` line naming ``what`` run it was."""
+    argv = ["--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", str(args.seconds)]
+    ns = runner.parse_args(argv + (["--trace", "1"] if trace else []))
+    # run.py's workers inherit this environment: each compiles what it imports
+    with mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"):
+        result = runner.run_workload(ns, args.workload, time.monotonic() + runner.DEADLINE_S)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"error: {args.workload} {what} run is broken: "
+                         f"correct {str(result['correct']).lower()}, "
+                         f"failed {result['failed']} of {result['attempted']}")
+    return {"metrics": {k: v for k, (v, _) in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"], "info": result["info"]}
+
+
 def run_pairs(args):
     metrics = end_to_end_metrics()
     runners = {side: load_runner(d, f"_bench_run_{side}")
                for side, d in zip(SIDES, (args.parent, args.child))}
-    doc = open_doc(args, seed=args.seed, seconds=args.seconds)
+    doc = open_doc(args.out, sides(args), seed=args.seed, seconds=args.seconds)
     pairs = []
     for i in range(args.n):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -251,19 +287,7 @@ def run_pairs(args):
         for d in (args.parent, args.child):
             drop_bytecode(d)
         for side in order:
-            run = runners[side]
-            ns = run.parse_args(["--workload", args.workload, "--seed", str(args.seed),
-                                 "--seconds", str(args.seconds)])
-            # run.py's workers inherit this environment: each compiles what it imports
-            with mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"):
-                result = run.run_workload(ns, args.workload, time.monotonic() + run.DEADLINE_S)
-            if not result["correct"] or result["failed"]:
-                raise SystemExit(f"error: {args.workload} pair {i + 1} {side} run is broken: "
-                                 f"correct {str(result['correct']).lower()}, "
-                                 f"failed {result['failed']} of {result['attempted']}")
-            pair[side] = {"metrics": {k: v for k, (v, _) in result["metrics"].items()},
-                          "attempted": result["attempted"], "failed": result["failed"],
-                          "correct": result["correct"], "info": result["info"]}
+            pair[side] = run_once(runners[side], args, f"pair {i + 1} {side}")
         pairs.append(pair)
         print(f"pair {i + 1}/{args.n} {args.workload} work_per_s parent "
               f"{pair['parent']['metrics']['work_per_s']:.6g} child "
@@ -276,10 +300,33 @@ def run_pairs(args):
     return 0
 
 
+def run_save(args):
+    runner = load_runner(args.checkout, "_bench_run_save")
+    doc = open_doc(args.out, {"checkout": commit_of(args.checkout)},
+                   seed=args.seed, seconds=args.seconds)
+    drop_bytecode(args.checkout)
+    entry = run_once(runner, args, "untraced")
+    if args.trace:
+        drop_bytecode(args.checkout)
+        entry["layers"] = run_once(runner, args, "traced", trace=1)["metrics"]
+    doc["workloads"][args.workload] = entry
+    write_doc(args.out, doc)
+    print("\n".join(f"{args.workload:16s} {name:44s} {value:14.6g}"
+                    for name, value in (*entry["metrics"].items(),
+                                        *entry.get("layers", {}).items())))
+    return 0
+
+
 def medians(doc, side):
-    """workload -> metric -> that side's median, from a BENCH file."""
-    return {w: {m: row[side]["median"] for m, row in v["summary"].items()}
-            for w, v in doc["workloads"].items() if "summary" in v}
+    """workload -> metric -> that side's median, from a BENCH file of
+    ``pairs``; from one of ``save``, its run's figures."""
+    out = {}
+    for w, v in doc["workloads"].items():
+        if "summary" in v:
+            out[w] = {m: row[side]["median"] for m, row in v["summary"].items()}
+        elif "metrics" in v:
+            out[w] = v["metrics"]
+    return out
 
 
 def compare_medians(old, new, metrics):
@@ -301,12 +348,36 @@ def compare_medians(old, new, metrics):
     return flagged, lines
 
 
+def compare_layers(old, new):
+    """(flagged, lines): per workload traced in both, each per-layer self
+    time that either run spent, new/old, flagging one more than
+    ``LAYER_SLOWER`` slower."""
+    flagged, lines = False, []
+    for workload in sorted(set(old) & set(new)):
+        for name in sorted(set(old[workload]) & set(new[workload])):
+            a, b = old[workload][name], new[workload][name]
+            if not name.endswith(".self_s") or not (a or b):
+                continue
+            ratio = b / a if a else float("inf")
+            flag = ratio > 1 + LAYER_SLOWER
+            flagged = flagged or flag
+            lines.append(f"{workload:16s} {name:44s} {a:12.6g} {b:12.6g} {ratio:8.4f}"
+                         + (f"  SLOWER by more than {LAYER_SLOWER:.0%}" if flag else ""))
+    if lines:
+        lines.insert(0, f"{'workload':16s} {'layer':44s} {'old':>12s} {'new':>12s} "
+                        f"{'ratio':>8s}")
+    return flagged, lines
+
+
 def run_compare(args):
     docs = []
     for path in (args.old, args.new):
         with open(path, encoding="utf-8") as f:
             docs.append(json.load(f))
     flagged, lines = compare_medians(*(medians(d, "child") for d in docs), end_to_end_metrics())
+    slower, layer_lines = compare_layers(*({w: v["layers"] for w, v in d["workloads"].items()
+                                            if "layers" in v} for d in docs))
+    flagged, lines = flagged or slower, lines + layer_lines
     old, new = ({w: v["counts"]["child"]["instructions"] for w, v in d["workloads"].items()
                  if "counts" in v} for d in docs)
     if set(old) & set(new):
@@ -375,7 +446,7 @@ def count_side(checkout, workload, seed):
 
 
 def run_counts(args):
-    doc = open_doc(args)
+    doc = open_doc(args.out, sides(args))
     counts = {"seed": args.seed}
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -435,7 +506,7 @@ def loads_numpy(importtime):
 
 
 def run_cold(args):
-    doc = open_doc(args)
+    doc = open_doc(args.out, sides(args))
     envs = {side: cold_env(d) for side, d in zip(SIDES, (args.parent, args.child))}
     for d in (args.parent, args.child):
         drop_bytecode(d)
@@ -500,6 +571,13 @@ def parse_args(argv):
     cold.add_argument("child")
     cold.add_argument("--n", type=int, default=10)
     cold.add_argument("--out", required=True)
+    save = sub.add_parser("save", help="one checkout's metrics, per layer with --trace 1")
+    save.add_argument("out")
+    save.add_argument("--workload", required=True)
+    save.add_argument("--checkout", default=ROOT)
+    save.add_argument("--seed", type=int, default=1)
+    save.add_argument("--seconds", type=float, default=20.0)
+    save.add_argument("--trace", type=int, choices=(0, 1), default=0)
     compare = sub.add_parser("compare", help="child medians of two BENCH files")
     compare.add_argument("old")
     compare.add_argument("new")
@@ -511,7 +589,7 @@ def main(argv=None):
     if args.command == "count-side":
         print(json.dumps(count_side(args.checkout, args.workload, args.seed)))
         return 0
-    return {"pairs": run_pairs, "counts": run_counts, "cold": run_cold,
+    return {"pairs": run_pairs, "counts": run_counts, "cold": run_cold, "save": run_save,
             "compare": run_compare}[args.command](args)
 
 
