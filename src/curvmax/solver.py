@@ -598,11 +598,11 @@ def diagnostics(state, spec, rho=None):
     ed, hb = np.empty((3, *spec.shape[:2])), np.empty((3, *spec.shape[:2]))
     ext = np.empty((len(slabs), 2, 11))
     for (lo, hi), (top, bottom) in zip(slabs, ext):
-        t = acc[:, :hi - lo]
+        h = acc[:, :hi - lo]
         np.einsum("cijk,cijk->cij", e[:, lo:hi], d[:, lo:hi], out=ed[:, lo:hi])
-        np.multiply(b[:, lo:hi], _rows(geo.b_to_h, lo, hi), out=t)
-        np.einsum("cijk,cijk->cij", t, b[:, lo:hi], out=hb[:, lo:hi])
-        t = t[0]
+        np.multiply(b[:, lo:hi], _rows(geo.b_to_h, lo, hi), out=h)
+        np.einsum("cijk,cijk->cij", h, b[:, lo:hi], out=hb[:, lo:hi])
+        t = h[0]  # h is spent; the divergences reuse its first component
         # b is driven by forward-difference curls, d by backward ones; the
         # matching divergence direction is what makes each defect telescope.
         _divergence(b, 1, spec, t, lo)
@@ -622,13 +622,12 @@ def diagnostics(state, spec, rho=None):
     peaks = ext.max(axis=(0, 1))  # max |x| up to the sign of a zero; a nan propagates
     # max |x_i| / scale_i per component equals the maximum over the arrays
     # .e, .d, .b read: dividing by a positive scalar keeps the order of values.
-    # np.max, unlike the builtin, propagates a nan from any field.
-    max_abs = float(np.max(np.abs(peaks[2:]) / np.ravel(state._scale)))
     return {
         "energy": energy,
         "div_D_minus_4pi_rho": abs(float(peaks[1])) / vol,
         "div_B": abs(float(peaks[0])) / vol,
-        "max_abs": max_abs,
+        # np.max, unlike the builtin, propagates a nan from any field
+        "max_abs": float(np.max(np.abs(peaks[2:]) / np.ravel(state._scale))),
     }
 
 

@@ -429,26 +429,25 @@ def test_simulate_writes_outputs(capsys, tmp_path):
     assert len(diag) == 1 + 11  # initial state + 10 steps
 
 
-def _diagnostics_of_20_steps(capsys, tmp_path, *args):
+def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
     out_dir = tmp_path / "sim"
-    code, _, _ = run_cli(capsys, "simulate", *args,
+    code, _, _ = run_cli(capsys, "simulate", "--chart", "cartesian",
                          "--grid", "8x8x8", "--steps", "20", "--out", str(out_dir))
     assert code == 0
-    return (out_dir / "diagnostics.csv").read_bytes()
-
-
-def test_simulate_diagnostics_match_pinned_output(capsys, tmp_path):
     want = (DATA / "simulate_cartesian_8_diagnostics.csv").read_bytes()
-    assert _diagnostics_of_20_steps(capsys, tmp_path, "--chart", "cartesian") == want
+    assert (out_dir / "diagnostics.csv").read_bytes() == want
 
 
 def test_simulate_spherical_shell_diagnostics_match_pinned_output(capsys, tmp_path):
     # PEC walls in r and theta, periodic in phi
-    got = _diagnostics_of_20_steps(capsys, tmp_path, "--chart", "spherical",
-                                   "--extent", "1:0.5:1.5", "--extent", "2:0.3:2.84",
-                                   "--extent", "3:0:6.283185307179586",
-                                   "--bc", "pec,pec,periodic", "--initial", "azimuthal_mode")
-    assert got == (DATA / "simulate_spherical_8_diagnostics.csv").read_bytes()
+    out_dir = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, "simulate", "--chart", "spherical", "--grid", "8x8x8",
+                         "--extent", "1:0.5:1.5", "--extent", "2:0.3:2.84",
+                         "--extent", "3:0:6.283185307179586", "--bc", "pec,pec,periodic",
+                         "--initial", "azimuthal_mode", "--steps", "20", "--out", str(out_dir))
+    assert code == 0
+    want = (DATA / "simulate_spherical_8_diagnostics.csv").read_bytes()
+    assert (out_dir / "diagnostics.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("args, pinned", [

@@ -71,10 +71,10 @@ beyond the metric's bound in ``BENCHMARK.json``.  When both files hold a
 traced run of a workload, it prints each per-layer self time either run
 spent and flags one more than ``LAYER_SLOWER`` (10 %) slower.  It exits 1
 when it flags anything.  Then, per workload counted in both, the child's
-instruction counts and their ratio.  At the end of ``pairs`` the same table compares the parent with
-the child, and the gain rule and the reference loop of each metric follow
-it; at the end of ``counts``, both sides' instructions and the functions
-whose calls changed most.
+instruction counts and their ratio.  At the end of ``pairs`` the same
+table compares the parent with the child, and the gain rule and the
+reference loop of each metric follow it; at the end of ``counts``, both
+sides' instructions and the functions whose calls changed most.
 """
 
 from __future__ import annotations
@@ -311,9 +311,9 @@ def run_save(args):
         entry["layers"] = run_once(runner, args, "traced", trace=1)["metrics"]
     doc["workloads"][args.workload] = entry
     write_doc(args.out, doc)
+    layers = {name: value for name, value in entry.get("layers", {}).items() if value}
     print("\n".join(f"{args.workload:16s} {name:44s} {value:14.6g}"
-                    for name, value in (*entry["metrics"].items(),
-                                        *entry.get("layers", {}).items())))
+                    for name, value in (*entry["metrics"].items(), *layers.items())))
     return 0
 
 
