@@ -81,7 +81,7 @@ def _load_metric(chart, chart_file):
             raise CliError(f"unknown built-in chart {chart!r}; "
                            f"known: {', '.join(BUILTIN_CHARTS)}")
     try:
-        with open(chart_file, encoding="utf-8") as f:
+        with open(chart_file, encoding="utf-8-sig") as f:  # a leading BOM is dropped
             charts = parse_chart_file(f.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read chart file: {exc}")
@@ -472,8 +472,10 @@ def transform(target, chart, input, out):
 
     rows = []  # every row is converted before any is written: a bad row leaves no output
     header_candidate = True  # the first line that is neither blank nor a comment
-    # bytes.splitlines breaks at \n, \r\n and \r only, as text mode reads lines
-    for lineno, raw in enumerate(input.read().splitlines(), start=1):
+    # bytes.splitlines breaks at \n, \r\n and \r only, as text mode reads
+    # lines; a leading UTF-8 byte-order mark is dropped
+    data = input.read().removeprefix(b"\xef\xbb\xbf")
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:

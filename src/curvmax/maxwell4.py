@@ -32,15 +32,15 @@ from itertools import permutations
 import numpy as np
 
 from . import symexpr as sx
-from .symexpr import Expr, eval_expr, simplify
+from .symexpr import Expr
 
 __all__ = [
     "Maxwell4Error", "Metric4", "FieldTensor4", "EMSpinor",
     "assemble_F_lower", "assemble_G_lower", "assemble_pair", "read_pair",
-    "raise4", "lower4", "hodge_dual", "check_pair_table", "PairTableReport",
+    "raise4", "hodge_dual", "check_pair_table", "PairTableReport",
     "bianchi_residual", "source_residual_4",
     "phi_from_EB", "gamma_from_DH", "reconstruct_F_from_spinor",
-    "spinor_maxwell_residual", "map_vector4", "unmap_vector4",
+    "spinor_maxwell_residual", "unmap_vector4",
     "IVDW", "IVDW_INV", "EPS_SPIN",
     "matrix_text", "matrix_latex",
 ]
@@ -94,8 +94,7 @@ class Metric4:
             raise Maxwell4Error("diagonal metric needs 4 entries")
         if not any(isinstance(e, Expr) for e in entries):
             return cls.numeric(np.diag(entries))
-        entries = tuple(simplify(e) if isinstance(e, Expr) else sx.Const(e)
-                        for e in entries)
+        entries = tuple(e if isinstance(e, Expr) else sx.Const(e) for e in entries)
         det = entries[0] * entries[1] * entries[2] * entries[3]
         if sx.is_zero(det):
             raise Maxwell4Error(_DET_SIGN)
@@ -129,14 +128,6 @@ class Metric4:
         hi = np.linalg.inv(m)
         return cls(tuple(map(tuple, m)), tuple(map(tuple, hi)),
                    det, math.sqrt(-det))
-
-    def evaluate(self, binding):
-        """Numeric Metric4 obtained by evaluating symbolic entries."""
-        if not self.is_symbolic:
-            return self
-        m = [[eval_expr(x, binding) if isinstance(x, Expr) else float(x)
-              for x in row] for row in self.g_lo]
-        return Metric4.numeric(m)
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +225,17 @@ def _sum_products(pairs, sym):
     return sx.add(*terms) if sym else sum(terms)
 
 
-def _contract_two(t, g, g_mat):
-    m = t.matrix
-    sym = t.is_symbolic or g.is_symbolic
-    return tuple(tuple(
-        _sum_products([(g_mat[a][c] * g_mat[b][d], m[c][d])
-                       for c in range(4) for d in range(4)
-                       if _nonzero(g_mat[a][c]) and _nonzero(g_mat[b][d])], sym)
-        for b in range(4)) for a in range(4))
-
-
 def raise4(t, g):
     """T^{alpha beta} = g^{alpha gamma} g^{beta delta} T_{gamma delta}."""
     if t.variance != "lower":
         raise Maxwell4Error("raise4 expects a both-lower tensor")
-    return FieldTensor4(_contract_two(t, g, g.g_hi), "upper", t.kind)
-
-
-def lower4(t, g):
-    """T_{alpha beta} = g_{alpha gamma} g_{beta delta} T^{gamma delta}."""
-    if t.variance != "upper":
-        raise Maxwell4Error("lower4 expects a both-upper tensor")
-    return FieldTensor4(_contract_two(t, g, g.g_lo), "lower", t.kind)
+    m, hi = t.matrix, g.g_hi
+    sym = t.is_symbolic or g.is_symbolic
+    return FieldTensor4(tuple(tuple(
+        _sum_products([(hi[a][c] * hi[b][d], m[c][d])
+                       for c in range(4) for d in range(4)
+                       if _nonzero(hi[a][c]) and _nonzero(hi[b][d])], sym)
+        for b in range(4)) for a in range(4)), "upper", t.kind)
 
 
 #: The 24 nonzero entries (a, b, c, d, [abcd]) of the 4-D permutation symbol,
@@ -325,8 +305,8 @@ def check_pair_table(g, seed=None):
     cross-checked against metric raising of the lower ones, where the two
     constructions coincide.
 
-    ``g`` must be numeric (evaluate a symbolic metric first) and diagonal
-    in its spatial block so 3-index raising is well defined.
+    ``g`` must be numeric (evaluate a symbolic metric's entries first) and
+    diagonal in its spatial block so 3-index raising is well defined.
     """
     if g.is_symbolic:
         raise Maxwell4Error("check_pair_table needs a numeric metric")
@@ -475,13 +455,9 @@ def reconstruct_F_from_spinor(s):
     return FieldTensor4(tuple(map(tuple, f.real)), "lower", "F")
 
 
-def map_vector4(v4):
-    """v^{AA'} = g_alpha^{AA'} v^alpha for a (possibly complex) 4-vector."""
-    return np.einsum('aAP,a->AP', IVDW, np.asarray(v4, dtype=complex))
-
-
 def unmap_vector4(m):
-    """Inverse of map_vector4: the 4-vector of a 2x2 spinor-index matrix."""
+    """The 4-vector v^alpha of a 2x2 spinor-index matrix
+    v^{AA'} = g_alpha^{AA'} v^alpha (possibly complex)."""
     return np.linalg.solve(IVDW.reshape(4, 4).T, np.asarray(m, dtype=complex).reshape(4))
 
 

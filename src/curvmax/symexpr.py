@@ -15,12 +15,12 @@ the grammar.
 
 Trees are canonical when built: the builders (add, mul, pow_, func, ...)
 fold rationals, collect like terms and factors, order children
-deterministically and apply sin^2 + cos^2 -> 1, and the parser, diff and
-substitute build only through them.  ``simplify`` (``substitute`` with no
-bindings) is needed only for trees assembled by hand with the node
-constructors.  A canonical term times a constant needs no re-merge: ``mul``
-scales the term's leading coefficient (``_scale``), and the general merge,
-which every other product takes, is the reference it must agree with.
+deterministically and apply sin^2 + cos^2 -> 1.  They are the only way to
+make a sum, product, power or function node (``Add(x, x)`` raises
+TypeError), so every tree is canonical.  A canonical term times a constant
+needs no re-merge: ``mul`` scales the term's leading coefficient
+(``_scale``), and the general merge, which every other product takes, is
+the reference it must agree with.
 All coordinate variables are assumed to range over the open domains
 declared by their charts; the sqrt builder uses positivity of its
 argument there (sqrt(x^2) -> x, sqrt(a*b) -> sqrt(a)*sqrt(b)), and
@@ -37,8 +37,8 @@ or ``equivalent`` call, which looks every row's ufunc up once
 (``_load_numpy``): building, printing, differentiating and ``eval_expr``
 never import it.
 
-Nodes are interned (hash-consed): every constructor, and so every builder
-and the parser, returns the one live node of the structure it is given,
+Nodes are interned (hash-consed): every builder, leaf constructor and so
+the parser returns the one live node of the structure it is given,
 so one structure is one object, trees share every repeated subtree,
 equality is identity and hashing is by identity (see ``Expr``).  Each node
 computes its sort key and, once it is a term of a sum, its term split
@@ -46,7 +46,7 @@ computes its sort key and, once it is a term of a sum, its term split
 first use, and keeps them.  That sharing, and the cached key and split,
 are why nodes must stay immutable.  Everything below that is keyed by
 identity is therefore keyed by structure.
-``substitute`` (so ``simplify``) keeps a memo from each composite node of
+``substitute`` keeps a memo from each composite node of
 its input, by identity, to its result, for the length of one call: a
 subtree shared n times is worked on once.  Derivatives keep theirs longer:
 ``partials()`` gives a callable that keeps one such memo per variable for
@@ -65,16 +65,6 @@ keeps with the tape: it folds each child of a sum or product in as soon as
 it is computed, works in place on arrays it made itself that nothing else
 reads and keeps a value several parents read until its last read, so that
 it holds no more arrays than a recursive walk would.
-
-Canonical mark: a builder marks the node it makes as canonical when every
-input it was given is canonical (constants, variables and field atoms
-always are), and ``simplify`` returns a marked subtree as it is instead of
-rebuilding it.  A new node made with a constructor (``Add(x, x)``) is
-unmarked, and so is any builder output that holds one: the builders assume
-canonical inputs and may keep an input as it is, so ``mul(2, Add(x, x))``
-is ``Mul(2, Add(x, x))``, and only ``simplify`` turns it into ``4*x``.  A
-builder may raise a node's mark but never lowers it, so a constructor
-given a structure that a builder has marked returns that marked node.
 
 A builder given a constant outside a function's domain (``log(0)``,
 ``sqrt(-4)``, ``arccos(2)``) raises ConstantDomainError, and zero to a
@@ -101,7 +91,7 @@ __all__ = [
     "Expr", "Const", "Var", "FieldAtom", "Add", "Mul", "Pow", "Func",
     "FUNCTIONS", "ZERO", "ONE",
     "const", "var", "add", "mul", "neg", "sub", "div", "pow_", "func",
-    "sin", "cos", "tan", "sqrt", "exp", "log", "arctan", "arccos",
+    "sin", "cos", "tan", "sqrt", "exp", "log",
     "parse_expr", "print_expr", "to_latex", "diff", "partials", "simplify",
     "expand", "is_zero",
     "eval_expr", "lambdify", "free_vars", "equivalent", "substitute",
@@ -171,8 +161,8 @@ class ZeroPowerError(ConstantDomainError, ZeroDivisionError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class of the nodes.  Nodes are interned: a constructor (and so
-    every builder) returns the live node of the structure it is given when
+    """Base class of the nodes.  Nodes are interned: a builder or leaf
+    constructor returns the live node of the structure it is given when
     there is one (see ``_intern``), so one structure is one object,
     equality is identity and hashing is by identity.  A node is shared by
     every tree that holds its structure, so it must never change:
@@ -182,27 +172,30 @@ class Expr:
     ``deepcopy`` and ``pickle`` give back the interned node
     (``__reduce__``).
 
-    ``_canon`` is the canonical mark: True only on a node that
-    ``simplify`` gives back unchanged, and always on constants, variables
-    and field atoms.  A new composite node starts unmarked, and a builder
-    may raise a node's mark but never lower it, so a hand-built node of a
-    structure a builder has marked carries that mark."""
+    ``Const``, ``Var`` and ``FieldAtom`` are constructed directly.  The
+    composite classes refuse construction: only the builders make them,
+    through the class's private ``_make``, so every node is canonical."""
 
     __slots__ = ("_skey", "_split", "_tape", "__weakref__")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("sums, products, powers and functions are built by "
+                        "add, mul, pow_ and func, not by their node classes")
+
+    @classmethod
+    def _make(cls, *parts):
+        return cls(*parts)  # a leaf; each composite class has its own
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
-        return type(self), self._parts()
-
-    def _parts(self):
-        raise NotImplementedError
+        return type(self)._make, self._parts()
 
     def __repr__(self):
         return f"<{type(self).__name__} {_print(self)}>"
 
-    # arithmetic sugar; results are canonical given canonical operands
+    # arithmetic sugar through the builders
     def __add__(self, other):
         return add(self, _wrap(other))
 
@@ -280,7 +273,6 @@ _SAFE_BITS = _TOO_LONG.bit_length() - 1 if _MAX_DIGITS else math.inf
 
 class Const(Expr):
     __slots__ = ("value",)
-    _canon = True
 
     def __new__(cls, value):
         if type(value) is int:  # a live integer constant is found without a Fraction
@@ -299,7 +291,6 @@ class Const(Expr):
 
 class Var(Expr):
     __slots__ = ("name",)
-    _canon = True
 
     def __new__(cls, name):
         return _intern(cls, (cls, name), name)
@@ -321,7 +312,6 @@ class FieldAtom(Expr):
     such a tree with the same error rather than print ``u + u``."""
 
     __slots__ = ("base", "args", "derivs")
-    _canon = True
 
     def __new__(cls, base, args, derivs=()):
         args, derivs = tuple(args), tuple(sorted(derivs))
@@ -338,20 +328,22 @@ class FieldAtom(Expr):
 
 
 class Add(Expr):
-    __slots__ = ("terms", "_canon")
+    __slots__ = ("terms",)
 
-    def __new__(cls, *terms):
-        return _intern(cls, (cls, *map(id, terms)), terms, False)
+    @classmethod
+    def _make(cls, *terms):
+        return _intern(cls, (cls, *map(id, terms)), terms)
 
     def _parts(self):
         return self.terms
 
 
 class Mul(Expr):
-    __slots__ = ("factors", "_canon")
+    __slots__ = ("factors",)
 
-    def __new__(cls, *factors):
-        return _intern(cls, (cls, *map(id, factors)), factors, False)
+    @classmethod
+    def _make(cls, *factors):
+        return _intern(cls, (cls, *map(id, factors)), factors)
 
     def _parts(self):
         return self.factors
@@ -360,24 +352,22 @@ class Mul(Expr):
 class Pow(Expr):
     """Integer power."""
 
-    __slots__ = ("base", "exponent", "_canon")
+    __slots__ = ("base", "exponent")
 
-    def __new__(cls, base, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("Pow exponent must be an integer")
-        return _intern(cls, (cls, id(base), exponent), base, exponent, False)
+    @classmethod
+    def _make(cls, base, exponent):
+        return _intern(cls, (cls, id(base), exponent), base, exponent)
 
     def _parts(self):
         return (self.base, self.exponent)
 
 
 class Func(Expr):
-    __slots__ = ("fname", "arg", "_canon")
+    __slots__ = ("fname", "arg")
 
-    def __new__(cls, fname, arg):
-        if fname not in _FUNCS:
-            raise ValueError(f"unknown function {fname!r}")
-        return _intern(cls, (cls, fname, id(arg)), fname, arg, False)
+    @classmethod
+    def _make(cls, fname, arg):
+        return _intern(cls, (cls, fname, id(arg)), fname, arg)
 
     def _parts(self):
         return (self.fname, self.arg)
@@ -431,7 +421,7 @@ def _make_key(e):
 
 
 # ---------------------------------------------------------------------------
-# Canonical builders (assume canonical children)
+# Canonical builders: the only makers of sums, products, powers and functions
 # ---------------------------------------------------------------------------
 
 def const(x):
@@ -449,19 +439,8 @@ def _as_unit(f):
     return f, 1
 
 
-def _mark(node):
-    object.__setattr__(node, "_canon", True)
-    return node
-
-
 def _unit(base, exp):
-    if exp == 1:
-        return base
-    node = Pow(base, exp)
-    # canonical exactly when pow_ would build this same node from base
-    if base._canon and exp and type(base) not in (Const, Pow, Mul):
-        _mark(node)
-    return node
+    return base if exp == 1 else Pow._make(base, exp)
 
 
 def mul(*factors):
@@ -477,14 +456,13 @@ def mul(*factors):
             b = _wrap(b)
         if type(b) is Const:
             a, b = b, a
-        if type(a) is Const and b._canon:
+        if type(a) is Const:
             return _scale(a, b)
         factors = (a, b)
     # the coefficient is kept as an integer numerator and denominator and
     # becomes one Fraction at the end
     num = den = 1
     units = {}
-    canon = True
     todo = [f if isinstance(f, Expr) else _wrap(f) for f in reversed(factors)]
     while todo:
         f = todo.pop()
@@ -494,18 +472,10 @@ def mul(*factors):
             num *= v.numerator
             den *= v.denominator
         elif t is Mul:
-            canon = canon and f._canon
             todo.extend(reversed(f.factors))
         else:
-            canon = canon and f._canon
             b, n = (f.base, f.exponent) if t is Pow else (f, 1)
-            if type(b) is Const:
-                # through pow_, which refuses 0^-n and oversized constants
-                v = pow_(b, n).value
-                num *= v.numerator
-                den *= v.denominator
-            else:
-                units[b] = units.get(b, 0) + n
+            units[b] = units.get(b, 0) + n
     if num == 0:
         return ZERO
     parts = [_unit(b, n) for b, n in units.items() if n != 0]
@@ -517,15 +487,13 @@ def mul(*factors):
         parts.insert(0, Const(Fraction(num, den)))
     if len(parts) == 1:
         return parts[0]
-    node = Mul(*parts)
-    return _mark(node) if canon else node
+    return Mul._make(*parts)
 
 
 def _scale(c, x):
-    """``c * x`` for a constant ``c`` and a canonical term ``x``: the node
-    the general merge of ``mul`` builds, equal to it and marked as it is.
-    The units of a canonical term are already collected and sorted, so
-    only the leading coefficient changes."""
+    """``c * x`` for a constant ``c`` and a term ``x``: the node the
+    general merge of ``mul`` builds.  The units of a term are already
+    collected and sorted, so only the leading coefficient changes."""
     v = c.value
     if v == 1:
         return x
@@ -540,9 +508,9 @@ def _scale(c, x):
         v *= units[0].value
         units = units[1:]
         if v == 1:
-            return units[0] if len(units) == 1 else _mark(Mul(*units))
+            return units[0] if len(units) == 1 else Mul._make(*units)
         c = Const(v)
-    return _mark(Mul(c, *units))
+    return Mul._make(c, *units)
 
 
 _FRACTION_ONE = Fraction(1)
@@ -564,17 +532,12 @@ def _term_split(t):
     if tt is Const:
         coeff, mono = t.value, {}
     elif tt is Mul:
-        coeff = None
-        mono = {}
-        for f in t.factors:
-            if type(f) is Const:
-                # a canonical Mul holds at most one constant, its first factor
-                coeff = f.value if coeff is None else coeff * f.value
-            else:
-                b, n = _as_unit(f)
-                mono[b] = mono.get(b, 0) + n
-        if coeff is None:
-            coeff = _FRACTION_ONE
+        # a product holds at most one constant, its first factor, and
+        # each base once
+        units, coeff = t.factors, _FRACTION_ONE
+        if type(units[0]) is Const:
+            coeff, units = units[0].value, units[1:]
+        mono = dict(map(_as_unit, units))
     else:
         b, n = _as_unit(t)
         coeff, mono = _FRACTION_ONE, {b: n}
@@ -608,7 +571,7 @@ def _pythagoras(terms):
                 reduced[b] = n - 2
                 if reduced[b] == 0:
                     del reduced[b]
-                cb = Func("cos", b.arg)
+                cb = Func._make("cos", b.arg)
                 partner = dict(reduced)
                 partner[cb] = partner.get(cb, 0) + 2
                 pk = frozenset(partner.items())
@@ -632,14 +595,13 @@ def add(*terms):
     terms = [_wrap(t) for t in terms]
     if len(terms) == 1:
         t = terms[0]
-        # a canonical term other than a sum or zero is its own sum
-        if t._canon and type(t) is not Add and (type(t) is not Const or t.value):
+        # a term other than a sum or zero is its own sum
+        if type(t) is not Add and (type(t) is not Const or t.value):
             return t
     # combined maps like-term key -> [coeff, mono, node]; node is the input
     # term while no other term has merged with it, else None (rebuild).  A
     # canonical term rebuilt from its split is equal to itself.
     combined = {}
-    canon = all(t._canon for t in terms)
     sin2 = False
     todo = terms[::-1]
     while todo:
@@ -663,14 +625,12 @@ def add(*terms):
         _pythagoras(combined)
     parts = [node if node is not None else _term_build(c, m)
              for c, m, node in combined.values()]
-    parts = [p for p in parts if type(p) is not Const or p.value]
     if not parts:
         return ZERO
     if len(parts) == 1:
         return parts[0]
     parts.sort(key=_key)
-    node = Add(*parts)
-    return _mark(node) if canon else node
+    return Add._make(*parts)
 
 
 def pow_(base, exponent):
@@ -694,8 +654,7 @@ def pow_(base, exponent):
         return pow_(base.base, base.exponent * exponent)
     if isinstance(base, Mul):
         return mul(*(pow_(f, exponent) for f in base.factors))
-    node = Pow(base, exponent)
-    return _mark(node) if base._canon else node
+    return Pow._make(base, exponent)
 
 
 def neg(x):
@@ -722,7 +681,9 @@ def _sqrt_rational(v):
 def func(fname, arg):
     arg = _wrap(arg)
     row = _FUNCS.get(fname)
-    if row is not None and isinstance(arg, Const):
+    if row is None:
+        raise ValueError(f"unknown function {fname!r}")
+    if isinstance(arg, Const):
         if row.domain is not None and row.domain[0](arg.value):
             raise ConstantDomainError(f"{row.domain[1]} in {fname}({print_expr(arg)})")
         if arg.value in row.folds:
@@ -737,12 +698,10 @@ def func(fname, arg):
             b, n = arg.base, arg.exponent
             if n % 2 == 0:
                 return pow_(b, n // 2)
-            root = Func("sqrt", b)
-            return mul(pow_(b, (n - 1) // 2), _mark(root) if arg._canon else root)
+            return mul(pow_(b, (n - 1) // 2), Func._make("sqrt", b))
         if isinstance(arg, Mul):
             return mul(*(func("sqrt", f) for f in arg.factors))
-    node = Func(fname, arg)
-    return _mark(node) if arg._canon else node
+    return Func._make(fname, arg)
 
 
 def sin(x):
@@ -767,14 +726,6 @@ def exp(x):
 
 def log(x):
     return func("log", x)
-
-
-def arctan(x):
-    return func("arctan", x)
-
-
-def arccos(x):
-    return func("arccos", x)
 
 
 class _Fn(NamedTuple):
@@ -874,12 +825,10 @@ def _diff(e, v, memo):
         out = add(*parts)
     elif t is Pow:
         out = mul(Const(e.exponent), pow_(e.base, e.exponent - 1), _diff(e.base, v, memo))
-    elif t is Func:
+    else:
         u = e.arg
         du = _diff(u, v, memo)
         out = ZERO if du is ZERO else mul(_FUNCS[e.fname].deriv(u), du)
-    else:
-        raise TypeError(f"unknown node {t!r}")
     memo[id(e)] = out
     return out
 
@@ -911,11 +860,13 @@ def free_vars(e):
 def substitute(e, mapping):
     """Replace variables and field atoms by name with expressions.
 
-    Values may be Expr or numbers; the result is canonical.  A subtree
-    that carries the canonical mark is returned as it is when no binding
-    reaches it: with no bindings at once, else when its children all come
-    back as they were.
+    Values may be Expr or numbers; the result is canonical.  A subtree no
+    binding reaches (whose children all come back as they were) is
+    returned as it is, and so is ``e`` itself when there are no bindings.
     """
+    e = _wrap(e)
+    if not mapping:
+        return e
     mapping = {k: _wrap(v) for k, v in mapping.items()}
     memo = {}  # id(composite node) -> its result, for this call only
 
@@ -923,37 +874,34 @@ def substitute(e, mapping):
         t = type(x)
         if t is Var or t is FieldAtom:
             return mapping.get(x.name, x)
-        if t is Const or (x._canon and not mapping):
+        if t is Const:
             return x
         out = memo.get(id(x))
         if out is not None:
             return out
         if t is Add:
             kids = [visit(u) for u in x.terms]
-            out = x if x._canon and all(map(operator.is_, kids, x.terms)) else add(*kids)
+            out = x if all(map(operator.is_, kids, x.terms)) else add(*kids)
         elif t is Mul:
             kids = [visit(f) for f in x.factors]
-            out = x if x._canon and all(map(operator.is_, kids, x.factors)) else mul(*kids)
+            out = x if all(map(operator.is_, kids, x.factors)) else mul(*kids)
         elif t is Pow:
             base = visit(x.base)
-            out = x if base is x.base and x._canon else pow_(base, x.exponent)
-        elif t is Func:
-            arg = visit(x.arg)
-            out = x if arg is x.arg and x._canon else func(x.fname, arg)
+            out = x if base is x.base else pow_(base, x.exponent)
         else:
-            raise TypeError(f"unknown node {t!r}")
+            arg = visit(x.arg)
+            out = x if arg is x.arg else func(x.fname, arg)
         memo[id(x)] = out
         return out
 
     try:
-        return visit(_wrap(e))
+        return visit(e)
     finally:
         del visit  # it refers to itself: leave no cycle behind
 
 
 def simplify(e):
-    """Canonical form of a tree built by hand with the node constructors:
-    the same tree the builders give.  Returns a builder-made tree itself."""
+    """``e`` itself: every tree is canonical when built."""
     return substitute(e, {})
 
 
@@ -977,26 +925,23 @@ def expand(e):
         out = memo.get(id(x))
         if out is not None:
             return out
-        # a canonical node whose children come back unchanged, and that is
-        # no product or power to distribute, is its own expansion
+        # a node whose children come back unchanged, and that is no product
+        # or power to distribute, is its own expansion
         if t is Add:
             kids = [visit(u) for u in x.terms]
-            same = all(map(operator.is_, kids, x.terms))
-            out = x if same and x._canon else add(*kids)
+            out = x if all(map(operator.is_, kids, x.terms)) else add(*kids)
         elif t is Mul:
             kids = [visit(f) for f in x.factors]
             same = all(map(operator.is_, kids, x.factors))
-            out = (x if same and x._canon and not any(type(f) is Add for f in kids)
+            out = (x if same and not any(type(f) is Add for f in kids)
                    else _expand_product(kids))
         elif t is Pow:
             base = visit(x.base)
-            out = (x if base is x.base and x._canon and not (type(base) is Add and x.exponent > 0)
+            out = (x if base is x.base and not (type(base) is Add and x.exponent > 0)
                    else _expand_power(base, x.exponent))
-        elif t is Func:
-            arg = visit(x.arg)
-            out = x if arg is x.arg and x._canon else func(x.fname, arg)
         else:
-            raise TypeError(f"unknown node {t!r}")
+            arg = visit(x.arg)
+            out = x if arg is x.arg else func(x.fname, arg)
         memo[id(x)] = out
         return out
 
@@ -1089,7 +1034,7 @@ def _tape_of(root):
 
 
 # tape instruction kinds; each instruction is (kind, operand, slot, node)
-_T_MUL, _T_ADD, _T_POW, _T_FUNC, _T_ATOM, _T_BAD_CONST, _T_UNKNOWN = range(7)
+_T_MUL, _T_ADD, _T_POW, _T_FUNC, _T_ATOM, _T_BAD_CONST = range(6)
 
 
 def _compile(root):
@@ -1132,10 +1077,8 @@ def _compile(root):
             kind, arg = _T_ADD, tuple(map(visit, x.terms))
         elif t is Pow:
             kind, arg = _T_POW, (visit(x.base), x.exponent)
-        elif t is Func:
-            kind, arg = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
         else:
-            kind, arg = _T_UNKNOWN, t
+            kind, arg = _T_FUNC, (visit(x.arg), _FUNCS[x.fname])
         slot = slots[k] = len(template)
         template.append(value)
         if kind is not None:
@@ -1199,14 +1142,12 @@ def _run(tape, binding, root):
             else:
                 raise UnboundVariableError(f"unbound variable {arg!r}", node or root)
             vals[slot] = value
-        elif kind is _T_BAD_CONST:
+        else:  # _T_BAD_CONST
             x = node or root
             try:
                 x.value.numerator / x.value.denominator
             except OverflowError as err:
                 raise EvalDomainError("constant beyond the float range", x) from err
-        else:
-            raise TypeError(f"unknown node {arg!r}")
     return vals[-1]
 
 
@@ -1277,10 +1218,8 @@ def _run_array(tape, binding):
         elif kind is _T_POW:
             v = walk(arg[0])
             v = np.float_power(v, arg[1]) if arg[1] < 0 else v ** arg[1]
-        elif kind is _T_FUNC:
-            v = _UFUNCS[arg[1].ufunc](walk(arg[0]))
         else:
-            raise TypeError(f"unknown node {arg!r}")
+            v = _UFUNCS[arg[1].ufunc](walk(arg[0]))
         if n > 1:
             held[s] = [v, n - 1]
         return v
@@ -1552,9 +1491,7 @@ def _print(e):
                 factors = [Const(-factors[0].value)] + factors[1:]
             sign = "-"
         return sign + "*".join(_paren_for_mul(f) for f in factors)
-    if t is Add:
-        return _join_terms(_print, e.terms)
-    raise TypeError(f"unknown node {t!r}")
+    return _join_terms(_print, e.terms)
 
 
 _LATEX_NAMES = {
@@ -1641,6 +1578,4 @@ def _latex(e):
         else:
             body = ((cnum + " ") if cnum else "") + render(num)
         return sign + body
-    if t is Add:
-        return _join_terms(_latex, e.terms)
-    raise TypeError(f"unknown node {t!r}")
+    return _join_terms(_latex, e.terms)

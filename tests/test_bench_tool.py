@@ -320,16 +320,26 @@ def test_cold_stops_at_a_command_that_fails(tmp_path, capsys):
     assert not out.exists()
 
 
-def _save_runner(calls, broken_trace=None):
+def _save_runner(calls, checkout, broken_trace=None):
     """A stand-in for a checkout's benchmarks/run.py for ``save``: an
-    untraced run reports the end-to-end metrics, a traced one two layers;
-    the run whose trace flag is ``broken_trace`` reports a failed unit."""
+    untraced run reports the end-to-end metrics, a traced one two layers
+    and leaves a trace file of 10 timed units in the checkout, as the
+    traced worker does; the run whose trace flag is ``broken_trace``
+    reports a failed unit."""
 
     def run_workload(argv, workload, deadline):
         trace = int(argv[argv.index("--trace") + 1]) if "--trace" in argv else 0
         calls.append((workload, trace))
         if trace:
             metrics = {"solver.step.self_s": (0.004, "s"), "solver.step.calls": (10.0, "count")}
+            os.makedirs(os.path.join(checkout, ".bench_out"), exist_ok=True)
+            with open(os.path.join(checkout, ".bench_out", f"trace_{workload}.json"), "w",
+                      encoding="utf-8") as f:
+                json.dump({"workload": workload, "seed": 1, "units": 10, "functions": {
+                    "solver.step": {"calls": 25, "self_s": 0.04, "setup_calls": 5,
+                                    "setup_self_s": 0.0},
+                    "solver.init_grid": {"calls": 1, "self_s": 0.01, "setup_calls": 1,
+                                         "setup_self_s": 0.01}}}, f)
         else:
             metrics = {m: (1.0, "") for m in bench.end_to_end_metrics()}
         return {"metrics": metrics, "attempted": 10, "failed": int(trace == broken_trace),
@@ -342,12 +352,12 @@ def _save_runner(calls, broken_trace=None):
 def _save(tmp_path, monkeypatch, *options, broken_trace=None, commit="abc"):
     calls = []
     monkeypatch.setattr(bench, "load_runner",
-                        lambda checkout, name: _save_runner(calls, broken_trace))
+                        lambda checkout, name: _save_runner(calls, checkout, broken_trace))
     monkeypatch.setattr(bench, "drop_bytecode", lambda checkout: None)
     monkeypatch.setattr(bench, "commit_of", lambda checkout: {"commit": commit, "dirty": False})
     out = tmp_path / "BENCH_saved.json"
-    code = bench.main(["save", str(out), "--workload", "yee_curv_io", "--checkout", "co",
-                       "--seconds", "10", *options])
+    code = bench.main(["save", str(out), "--workload", "yee_curv_io",
+                       "--checkout", str(tmp_path / "co"), "--seconds", "10", *options])
     return code, out, calls
 
 
@@ -365,8 +375,10 @@ def test_save_writes_one_checkouts_metrics_machine_and_commit(tmp_path, monkeypa
     assert set(entry["metrics"]) == set(bench.end_to_end_metrics())
     if trace:
         assert entry["layers"] == {"solver.step.self_s": 0.004, "solver.step.calls": 10.0}
+        # (calls - set-up calls) / timed units, from the trace file
+        assert entry["unit_calls"] == {"solver.step": 2.0, "solver.init_grid": 0.0}
     else:
-        assert "layers" not in entry
+        assert "layers" not in entry and "unit_calls" not in entry
     assert ("solver.step.self_s" in capsys.readouterr().out) == bool(trace)
 
 
@@ -383,26 +395,32 @@ def test_save_refuses_another_commit_and_stops_at_a_broken_run(tmp_path, monkeyp
     assert out.read_text(encoding="utf-8") == before
 
 
-def _saved(path, layers=None, work=100.0):
+def _saved(path, layers=None, work=100.0, unit_calls=None):
     entry = {"metrics": {"work_per_s": work}, "correct": True}
     if layers is not None:
         entry["layers"] = layers
+    if unit_calls is not None:
+        entry["unit_calls"] = unit_calls
     path.write_text(json.dumps({"checkout": {"commit": path.stem},
                                 "workloads": {"yee_curv_io": entry}}), encoding="utf-8")
     return str(path)
+
+
+# every timed unit steps once, takes diagnostics once and writes a snapshot
+_PER_UNIT = {"solver.step": 1.0, "solver.diagnostics": 1.0, "solver.write_snapshot_csv": 1.0}
 
 
 def test_compare_flags_a_layer_self_time_more_than_a_tenth_slower(tmp_path, capsys):
     old = _saved(tmp_path / "old.json", {
         "solver.step.self_s": 0.0040, "solver.diagnostics.self_s": 0.0030,
         "solver.write_snapshot_csv.self_s": 0.0020, "solver.step.calls": 10.0,
-        "symexpr.diff.self_s": 0.0})
+        "symexpr.diff.self_s": 0.0}, unit_calls=_PER_UNIT)
     new = _saved(tmp_path / "new.json", {
         "solver.step.self_s": 0.0034,                # faster
         "solver.diagnostics.self_s": 0.0032,         # 6.7 % slower: inside the tenth
         "solver.write_snapshot_csv.self_s": 0.0023,  # 15 % slower: flagged
         "solver.step.calls": 20.0,                   # a count, not a time
-        "symexpr.diff.self_s": 0.0})                 # spent in neither run
+        "symexpr.diff.self_s": 0.0}, unit_calls=_PER_UNIT)  # spent in neither run
     assert bench.main(["compare", old, new]) == 1
     rows = _rows(capsys.readouterr().out)
     assert rows["yee_curv_io", "work_per_s"].split()[4] == "1.0000"
@@ -419,3 +437,26 @@ def test_compare_leaves_out_layers_unless_both_files_hold_traced_runs(tmp_path, 
     new = _saved(tmp_path / "new.json", {"solver.step.self_s": 1.0}, work=110.0)
     assert bench.main(["compare", old, new]) == 0
     assert "self_s" not in capsys.readouterr().out
+
+
+def test_compare_flags_only_a_layer_that_runs_in_every_timed_unit(tmp_path, capsys):
+    layers = ("chart.metric_from_chart.self_s", "solver.write_diagnostics_csv.self_s",
+              "symexpr.diff.self_s")
+    per_unit = {"chart.metric_from_chart": 0.0,           # set-up only
+                "solver.write_diagnostics_csv": 1 / 120,  # once per run, in finish
+                "symexpr.diff": 16.0}                     # every unit
+    old = _saved(tmp_path / "old.json", dict(zip(layers, (0.010, 0.002, 0.0100))),
+                 unit_calls=per_unit)
+    new = _saved(tmp_path / "new.json", dict(zip(layers, (0.015, 0.003, 0.0111))),
+                 unit_calls=per_unit)
+    assert bench.main(["compare", old, new]) == 1
+    rows = _rows(capsys.readouterr().out)
+    for name in layers[:2]:  # 50 % slower, but not run in every unit
+        assert rows["yee_curv_io", name].split()[4] == "1.5000"
+        assert "SLOWER" not in rows["yee_curv_io", name]
+    assert rows["yee_curv_io", layers[2]].split()[4:6] == ["1.1100", "16"]
+    assert rows["yee_curv_io", layers[2]].endswith("SLOWER by more than 10%")
+    # a file without calls per unit shows no layer running in every unit
+    bare = _saved(tmp_path / "bare.json", dict(zip(layers, (0.010, 0.002, 0.0100))))
+    assert bench.main(["compare", bare, new]) == 0
+    assert "SLOWER" not in capsys.readouterr().out

@@ -121,6 +121,17 @@ def test_derive_text_matches_pinned_output(capsys, source, chart, form, fmt):
     assert out == (DATA / f"derive_{stem}_{form}{suffix}").read_text(encoding="utf-8")
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
+
+
+def test_derive_chart_file_with_a_byte_order_mark_derives_as_without(capsys, tmp_path):
+    p = tmp_path / "parabolic.chart"
+    p.write_bytes(BOM + (DATA / "parabolic.chart").read_bytes())
+    want = run_cli(capsys, "derive", "--chart-file", str(DATA / "parabolic.chart"))
+    assert want[0] == 0
+    assert run_cli(capsys, "derive", "--chart-file", str(p)) == want
+
+
 def test_derive_chart_file_zero_divisor_is_one_error_line(capsys, tmp_path):
     p = tmp_path / "chart.ini"
     p.write_text("[chart]\nname = bad\ncoords = u, v, w\n"
@@ -697,6 +708,17 @@ def test_transform_header_may_follow_comment_and_blank_lines(capsys, tmp_path):
     want = run_cli(capsys, "transform", "--target", "spinor", str(plain))
     assert want[0] == 0
     assert run_cli(capsys, "transform", "--target", "spinor", str(led)) == want
+
+
+@pytest.mark.parametrize("header", ["", HEADER + "\n"], ids=["headerless", "header"])
+def test_transform_drops_a_leading_byte_order_mark(capsys, tmp_path, header):
+    rows = header + "1,0,0,0,1,0,2,0,0,0,2,0\n" + "0,1,0,0,0,1,0,2,0,0,0,2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(rows.encode())
+    marked.write_bytes(BOM + rows.encode())
+    want = run_cli(capsys, "transform", "--target", "spinor", str(plain))
+    assert want[0] == 0 and len(want[1].splitlines()) == 3  # a header and both rows
+    assert run_cli(capsys, "transform", "--target", "spinor", str(marked)) == want
 
 
 def test_transform_header_after_a_data_row_is_an_error(capsys, tmp_path):

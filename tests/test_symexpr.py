@@ -284,7 +284,7 @@ def _rebuilding_add(*terms):
     parts = sorted((p for p in parts if p != sx.ZERO), key=_plain_key)
     if not parts:
         return sx.ZERO
-    return parts[0] if len(parts) == 1 else Add(*parts)
+    return parts[0] if len(parts) == 1 else Add._make(*parts)
 
 
 def _zero_product_diff(e, v):
@@ -403,7 +403,7 @@ def test_cached_structure_is_invisible(trees):
             sx._key(x)
             sx._term_split(x)
     built = {build: build(*trees) for build in (sx.add, sx.mul)}
-    want = {build: (e._canon, _printed(e)) for build, e in built.items()}
+    want = {build: _printed(e) for build, e in built.items()}
     # nodes are shared: clear the caches on every node the builds can read
     for root in (*trees, *built.values()):
         for x in _nodes(root):
@@ -413,7 +413,7 @@ def test_cached_structure_is_invisible(trees):
     assert not any(hasattr(x, c) for e in trees for x in _nodes(e) for c in _CACHES)
     for build, e in built.items():
         got = build(*trees)
-        assert got is e and (got._canon, _printed(got)) == want[build]
+        assert got is e and _printed(got) == want[build]
 
 
 def test_add_of_one_canonical_term_is_that_term():
@@ -426,9 +426,9 @@ def test_add_of_one_canonical_term_is_that_term():
 
 def test_add_of_one_zero_term_is_zero():
     x = Var("x")
-    assert sx.add(Mul(Const(0), x)) is sx.ZERO
-    assert sx.add(Const(0)) is sx.ZERO
-    assert sx.add(Add(x, Mul(Const(-1), x))) is sx.ZERO
+    assert sx.add(sx.mul(0, x)) is sx.ZERO
+    assert sx.add(Const(0)) is sx.ZERO and sx.add(0) is sx.ZERO
+    assert sx.add(sx.sub(x, x)) is sx.ZERO
 
 
 def test_add_keeps_field_atoms_with_different_arguments_apart():
@@ -485,20 +485,19 @@ def test_function_row(fname):
         assert to_latex(sx.func(fname, x) ** 2) == LATEX[fname] + r"^{2}\left(x\right)"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("sqrt(-1)", "sqrt of negative value in sqrt(-1)"),
-    ("log(0)", "log of non-positive value in log(0)"),
-    ("arccos(2)", "arccos argument outside [-1, 1] in arccos(2)"),
+@pytest.mark.parametrize("fname, u, message", [
+    ("sqrt", -1.0, "sqrt of negative value in sqrt(u)"),
+    ("log", 0.0, "log of non-positive value in log(u)"),
+    ("arccos", 2.0, "arccos argument outside [-1, 1] in arccos(u)"),
 ])
-def test_eval_domain_errors_name_the_subexpression(text, message):
-    # built by hand: the builders refuse a constant outside the domain
-    fname, arg = text[:-1].split("(")
-    e = Func(fname, Const(int(arg)))
+def test_eval_domain_errors_name_the_subexpression_at_a_bound_value(fname, u, message):
+    # the builders refuse a constant outside the domain, so bind a variable there
+    e = sx.func(fname, Var("u"))
     with pytest.raises(sx.EvalDomainError) as exc:
-        eval_expr(e, {})
+        eval_expr(e, {"u": u})
     assert str(exc.value) == message
     with np.errstate(invalid="ignore", divide="ignore"):
-        assert not np.isfinite(lambdify(e)({}))
+        assert not np.isfinite(lambdify(e)({"u": u}))
 
 
 @pytest.mark.parametrize("text, binding, message", [
@@ -641,7 +640,7 @@ def test_scanner_fixed_results(text, line, col, want):
     (lambda: substitute(parse_expr("sqrt(x)"), {"x": -4}), "sqrt of negative value in sqrt(-4)"),
     (lambda: substitute(parse_expr("log(x) - log(y)"), {"x": 0, "y": 0}),
      "log of non-positive value in log(0)"),
-    (lambda: sx.add(Var("x"), sx.mul(0, sx.arccos(2))),
+    (lambda: sx.add(Var("x"), sx.mul(0, sx.func("arccos", 2))),
      "arccos argument outside [-1, 1] in arccos(2)"),
     (lambda: substitute(parse_expr("x + y*arccos(y)"), {"y": 2}),
      "arccos argument outside [-1, 1] in arccos(2)"),
@@ -667,15 +666,6 @@ def test_zero_to_a_negative_power_is_a_symexpr_error():
         substitute(parse_expr("1/x"), {"x": 0})
     assert isinstance(exc.value, sx.SymExprError)
     assert isinstance(exc.value, ZeroDivisionError)
-
-
-def test_mul_refuses_a_hand_built_zero_to_a_negative_power():
-    # a raw Pow node of a constant base is folded by mul as pow_ would fold it
-    with pytest.raises(sx.ZeroPowerError):
-        sx.mul(Pow(Const(0), -1), Var("x"))
-    with pytest.raises(sx.ConstantSizeError):
-        sx.mul(Pow(Const(10 ** 400), 20), Var("x"))
-    assert sx.mul(Pow(Const(2), -2), Var("x")) == sx.mul(Const(Fraction(1, 4)), Var("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +695,13 @@ def canonical_terms(draw):
 
 
 def _built(build):
-    """What a builder call gives: the node with its printed form and mark,
-    or the type and message of the error it raises."""
+    """What a builder call gives: the node with its printed form, or the
+    type and message of the error it raises."""
     try:
         e = build()
     except sx.SymExprError as err:
         return "error", type(err), str(err)
-    return "node", e, _printed(e), e._canon
+    return "node", e, _printed(e)
 
 
 @settings(max_examples=300, deadline=None)
@@ -719,7 +709,6 @@ def _built(build):
 @example(_BIG, Const(12))
 @example(Fraction(1, 12), sx.mul(12, Var("x")))
 def test_scaling_a_canonical_term_equals_the_general_merge(c, x):
-    assert x._canon
     for args in ((c, x), (x, c)):
         assert _built(lambda: sx.mul(*args)) == _built(lambda: sx.mul(*args, sx.ONE))
 
@@ -732,69 +721,111 @@ def test_scaling_fixed_results(c, text, want):
     x = parse_expr(text)
     for args in ((c, x), (x, c)):
         got = sx.mul(*args)
-        assert print_expr(got) == want and got._canon
+        assert print_expr(got) == want
         assert got == sx.mul(*args, sx.ONE)
     assert sx.mul(1, x) is x
     assert sx.mul(0, x) is sx.ZERO
 
 
 # ---------------------------------------------------------------------------
-# The canonical mark: simplify gives a builder-made tree back as it is, and
-# a mark never hides a hand-built node that the builders would change.
+# Every tree is canonical: only the builders make sums, products, powers and
+# functions, so rebuilding a tree through them gives it back.
 # ---------------------------------------------------------------------------
 
-def _rebuild(e):
-    """``simplify`` as a full bottom-up rebuild that reads no mark."""
-    t = type(e)
-    if t is Add:
-        return sx.add(*(_rebuild(u) for u in e.terms))
-    if t is Mul:
-        return sx.mul(*(_rebuild(u) for u in e.factors))
-    if t is Pow:
-        return sx.pow_(_rebuild(e.base), e.exponent)
-    if t is Func:
-        return sx.func(e.fname, _rebuild(e.arg))
-    return e
+@pytest.mark.parametrize("make", [
+    lambda x: Add(x, x), lambda x: Mul(Const(2), x), lambda x: Pow(x, 2),
+    lambda x: Func("sin", x), lambda x: Add(), lambda x: sx.Expr(),
+], ids=["Add", "Mul", "Pow", "Func", "Add-empty", "Expr"])
+def test_node_classes_refuse_construction(make):
+    with pytest.raises(TypeError) as exc:
+        make(Var("x"))
+    assert str(exc.value) == ("sums, products, powers and functions are built by "
+                              "add, mul, pow_ and func, not by their node classes")
+    # the classes stay types to test against
+    e = sx.add(Var("x"), sx.sin(Var("y")))
+    assert isinstance(e, Add) and type(e.terms[1]) is Func
 
 
-def _nodes(e):
-    yield e
-    for child in getattr(e, "terms", ()) + getattr(e, "factors", ()):
-        yield from _nodes(child)
-    if isinstance(e, (Pow, Func)):
-        yield from _nodes(e.base if isinstance(e, Pow) else e.arg)
+def test_the_builders_check_what_the_node_classes_no_longer_do():
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        sx.pow_(Var("x"), 2.0)
+    with pytest.raises(ValueError, match="unknown function 'sinh'"):
+        sx.func("sinh", Var("x"))
 
 
-def _or_hand_built(builder, node):
-    """``builder`` over the children, or the hand-built ``node`` when the
-    builder refuses them (a hand-built Pow(0, -1) child, say), so that the
-    property compares simplify's and _rebuild's errors on that tree."""
-    def build(children):
+def _rebuilt(e):
+    """id(node) -> that node rebuilt bottom-up through add, mul, pow_ and
+    func, for every node of ``e``."""
+    memo = {}
+
+    def visit(x):
+        out = memo.get(id(x))
+        if out is None:
+            t = type(x)
+            if t is Add:
+                out = sx.add(*map(visit, x.terms))
+            elif t is Mul:
+                out = sx.mul(*map(visit, x.factors))
+            elif t is Pow:
+                out = sx.pow_(visit(x.base), x.exponent)
+            elif t is Func:
+                out = sx.func(x.fname, visit(x.arg))
+            else:
+                out = x
+            memo[id(x)] = out
+        return out
+    visit(e)
+    return memo
+
+
+@st.composite
+def expr_texts(draw, depth=3):
+    """Text in the parser's grammar over x, y and z: constants, sums,
+    differences, products, quotients, integer powers and every function."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(["x", "y", "z", "2", "1/3", "0.5", "pi"]))
+    a = draw(expr_texts(depth - 1))
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "f"]))
+    if kind == "^":
+        return f"({a})^{draw(st.sampled_from(['-2', '-1', '2', '3']))}"
+    if kind == "f":
+        return f"{draw(st.sampled_from(sx.FUNCTIONS))}({a})"
+    return f"({a}) {kind} ({draw(expr_texts(depth - 1))})"
+
+
+def _parsed(text):
+    try:
+        return parse_expr(text)
+    except sx.ParseError:  # a zero divisor, or a constant outside a domain
+        return None
+
+
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("diff"), st.sampled_from(["x", "y"])),
+    st.tuples(st.just("substitute"), st.sampled_from(["x", "y"]), expr_texts(2)),
+    st.tuples(st.just("expand"))), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_texts().map(_parsed).filter(lambda e: e is not None), STEPS)
+@example(parse_expr("sin(x)^2*y + cos(x)^2*y + x*(1 + y)^2"),
+         [("expand",), ("diff", "y"), ("substitute", "y", "x - 1/2")])
+def test_simplify_equals_a_full_rebuild(e, steps):
+    trees = [e]
+    for step in steps:
         try:
-            return builder(*children)
-        except sx.SymExprError:
-            return node(*children)
-    return build
-
-
-def mixed_exprs(depth=3):
-    """Builder calls and node constructors mixed, so that builder output can
-    hold hand-built children and the reverse."""
-    if depth == 0:
-        # two atoms that differ only in their arguments must never merge
-        return st.one_of(leaf(), st.sampled_from([FieldAtom("f", ("x", "y")),
-                                                  FieldAtom("f", ("x",))]))
-    sub = mixed_exprs(depth - 1)
-    return st.one_of(
-        builder_exprs(1),
-        st.lists(sub, min_size=1, max_size=3).map(_or_hand_built(sx.add, Add)),
-        st.lists(sub, min_size=1, max_size=3).map(_or_hand_built(sx.mul, Mul)),
-        st.lists(sub, min_size=1, max_size=3).map(lambda ts: Add(*ts)),
-        st.lists(sub, min_size=1, max_size=3).map(lambda fs: Mul(*fs)),
-        st.tuples(sub, st.sampled_from([-1, 1, 2, 3])).map(lambda an: Pow(*an)),
-        st.tuples(sub, st.sampled_from([-1, 2, 3])).map(_or_hand_built(_power, Pow)),
-        sub.map(lambda a: Func("sin", a)), sub.map(sx.cos), sub.map(lambda a: Func("sqrt", a)),
-    )
+            if step[0] == "diff":
+                trees.append(diff(trees[-1], step[1]))
+            elif step[0] == "substitute":
+                trees.append(substitute(trees[-1], {step[1]: parse_expr(step[2])}))
+            else:
+                trees.append(sx.expand(trees[-1]))
+        except sx.SymExprError:  # a builder refused a constant, or too large
+            pass
+    for tree in trees:
+        rebuilt = _rebuilt(tree)
+        assert all(rebuilt[id(x)] is x for x in _nodes(tree))
+        assert simplify(tree) is tree
 
 
 @settings(max_examples=80, deadline=None)
@@ -808,36 +839,6 @@ def test_simplify_returns_a_builder_made_tree_itself(e):
 def test_simplify_returns_a_parsed_tree_itself(text):
     e = parse_expr(text)
     assert simplify(e) is e
-
-
-@settings(max_examples=150, deadline=None)
-@given(mixed_exprs())
-def test_simplify_equals_a_full_rebuild(e):
-    try:
-        want = _rebuild(e)
-    except sx.SymExprError as err:
-        with pytest.raises(type(err)):
-            simplify(e)
-        return
-    got = simplify(e)
-    assert got == want and _printed(got) == _printed(want)
-    for node in _nodes(e):
-        if node._canon:  # a marked node is one simplify leaves as it is
-            assert _rebuild(node) == node
-
-
-@pytest.mark.parametrize("build, want", [
-    (lambda x: sx.mul(Const(2), Add(x, x)), "4*x"),
-    (lambda x: sx.add(Mul(x, Const(2)), x), "3*x"),
-    (lambda x: sx.mul(x, Pow(sx.pow_(x, 2), 3)), "x^7"),
-    (lambda x: sx.add(Pow(sx.pow_(x, 2), 3), Pow(sx.pow_(x, 2), 3)), "2*x^6"),
-    (lambda x: sx.sqrt(Pow(Const(4), 3)), "8"),
-    (lambda x: sx.sin(Add(x, x)), "sin(2*x)"),
-], ids=["mul", "add", "mul-pow-of-pow", "add-pow-of-pow", "sqrt-of-constant-power",
-        "func"])
-def test_builder_output_with_a_hand_built_child_is_canonicalized(build, want):
-    got = simplify(build(Var("x")))
-    assert got == parse_expr(want) and print_expr(got) == want
 
 
 def test_diff_memo_does_not_leak_between_calls():
@@ -953,12 +954,11 @@ def test_an_expansion_too_large_to_form_is_refused_and_not_proven():
 
 def test_one_structure_is_one_node():
     built = sx.add(sx.mul(2, Var("x")), sx.sin(Var("y")))
-    hand = Add(Func("sin", Var("y")), Mul(Const(2), Var("x")))
-    assert hand is built and parse_expr("sin(y) + 2*x") is built
-    assert hand._canon  # the mark the builder gave it
+    again = sx.add(sx.sin(Var("y")), sx.mul(Var("x"), Const(2)))
+    assert again is built and parse_expr("sin(y) + 2*x") is built
     assert Const(Fraction(1, 2)) is Const(0.5) is sx.const(Fraction(2, 4))
     assert FieldAtom("u", ["x", "y"], ("z", "x")) is FieldAtom("u", ("x", "y"), ["x", "z"])
-    assert Pow(Var("x"), 2) is not Pow(Var("x"), 3)
+    assert sx.pow_(Var("x"), 2) is not sx.pow_(Var("x"), 3)
     assert FieldAtom("u", ("x",)) is not FieldAtom("u", ("y",))
 
 
@@ -978,17 +978,6 @@ def test_an_existing_integer_constant_is_found_without_a_fraction(monkeypatch):
     assert made == [(987654321,)]
 
 
-def test_a_builder_raises_a_hand_built_nodes_mark_and_never_lowers_it():
-    q = Var("q_mark")
-    hand = Mul(Const(3), q)
-    assert not hand._canon  # a new node starts unmarked
-    assert sx.mul(hand) is hand and not hand._canon  # from an unmarked input
-    assert sx.mul(3, q) is hand and hand._canon
-    assert Mul(Const(3), q) is hand and hand._canon
-    # a product of unmarked inputs whose merge is this node keeps its mark
-    assert sx.mul(Mul(Const(3), Mul(q))) is hand and hand._canon
-
-
 def test_a_node_dies_once_nothing_holds_it():
     gc.collect()
     gc.disable()
@@ -1000,13 +989,14 @@ def test_a_node_dies_once_nothing_holds_it():
         assert ref() is None and inner() is None  # no collector needed
         assert gc.collect() == 0
         again = parse_expr(text)
-        assert print_expr(again) == text and again._canon
+        assert print_expr(again) == text
     finally:
         gc.enable()
 
 
 def _instructions(build, *args):
-    """Bytecode instructions executed by ``build(*args)``."""
+    """Bytecode instructions executed by ``build(*args)``.  The caller's
+    trace function (a coverage probe, say) is put back afterwards."""
     executed = 0
 
     def local(frame, event, arg):
@@ -1018,11 +1008,12 @@ def _instructions(build, *args):
         frame.f_trace_opcodes = True
         return local
 
+    outer = sys.gettrace()
     sys.settrace(call)
     try:
         build(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return executed
 
 
@@ -1050,7 +1041,7 @@ def test_a_node_refuses_every_assignment(name):
     e = parse_expr("x + y")
     with pytest.raises(AttributeError):
         setattr(e, name, ())
-    assert print_expr(e) == "x + y" and e._canon
+    assert print_expr(e) == "x + y"
 
 
 def test_the_spherical_3vector_text_is_its_pin_after_unrelated_trees_come_and_go(capsys):

@@ -61,15 +61,22 @@ tool) once on one workload, as ``pairs`` runs a side, and writes, or adds
 the workload to, a JSON file holding the machine, the checkout's commit,
 the seed, the run length and the run's end-to-end metrics.  With
 ``--trace 1`` a second, traced run adds the per-layer figures under
-``layers``.  A file of another commit, seed or run length is refused, and
-a broken run stops it, as in ``pairs``.
+``layers``, and under ``unit_calls`` each layer's calls per timed unit,
+read from the trace file the traced worker leaves in the checkout
+(``.bench_out/trace_<workload>.json``) as (calls - set-up calls) / units.
+A file of another commit, seed or run length is refused, and a broken run
+stops it, as in ``pairs``.
 
 ``compare`` prints, per workload and end-to-end metric, the child median of
 OLD, that of NEW and their ratio (a file written by ``save`` gives its one
 run's figures instead of the child median), and flags a move for the worse
 beyond the metric's bound in ``BENCHMARK.json``.  When both files hold a
 traced run of a workload, it prints each per-layer self time either run
-spent and flags one more than ``LAYER_SLOWER`` (10 %) slower.  It exits 1
+spent, with the fewer of the two files' calls per timed unit, and flags one
+more than ``LAYER_SLOWER`` (10 %) slower whose layer both files show
+running at least once per timed unit: a layer that runs only in set-up, or
+once per run, adds too little to a unit's time for its ratio to mean
+anything, and a file without ``unit_calls`` shows nothing.  It exits 1
 when it flags anything.  Then, per workload counted in both, the child's
 instruction counts and their ratio.  At the end of ``pairs`` the same
 table compares the parent with the child, and the gain rule and the
@@ -309,12 +316,24 @@ def run_save(args):
     if args.trace:
         drop_bytecode(args.checkout)
         entry["layers"] = run_once(runner, args, "traced", trace=1)["metrics"]
+        entry["unit_calls"] = unit_calls(
+            os.path.join(args.checkout, ".bench_out", f"trace_{args.workload}.json"))
     doc["workloads"][args.workload] = entry
     write_doc(args.out, doc)
     layers = {name: value for name, value in entry.get("layers", {}).items() if value}
     print("\n".join(f"{args.workload:16s} {name:44s} {value:14.6g}"
                     for name, value in (*entry["metrics"].items(), *layers.items())))
     return 0
+
+
+def unit_calls(path):
+    """layer -> calls per timed unit, (calls - set-up calls) / units, from
+    a traced worker's trace file."""
+    with open(path, encoding="utf-8") as f:
+        trace = json.load(f)
+    units = max(trace["units"], 1)
+    return {name: (row["calls"] - row["setup_calls"]) / units
+            for name, row in trace["functions"].items()}
 
 
 def medians(doc, side):
@@ -349,23 +368,29 @@ def compare_medians(old, new, metrics):
 
 
 def compare_layers(old, new):
-    """(flagged, lines): per workload traced in both, each per-layer self
-    time that either run spent, new/old, flagging one more than
-    ``LAYER_SLOWER`` slower."""
+    """(flagged, lines): per workload traced in both (each a ``save``
+    entry), each per-layer self time that either run spent, new/old, and
+    the fewer calls per timed unit of the two; flags one more than
+    ``LAYER_SLOWER`` slower whose layer runs at least once per timed unit
+    in both."""
     flagged, lines = False, []
     for workload in sorted(set(old) & set(new)):
-        for name in sorted(set(old[workload]) & set(new[workload])):
-            a, b = old[workload][name], new[workload][name]
+        entries = old[workload], new[workload]
+        for name in sorted(set(entries[0]["layers"]) & set(entries[1]["layers"])):
+            a, b = (e["layers"][name] for e in entries)
             if not name.endswith(".self_s") or not (a or b):
                 continue
+            layer = name[:-len(".self_s")]
+            per_unit = min(e.get("unit_calls", {}).get(layer, 0.0) for e in entries)
             ratio = b / a if a else float("inf")
-            flag = ratio > 1 + LAYER_SLOWER
+            flag = ratio > 1 + LAYER_SLOWER and per_unit >= 1
             flagged = flagged or flag
-            lines.append(f"{workload:16s} {name:44s} {a:12.6g} {b:12.6g} {ratio:8.4f}"
+            lines.append(f"{workload:16s} {name:44s} {a:12.6g} {b:12.6g} {ratio:8.4f} "
+                         f"{per_unit:10.4g}"
                          + (f"  SLOWER by more than {LAYER_SLOWER:.0%}" if flag else ""))
     if lines:
         lines.insert(0, f"{'workload':16s} {'layer':44s} {'old':>12s} {'new':>12s} "
-                        f"{'ratio':>8s}")
+                        f"{'ratio':>8s} {'calls/unit':>10s}")
     return flagged, lines
 
 
@@ -375,7 +400,7 @@ def run_compare(args):
         with open(path, encoding="utf-8") as f:
             docs.append(json.load(f))
     flagged, lines = compare_medians(*(medians(d, "child") for d in docs), end_to_end_metrics())
-    slower, layer_lines = compare_layers(*({w: v["layers"] for w, v in d["workloads"].items()
+    slower, layer_lines = compare_layers(*({w: v for w, v in d["workloads"].items()
                                             if "layers" in v} for d in docs))
     flagged, lines = flagged or slower, lines + layer_lines
     old, new = ({w: v["counts"]["child"]["instructions"] for w, v in d["workloads"].items()
