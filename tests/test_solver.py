@@ -114,6 +114,20 @@ def test_gridspec_validation():
     for extents in bad_extents:
         with pytest.raises(sv.SolverError, match="finite"):
             sv.GridSpec("cartesian", extents, (8, 8, 8))
+    # each was a bare ValueError, TypeError or OverflowError
+    not_pairs = [((0, 1, 2), (0, 1), (0, 1)), (1, (0, 1), (0, 1)), (("0", "1"), (0, 1), (0, 1)),
+                 ("01", (0, 1), (0, 1)), ((0j, 1j), (0, 1), (0, 1)), ((0, 1 + 0j), (0, 1), (0, 1)),
+                 None]
+    for extents in not_pairs:
+        with pytest.raises(sv.SolverError, match="pair of real numbers"):
+            sv.GridSpec("cartesian", extents, (8, 8, 8))
+    with pytest.raises(sv.SolverError, match="finite"):
+        sv.GridSpec("cartesian", ((0, 10 ** 400), (0, 1), (0, 1)), (8, 8, 8))
+    with pytest.raises(sv.SolverError, match="3 bcs"):
+        sv.GridSpec("cartesian", ((0, 1),) * 3, (8, 8, 8), bc=5)
+    for cfl in ("0.5", 0.5j):
+        with pytest.raises(sv.SolverError, match="CFL"):
+            sv.GridSpec("cartesian", ((0, 1),) * 3, (8, 8, 8), cfl=cfl)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -837,6 +851,119 @@ def test_the_slab_oracles_slab_sizes_split_every_grid(case, slab_cells, monkeypa
     assert slabs[0][0] == 0 and slabs[-1][1] == spec.shape[0]
     if slab_cells == 1:
         assert all(hi - lo == 1 for lo, hi in slabs)
+
+
+def _stepped(state, spec, nsteps, j_func=None):
+    states = []
+    for _ in range(nsteps):
+        state = sv.step(state, spec, j_func)
+        states.append(state)
+    return states
+
+
+def _bitwise_equal(x, y):
+    return (all(a.tobytes() == b.tobytes() for a, b in zip(x._arrays, y._arrays))
+            and (x.t, x.nstep, x._scale) == (y.t, y.nstep, y._scale))
+
+
+@pytest.mark.parametrize("with_current", [False, True])
+@pytest.mark.parametrize("slab_cells", [None, 1, 100])
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+def test_run_is_bitwise_n_steps(case, slab_cells, with_current, monkeypatch):
+    # run replays recorded sweeps over reused arrays from the fourth step on
+    spec, _ = _SLAB_CASES[case]
+    if slab_cells is not None:
+        monkeypatch.setattr(sv, "_SLAB_CELLS", slab_cells)
+    rng = np.random.default_rng(11)
+    profile = rng.normal(size=(3, *spec.shape))
+    j_func = (lambda t: (1.0 + t) * profile) if with_current else None
+    physical = sv.GridField(*rng.normal(size=(3, 3, *spec.shape)), t=0.25, nstep=3)
+    integral = sv.step(physical, spec, j_func)
+    for start in (physical, integral):
+        before = [a.tobytes() for a in start._arrays]
+        got = sv.run(start, spec, 7, j_func)
+        assert _bitwise_equal(got, _stepped(start, spec, 7, j_func)[-1])
+        assert [a.tobytes() for a in start._arrays] == before
+
+
+def test_run_hands_a_callback_distinct_states_that_stay_as_stepped():
+    spec, _ = _SLAB_CASES["cartesian-pec"]
+    start = sv.GridField(*np.random.default_rng(12).normal(size=(3, 3, *spec.shape)), t=0.0)
+    kept = []
+    last = sv.run(start, spec, 9, callback=kept.append)
+    assert last is kept[-1] and [s.nstep for s in kept] == list(range(1, 10))
+    assert len({id(a) for s in kept for a in s._arrays}) == 27
+    for got, want in zip(kept, _stepped(start, spec, 9)):
+        assert _bitwise_equal(got, want)
+
+
+def test_run_writes_only_states_the_callback_let_go():
+    # every third state is kept: run must leave those arrays alone and may
+    # write the others
+    spec = _ENERGY_SHELLS["spherical"]
+    start = sv.run(sv.init_grid(spec, "azimuthal_mode"), spec, 2)
+    kept, seen = {}, []
+
+    def keep_some(state):
+        seen.append(state.nstep)
+        if state.nstep % 3 == 0:
+            kept[state.nstep] = (state, [a.tobytes() for a in state._arrays])
+
+    last = sv.run(start, spec, 13, callback=keep_some)
+    want = _stepped(start, spec, 13)
+    assert seen == list(range(3, 16)) and _bitwise_equal(last, want[-1])
+    for nstep, (state, data) in kept.items():
+        assert [a.tobytes() for a in state._arrays] == data
+        assert _bitwise_equal(state, want[nstep - 3])
+
+
+def test_a_nan_current_in_a_replayed_step_is_an_instability():
+    spec, _ = _SLAB_CASES["spherical-pec"]
+    calls = []
+
+    def j_func(t):
+        calls.append(t)
+        j = np.zeros((3, *spec.shape))
+        if len(calls) == 6:
+            j[2, 40, 3, 7] = np.nan
+        return j
+
+    with pytest.raises(sv.InstabilityError) as exc:
+        sv.run(sv.init_grid(spec, "zero"), spec, 10, j_func)
+    assert exc.value.step_index == 6 and len(calls) == 6
+
+
+@pytest.mark.parametrize("nsteps", [-3, -1, 2.5, 2.0, "3", None])
+def test_run_refuses_a_step_count_that_is_not_a_count(nsteps):
+    # -3 returned the input state; the others raised range's TypeError
+    spec = _cart_spec(4)
+    with pytest.raises(sv.SolverError, match="step count"):
+        sv.run(sv.init_grid(spec, "plane_wave"), spec, nsteps)
+
+
+def test_run_takes_numpy_integers_and_zero():
+    spec = _cart_spec(4)
+    start = sv.init_grid(spec, "plane_wave")
+    assert sv.run(start, spec, 0) is start
+    assert sv.run(start, spec, np.int64(0)) is start
+    assert _bitwise_equal(sv.run(start, spec, np.int32(5)), sv.run(start, spec, 5))
+
+
+def test_run_holds_at_most_two_buffer_sets():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    # the state being read and the one being written, with the records and
+    # the guard's temporary under a tenth of one set; the input is held apart
+    spec = sv.GridSpec("cartesian", ((0, 1),) * 3, (32, 32, 32), bc=("pec", "periodic", "pec"))
+    one_set = 3 * 3 * 8 * 32 ** 3
+    for start in (sv.init_grid(spec, "plane_wave"), sv.run(sv.init_grid(spec), spec, 1)):
+        for callback in (None, lambda state: None):
+            tracemalloc.start()
+            try:
+                sv.run(start, spec, 12, callback=callback)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 2 * one_set <= peak <= 2.1 * one_set
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
