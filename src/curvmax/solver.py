@@ -170,7 +170,10 @@ class GridSpec:
         if extents is None or not all(len(e) == 2 and all(isinstance(x, numbers.Real) for x in e)
                                       for e in extents):
             raise SolverError("each extent is a (min, max) pair of real numbers")
-        object.__setattr__(self, "extents", extents)
+        try:  # floats, which the geometry's arrays take (a Fraction made object arrays)
+            object.__setattr__(self, "extents", tuple((float(lo), float(hi)) for lo, hi in extents))
+        except OverflowError:
+            raise SolverError("extents must be finite") from None
         try:  # numpy integers are stored as int; floats and strings are refused
             object.__setattr__(self, "shape", tuple(map(operator.index, self.shape)))
         except TypeError:
@@ -187,10 +190,7 @@ class GridSpec:
             raise SolverError("grid too large to address as (3, N1, N2, N3) float64 arrays")
         if any(hi <= lo for lo, hi in self.extents):
             raise SolverError("each extent needs min < max")
-        try:  # an integer extent too large for a float overflows here
-            h = self.spacing
-        except OverflowError:
-            h = (math.inf,)
+        h = self.spacing
         # the geometry forms h_i^2 and the cell volume: neither may overflow or vanish
         if not all(0.0 < x < math.inf for x in (*h, *(a * a for a in h), math.prod(h))):
             raise SolverError("extents must be finite, with spacings whose squares and "

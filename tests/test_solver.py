@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,10 @@ def test_gridspec_validation():
         sv.GridSpec("cartesian", ((0, 10 ** 400), (0, 1), (0, 1)), (8, 8, 8))
     with pytest.raises(sv.SolverError, match="3 bcs"):
         sv.GridSpec("cartesian", ((0, 1),) * 3, (8, 8, 8), bc=5)
+    # stored as floats: Fraction extents made object arrays that init_grid refused
+    spec = sv.GridSpec("cartesian", ((Fraction(0), Fraction(1)),) * 3, (4, 4, 4))
+    assert spec.extents == ((0.0, 1.0),) * 3 and type(spec.extents[0][1]) is float
+    assert sv.init_grid(spec, "plane_wave").e.dtype == np.float64
     for cfl in ("0.5", 0.5j):
         with pytest.raises(sv.SolverError, match="CFL"):
             sv.GridSpec("cartesian", ((0, 1),) * 3, (8, 8, 8), cfl=cfl)
