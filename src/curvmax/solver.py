@@ -115,7 +115,6 @@ import struct
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -374,25 +373,13 @@ def _slabs(shape):
     return [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
 
 
-class _Slab(NamedTuple):
-    """Rows lo..hi of grid axis 0 that one slab of a sweep covers, and the
-    saved-plane buffers of the flat passes, one per plane shape, shared by
-    every slab of one ``step``, ``run`` or diagnostic call."""
-
-    lo: int
-    hi: int
-    planes: dict
-
-    def plane(self, shape):
-        buf = self.planes.get(shape)
-        if buf is None:
-            buf = self.planes[shape] = np.empty(shape)
-        return buf
-
-
 def _sweep_slabs(spec):
+    """The slabs of one ``step``, ``run`` or diagnostic call, each a tuple
+    (lo, hi, planes) of its rows lo..hi of axis 0 and the saved-plane
+    buffers of the flat passes (see ``_add_shifted``), one per plane shape
+    in a dict that every slab of the call shares."""
     planes = {}
-    return [_Slab(lo, hi, planes) for lo, hi in _slabs(spec.shape)]
+    return [(lo, hi, planes) for lo, hi in _slabs(spec.shape)]
 
 
 def _rows(x, lo, hi):
@@ -425,11 +412,11 @@ _FLAT_PLANES = {(a, o): (_plane(a, -1 if o > 0 else 0), _plane(a, 0 if o > 0 els
 
 def _add_shifted(out, w, axis, offset, op, spec, slab):
     """Records of out op= w[n + offset] along ``axis`` (op is np.add or
-    np.subtract), where ``out`` holds rows slab.lo..slab.hi of axis 0 of the
-    result and ``w`` is the whole source; past the boundary plane w wraps
-    around (periodic) or is zero (PEC)."""
+    np.subtract), where ``out`` holds rows lo..hi of axis 0 of the result,
+    for the slab (lo, hi, planes), and ``w`` is the whole source; past the
+    boundary plane w wraps around (periodic) or is zero (PEC)."""
     periodic = spec.bc[axis] == "periodic"
-    lo, hi = slab.lo, slab.hi
+    lo, hi, planes = slab
     if axis == 0:
         # the slab reads one plane of w past its end; only the first
         # (offset -1) or last (offset +1) slab holds a boundary plane
@@ -451,7 +438,9 @@ def _add_shifted(out, w, axis, offset, op, spec, slab):
     dst, src = (head, tail) if offset > 0 else (tail, head)
     end, wrap = _FLAT_PLANES[axis, offset]
     o = out[end]
-    saved = slab.plane(o.shape)
+    saved = planes.get(o.shape)
+    if saved is None:
+        saved = planes[o.shape] = np.empty(o.shape)
     flat = out.reshape(-1)[dst]
     return [(saved.__setitem__, (..., o)), (op, (flat, w.reshape(-1)[src], flat)),
             (op, (saved, w[wrap], o)) if periodic else (o.__setitem__, (..., saved))]
@@ -459,14 +448,15 @@ def _add_shifted(out, w, axis, offset, op, spec, slab):
 
 def _circulate(src, w, offset, spec, out, slab):
     """Records of out_i = src_i + w_k - w_j - w_k[n + offset along j]
-    + w_j[n + offset along k] on the slab's rows of axis 0.
+    + w_j[n + offset along k] on the rows lo..hi of axis 0 of the slab
+    (lo, hi, planes).
 
     With offset +1 this is src - curl(w) by forward incidence sums (the
     Faraday update, edges to faces); with offset -1 it is src + curl(w) by
     backward ones (the Ampere update, faces to edges).  ``src`` may be
     ``out``; ``w`` is read one plane beyond the rows.
     """
-    lo, hi = slab.lo, slab.hi
+    lo, hi, _ = slab
     records = []
     for i, j, k in CYCLIC:
         o = out[i, lo:hi]
@@ -481,7 +471,7 @@ def _divergence(w, offset, spec, out, slab):
     """Records of out = sum_i w_i[n] - w_i[n + offset along i] on the slab's
     rows of axis 0, which ``out`` holds: the backward divergence for offset
     -1 and minus the forward one for offset +1, as +-1 sums."""
-    lo, hi = slab.lo, slab.hi
+    lo, hi, _ = slab
     records = [(np.add, (w[0, lo:hi], w[1, lo:hi], out)), (np.add, (out, w[2, lo:hi], out))]
     for i in range(3):
         records += _add_shifted(out, w[i], i, offset, np.subtract, spec, slab)
@@ -596,8 +586,9 @@ def _first_half(src, out, spec, geo, slabs):
     h, d_new, b_new = out
     records = []
     for slab in slabs:
+        lo, hi, _ = slab
         records += _circulate(b, e, 1, spec, b_new, slab)
-        records.append(_closure(b_new, geo.b_to_h, h, slab.lo, slab.hi))
+        records.append(_closure(b_new, geo.b_to_h, h, lo, hi))
     for slab in slabs:  # reads h one plane before each slab
         records += _circulate(d, h, -1, spec, d_new, slab)
     return records
@@ -617,8 +608,9 @@ def _second_half(out, spec, geo, slabs):
     # PEC wall planes, whose e~ is zeroed.
     records += ((_finite, (d[site],)) for site in sites)
     for slab in slabs:
+        lo, hi, _ = slab
         records += _circulate(b, e, 1, spec, b, slab)
-        records.append((_finite, (b[:, slab.lo:slab.hi],)))
+        records.append((_finite, (b[:, lo:hi],)))
     return records
 
 
@@ -744,7 +736,7 @@ def diagnostics(state, spec, rho=None):
     ed, hb = np.empty((3, *spec.shape[:2])), np.empty((3, *spec.shape[:2]))
     ext = np.empty((len(slabs), 2, 11))
     for slab, (top, bottom) in zip(slabs, ext):
-        lo, hi = slab.lo, slab.hi
+        lo, hi, _ = slab
         h = acc[:, :hi - lo]
         np.einsum("cijk,cijk->cij", e[:, lo:hi], d[:, lo:hi], out=ed[:, lo:hi])
         np.multiply(b[:, lo:hi], _rows(geo.b_to_h, lo, hi), out=h)

@@ -82,8 +82,7 @@ def test_the_solver_curls_are_the_incidence_matrices(bc):
     w = np.random.default_rng(1).normal(size=(3, *spec.shape))
     for offset, forward, sign in ((1, True, -1), (-1, False, 1)):
         got = np.empty(w.shape)
-        sv._execute(sv._circulate(np.zeros(w.shape), w, offset, spec, got,
-                                  sv._Slab(0, 3, {})))
+        sv._execute(sv._circulate(np.zeros(w.shape), w, offset, spec, got, (0, 3, {})))
         want = sign * (_curl(spec.shape, bc, forward) @ w.ravel())
         assert np.max(np.abs(got.ravel() - want)) <= 1e-15 * np.max(np.abs(want))
 
