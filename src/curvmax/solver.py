@@ -72,18 +72,20 @@ whole-array sweep, so results are bitwise those of whole-array sweeps.
 
 The sweep builders (``_circulate``, ``_add_shifted``, ``_divergence``,
 ``_closure``, and in a step the PEC zeroing and the finiteness guards)
-return records, one ``(ufunc, operands)`` pair per numpy call, whose
+return records, one ``(f, operands)`` pair per numpy call -- a ufunc, a
+view's ``__setitem__`` or ``fill``, or the finiteness check -- whose
 operands are views made when the record is built; a flat pass's saved
 plane is one buffer per plane shape, shared by the slabs of one call.
 ``step`` builds the records of a step and runs them once.  ``run`` keeps
 the records of each pair of (input arrays, output arrays) and replays
 them: it writes step n + 1 into the arrays of state n - 1 once nothing
 else can reach that state -- always without a callback, and with one once
-its weak reference to the state it handed out is dead -- so that from the
-fourth step on a step is just its ufunc calls.  Records and buffers live
-for one call; the input state is never written, and a run holds at most
-the input state plus two sets of arrays.  The current of ``j_func`` is
-added between the two halves of a step's records, outside them.
+its weak reference to the state it handed out is dead; else it takes new
+arrays -- so that from the fourth step on a step is just its calls on
+views that already exist.  Records and buffers live for one call; the
+input state is never written, and a run holds at most the input state
+plus two sets of arrays.  The current of ``j_func`` is added between the
+two halves of a step's records, outside them.
 
 Initial conditions are one table, ``INITIAL_CONDITIONS``, of nonzero
 components (field, component, axis, profile); one routine samples it at
@@ -390,7 +392,7 @@ def _rows(x, lo, hi):
 
 
 def _execute(records):
-    """Run (ufunc, operands) records in order; see ``step`` and ``run``."""
+    """Run (f, operands) records in order (see the module docstring)."""
     for f, operands in records:
         f(*operands)
 
@@ -574,8 +576,12 @@ def init_grid(spec, initial="zero"):
 # ---------------------------------------------------------------------------
 
 def _new_arrays(spec):
+    """New (e~', d~', b~') arrays of a step.  They are allocated b~' first,
+    then e~' and d~': in (e, d, b) order a 16^3 spherical step that reads
+    the state the previous one returned measured 3-6 % slower."""
     shape = (3, *spec.shape)
-    return np.empty(shape), np.empty(shape), np.empty(shape)
+    b, e, d = np.empty(shape), np.empty(shape), np.empty(shape)
+    return e, d, b
 
 
 def _first_half(src, out, spec, geo, slabs):
@@ -648,15 +654,9 @@ def step(state, spec, j_func=None):
 def run(state, spec, nsteps, j_func=None, callback=None):
     """Advance ``nsteps`` steps, each bitwise what ``step`` returns; with a
     callback, call callback(state) after each.  ``nsteps`` is an integer of
-    at least 0; 0 returns ``state`` itself.
-
-    Step n + 1 is written into the arrays of state n - 1 once nothing else
-    can reach that state: always without a callback, and with one once the
-    state handed to it is gone (run keeps only a weak reference to it);
-    otherwise into new arrays.  The input state is never written.  The
-    records of each pair of (input arrays, output arrays) are built once and
-    replayed, so from the fourth step on a step is its ufunc calls on views
-    that already exist.  Records and buffers live for one call.
+    at least 0; 0 returns ``state`` itself.  The input state is never
+    written; the module docstring tells which arrays run reuses and how it
+    replays a step's records.
     """
     try:
         nsteps = operator.index(nsteps)
